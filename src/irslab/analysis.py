@@ -27,6 +27,7 @@ from .actions import (
     trace_code_matrix,
 )
 from .rng import STREAM_SWEEP, derive_rng, random_full_group_element
+from .setops import member, merge_disjoint, sorted_unique
 from .words import ReducedWord, ball_size, format_word, parse_word
 
 
@@ -213,15 +214,22 @@ def transitivity_degree(hom: Homomorphism, root: int, k_max: int) -> int:
 # -- tower-permutation realization -------------------------------------------
 
 
-def _apply_diagonal(keys: np.ndarray, table: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Apply one generator to the tuple part of packed (tuple, tag) keys."""
+def _diagonal_images(keys: np.ndarray, tables, n: int, m: int) -> np.ndarray:
+    """Images of packed (tuple, tag) keys under each table applied coordinatewise.
+
+    The m tuple coordinates are decoded once and reused for every table;
+    the images for all tables are returned concatenated.
+    """
     tags = keys % n
     code = keys // n
-    out = np.zeros_like(keys)
-    for i in range(m):
-        coord = (code // n ** (m - 1 - i)) % n
-        out = out * n + table[coord]
-    return out * n + tags
+    coords = [(code // n ** (m - 1 - i)) % n for i in range(m)]
+    grown = []
+    for table in tables:
+        out = np.zeros_like(tags)
+        for coord in coords:
+            out = out * n + table[coord]
+        grown.append(out * n + tags)
+    return np.concatenate(grown)
 
 
 def realizes_tau_fraction(hom: Homomorphism, m: int, tau, radius: int) -> Fraction:
@@ -233,8 +241,11 @@ def realizes_tau_fraction(hom: Homomorphism, m: int, tau, radius: int) -> Fracti
     generator.  Exact: bidirectional breadth-first closure over packed
     (tuple, source atom) states, expanding the smaller side; an atom is
     settled positively on the first meet and negatively when one of its
-    frontiers dies or the combined depth reaches the radius.  Cost grows
-    with the diagonal orbit of the fiber tuple; sized for small spaces.
+    frontiers dies or the combined depth reaches the radius.  The visited
+    sets are ascending key arrays kept by sort-merge (see `setops`), so
+    each depth costs O(states * log states) in the states it touches.
+    Cost grows with the diagonal orbit of the fiber tuple; sized for
+    small spaces.
     """
     if not hom.is_lean_aperiodic:
         raise AnalysisError("needs a single-cycle first generator")
@@ -270,7 +281,7 @@ def realizes_tau_fraction(hom: Homomorphism, m: int, tau, radius: int) -> Fracti
 
     visited = [np.sort(start), np.sort(target)]
     frontier = [visited[0].copy(), visited[1].copy()]
-    met = np.intersect1d(visited[0], visited[1], assume_unique=True)
+    met = visited[0][member(visited[1], visited[0])]
     realized[met % n] = True
     depth = [0, 0]
 
@@ -287,17 +298,15 @@ def realizes_tau_fraction(hom: Homomorphism, m: int, tau, radius: int) -> Fracti
             # closure complete on this side: the rest can never meet
             dead[~(realized | dead)] = True
             break
-        grown = [_apply_diagonal(frontier[side], t, n, m) for t in tables]
-        fresh = np.unique(np.concatenate(grown))
-        fresh = fresh[~np.isin(fresh, visited[side], assume_unique=False)]
+        fresh = sorted_unique(_diagonal_images(frontier[side], tables, n, m))
+        fresh = fresh[~member(visited[side], fresh)]
         depth[side] += 1
-        visited[side] = np.union1d(visited[side], fresh)
+        visited[side] = merge_disjoint(visited[side], fresh)
         frontier[side] = fresh
-        met = np.intersect1d(fresh, visited[1 - side], assume_unique=True)
-        realized[met % n] = True
-        live = np.unique(frontier[side] % n)
+        fresh_atoms = fresh % n
+        realized[fresh_atoms[member(visited[1 - side], fresh)]] = True
         stuck = ~(realized | dead)
-        stuck[live] = False
+        stuck[fresh_atoms] = False
         dead |= stuck
         purge(0)
         purge(1)
@@ -486,20 +495,31 @@ def _sweep_chunk(payload) -> int:
     return hits
 
 
+def _worker_count() -> int:
+    """IRSLAB_WORKERS (default 1) clamped to [1, os.cpu_count()]."""
+    text = os.environ.get("IRSLAB_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ValueError(f"IRSLAB_WORKERS must be an integer, got {text!r}") from None
+    return max(1, min(workers, os.cpu_count() or 1))
+
+
 def genericity_sweep(
     hom: Homomorphism, epsilon, samples: int, prop, seed: int
 ) -> Fraction:
     """Fraction of sampled perturbations satisfying the property.
 
     Sampling is seeded per sample index, so the result is identical for
-    any worker count; IRSLAB_WORKERS sets process parallelism.
+    any worker count; IRSLAB_WORKERS sets process parallelism, clamped to
+    the CPU count.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     epsilon = Fraction(epsilon)
     if isinstance(prop, str):
         prop = parse_property(prop, hom.rank)
-    workers = int(os.environ.get("IRSLAB_WORKERS", "1"))
+    workers = _worker_count()
     indices = list(range(samples))
     if workers <= 1 or samples == 1:
         hits = _sweep_chunk((hom, epsilon, prop, seed, indices))

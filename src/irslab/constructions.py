@@ -19,6 +19,7 @@ import numpy as np
 
 from .actions import Homomorphism
 from .fullgroup import FullGroupElement, cycle_structure
+from .setops import sorted_unique
 from .words import ReducedWord, cyclic_reduce
 
 
@@ -42,7 +43,7 @@ def splice(sigma: FullGroupElement, atoms, tau: FullGroupElement) -> FullGroupEl
     space = sigma.space
     if tau.space != space:
         raise ValueError("splice needs elements on the same space")
-    subset = np.unique(np.asarray(list(atoms), dtype=np.int64))
+    subset = sorted_unique(np.asarray(list(atoms), dtype=np.int64))
     if subset.size == 0:
         return sigma
     if subset.min() < 0 or subset.max() >= space.n_atoms:
@@ -413,9 +414,11 @@ def build_corefree_perturbation(hom: Homomorphism, word: ReducedWord, epsilon) -
             atoms_here = level_atoms(dom)
             domain.extend(atoms_here)
             target[atoms_here] = shift(atoms_here, step)
-        rest_src = np.setdiff1d(np.arange(n), np.array(domain, dtype=np.int64))
-        rest_tgt = np.setdiff1d(np.arange(n), target[np.array(domain, dtype=np.int64)])
-        target[rest_src] = rest_tgt
+        unused_src = np.ones(n, dtype=bool)
+        unused_src[domain] = False
+        unused_tgt = np.ones(n, dtype=bool)
+        unused_tgt[target[domain]] = False
+        target[unused_src] = np.nonzero(unused_tgt)[0]
         tau_elem = FullGroupElement.from_forward(hom.space, target)
         spliced = splice(result.gens[gen_index - 1], sorted(domain), tau_elem)
         result = result.replace_generator(gen_index - 1, spliced)

@@ -35,6 +35,15 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(int(match.group(1)), denominator)
 
 
+def _require(doc, what: str, *keys: str) -> None:
+    """Reject a document that is not an object or lacks one of the keys."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} document must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{what} document is missing key {key!r}")
+
+
 def dumps_canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -51,6 +60,7 @@ def space_to_doc(space: FiniteSpace) -> dict:
 
 
 def space_from_doc(doc: dict) -> FiniteSpace:
+    _require(doc, "space", "n_atoms", "classes")
     n = int(doc["n_atoms"])
     class_of = np.full(n, -1, dtype=np.int64)
     for cid, atoms in enumerate(doc["classes"]):
@@ -81,6 +91,7 @@ def hom_from_doc(doc: dict, space: FiniteSpace | None = None) -> Homomorphism:
     Without an explicit space a single-class space with the largest
     dyadic filtration is assumed, which accepts any permutation tables.
     """
+    _require(doc, "hom", "n_atoms", "rank", "gens")
     n = int(doc["n_atoms"])
     if space is None:
         space = FiniteSpace.single_class(n)

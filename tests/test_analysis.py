@@ -364,3 +364,21 @@ def test_sweep_reproducible_and_worker_independent(monkeypatch):
     assert parallel == serial
     with pytest.raises(ValueError):
         genericity_sweep(hom, Fraction(1, 2), 0, prop, 99)
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    from irslab.analysis import _worker_count
+
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.delenv("IRSLAB_WORKERS", raising=False)
+    assert _worker_count() == 1
+    for text, expected in [("1", 1), ("2", 2), ("0", 1), ("-3", 1), ("64", 2), (" 2 ", 2)]:
+        monkeypatch.setenv("IRSLAB_WORKERS", text)
+        assert _worker_count() == expected
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    monkeypatch.setenv("IRSLAB_WORKERS", "8")
+    assert _worker_count() == 1
+    for text in ["two", "1.5", ""]:
+        monkeypatch.setenv("IRSLAB_WORKERS", text)
+        with pytest.raises(ValueError, match="IRSLAB_WORKERS must be an integer"):
+            _worker_count()

@@ -224,6 +224,32 @@ def test_bad_input_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("missing", ["gens", "n_atoms", "rank"])
+def test_hom_document_missing_key_exits_2(tmp_path, missing):
+    doc = {"n_atoms": 4, "rank": 1, "gens": [[1, 2, 3, 0]]}
+    del doc[missing]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "irslab.cli", "analyze", "index", "--hom", str(bad)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip() == f"error: hom document is missing key {missing!r}"
+
+
+def test_space_document_missing_key_exits_2(tmp_path, capsys):
+    hom = gen_hom(tmp_path, log2=2)
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"n_atoms": 4}))
+    assert main(["analyze", "index", "--hom", str(hom), "--space", str(space)]) == 2
+    assert capsys.readouterr().err.strip() == "error: space document is missing key 'classes'"
+    space.write_text("[]")
+    assert main(["analyze", "index", "--hom", str(hom), "--space", str(space)]) == 2
+    assert capsys.readouterr().err.strip() == "error: space document must be a JSON object"
+
+
 def test_console_script_entry_point(tmp_path):
     hom = gen_hom(tmp_path, log2=3)
     proc = subprocess.run(

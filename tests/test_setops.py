@@ -1,0 +1,182 @@
+"""Sorted-array set kernel, and the realization kernel built on it checked
+against the earlier numpy set-op implementation kept here as an oracle."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from irslab import (
+    FiniteSpace,
+    build_ht_perturbation,
+    derive_rng,
+    lean_aperiodic_homomorphism,
+    realizes_tau_fraction,
+)
+from irslab.rng import STREAM_TEST
+from irslab.setops import member, merge_disjoint, sorted_unique
+
+# -- helpers -------------------------------------------------------------------
+
+
+def test_sorted_unique_edge_cases():
+    assert sorted_unique(np.empty(0, np.int64)).tolist() == []
+    assert sorted_unique(np.array([7])).tolist() == [7]
+    assert sorted_unique(np.array([3, 1, 3, 3, 2, 1])).tolist() == [1, 2, 3]
+    assert sorted_unique(np.array([5, 5, 5])).tolist() == [5]
+    big = np.array([2**62, -(2**62), 0, 2**62], dtype=np.int64)
+    assert sorted_unique(big).tolist() == [-(2**62), 0, 2**62]
+
+
+def test_member_edge_cases():
+    hay = np.array([2, 4, 6], dtype=np.int64)
+    needles = np.array([0, 1, 2, 3, 4, 6, 7, 100], dtype=np.int64)
+    assert member(hay, needles).tolist() == [False, False, True, False, True, True, False, False]
+    assert member(hay, np.empty(0, np.int64)).tolist() == []
+    assert member(np.empty(0, np.int64), needles).tolist() == [False] * needles.size
+    # duplicated needles each get their own answer
+    assert member(hay, np.array([6, 6, 9, 9])).tolist() == [True, True, False, False]
+    # needles need not be sorted
+    assert member(hay, np.array([7, 2, -1, 4])).tolist() == [False, True, False, True]
+
+
+def test_merge_disjoint_edge_cases():
+    a = np.array([1, 5, 9], dtype=np.int64)
+    assert merge_disjoint(a, np.array([0, 2, 3, 10], dtype=np.int64)).tolist() == [0, 1, 2, 3, 5, 9, 10]
+    assert merge_disjoint(a, np.empty(0, np.int64)).tolist() == [1, 5, 9]
+    assert merge_disjoint(np.empty(0, np.int64), a).tolist() == [1, 5, 9]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-50, 50), max_size=40),
+    st.lists(st.integers(-60, 60), max_size=40),
+)
+def test_helpers_match_numpy_set_ops(xs, ys):
+    a = np.asarray(xs, dtype=np.int64)
+    b = np.asarray(ys, dtype=np.int64)
+    ua, ub = sorted_unique(a), sorted_unique(b)
+    assert np.array_equal(ua, np.unique(a))
+    assert np.array_equal(member(ua, b), np.isin(b, a))
+    only_b = ub[~member(ua, ub)]
+    assert np.array_equal(merge_disjoint(ua, only_b), np.union1d(a, b))
+
+
+# -- oracle: the set-op kernel this package used before setops -------------------
+
+
+def _oracle_apply_diagonal(keys, table, n, m):
+    tags = keys % n
+    code = keys // n
+    out = np.zeros_like(keys)
+    for i in range(m):
+        coord = (code // n ** (m - 1 - i)) % n
+        out = out * n + table[coord]
+    return out * n + tags
+
+
+def oracle_realizes_tau_fraction(hom, m, tau, radius):
+    n = hom.space.n_atoms
+    sigma = hom.gens[0]
+    powers = np.empty((m, n), dtype=np.int64)
+    powers[0] = np.arange(n)
+    for i in range(1, m):
+        powers[i] = sigma.forward[powers[i - 1]]
+
+    def pack(rows):
+        out = np.zeros(n, dtype=np.int64)
+        for i in range(m):
+            out = out * n + rows[i]
+        return out * n + np.arange(n)
+
+    start = pack([powers[i] for i in range(m)])
+    target = pack([powers[tau[i]] for i in range(m)])
+
+    tables = [g.forward for g in hom.gens] + [g.inverse for g in hom.gens]
+    realized = np.zeros(n, dtype=bool)
+    dead = np.zeros(n, dtype=bool)
+
+    visited = [np.sort(start), np.sort(target)]
+    frontier = [visited[0].copy(), visited[1].copy()]
+    met = np.intersect1d(visited[0], visited[1], assume_unique=True)
+    realized[met % n] = True
+    depth = [0, 0]
+
+    def purge(side):
+        keep = ~(realized | dead)
+        visited[side] = visited[side][keep[visited[side] % n]]
+        frontier[side] = frontier[side][keep[frontier[side] % n]]
+
+    purge(0)
+    purge(1)
+    while not (realized | dead).all() and depth[0] + depth[1] < radius:
+        side = 0 if frontier[0].size <= frontier[1].size else 1
+        if frontier[side].size == 0:
+            # closure complete on this side: the rest can never meet
+            dead[~(realized | dead)] = True
+            break
+        grown = [_oracle_apply_diagonal(frontier[side], t, n, m) for t in tables]
+        fresh = np.unique(np.concatenate(grown))
+        fresh = fresh[~np.isin(fresh, visited[side], assume_unique=False)]
+        depth[side] += 1
+        visited[side] = np.union1d(visited[side], fresh)
+        frontier[side] = fresh
+        met = np.intersect1d(fresh, visited[1 - side], assume_unique=True)
+        realized[met % n] = True
+        live = np.unique(frontier[side] % n)
+        stuck = ~(realized | dead)
+        stuck[live] = False
+        dead |= stuck
+        purge(0)
+        purge(1)
+    return Fraction(int(np.count_nonzero(realized)), n)
+
+
+def _case_hom(n, rank, seed, m, tau, perturbed):
+    sp = FiniteSpace.single_class(n)
+    hom = lean_aperiodic_homomorphism(sp, rank, derive_rng(seed, STREAM_TEST, n))
+    if perturbed:
+        hom = build_ht_perturbation(hom, m, tau, Fraction(1))
+    return hom
+
+
+@st.composite
+def realize_cases(draw):
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(2 * m + 2, 14 if m == 3 else 24))
+    rank = draw(st.integers(2, 3))
+    tau = tuple(draw(st.permutations(range(m))))
+    radius = draw(st.integers(0, 2 * n))
+    seed = draw(st.integers(0, 2**16))
+    perturbed = draw(st.booleans())
+    return n, rank, seed, m, tau, radius, perturbed
+
+
+# each of these has a realized fraction strictly between 0 and 1
+PARTIAL_CASES = [
+    (8, 2, 0, 2, (1, 0), 1, True),
+    (12, 2, 1, 3, (2, 0, 1), 5, False),
+    (12, 2, 0, 3, (1, 2, 0), 1, True),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(realize_cases())
+@example(PARTIAL_CASES[0])
+@example(PARTIAL_CASES[1])
+@example(PARTIAL_CASES[2])
+def test_realizes_tau_fraction_matches_set_op_oracle(case):
+    n, rank, seed, m, tau, radius, perturbed = case
+    hom = _case_hom(n, rank, seed, m, tau, perturbed)
+    assert realizes_tau_fraction(hom, m, tau, radius) == oracle_realizes_tau_fraction(hom, m, tau, radius)
+
+
+@pytest.mark.parametrize("case", PARTIAL_CASES)
+def test_oracle_cases_include_partial_fractions(case):
+    n, rank, seed, m, tau, radius, perturbed = case
+    hom = _case_hom(n, rank, seed, m, tau, perturbed)
+    fraction = realizes_tau_fraction(hom, m, tau, radius)
+    assert 0 < fraction < 1
+    assert fraction == oracle_realizes_tau_fraction(hom, m, tau, radius)
