@@ -1,7 +1,9 @@
 """Actions of a free group by full-group elements.
 
 A homomorphism assigns one full-group element per generator.  Words act
-on the left: the rightmost letter is applied first.  Stabilizer traces
+on the left: the rightmost letter is applied first.  Orbits are read off
+one labelling of the atoms by `labels.component_labels`, cached on the
+homomorphism, never walked atom by atom.  Stabilizer traces
 record which ball words fix an atom, stored as bitsets over the
 canonical length-lex ball enumeration so trace equality is a byte
 comparison; two rooted Schreier balls of radius R are isomorphic
@@ -18,7 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from .fullgroup import FullGroupElement, cycle_structure, uniform_metric
-from .space import FiniteSpace
+from .labels import component_labels
+from .setops import sorted_unique
+from .space import FiniteSpace, _frozen_array
 from .words import ReducedWord, ball, reduce_letters
 
 
@@ -45,6 +49,11 @@ class Homomorphism:
     def is_lean_aperiodic(self) -> bool:
         """Finite stand-in for aperiodicity: the first image is one full cycle."""
         return cycle_structure(self.gens[0]).is_single_cycle
+
+    @cached_property
+    def orbit_labels(self) -> np.ndarray:
+        """Least atom of each atom's orbit, computed once per homomorphism."""
+        return _frozen_array(component_labels([g.forward for g in self.gens], self.space.n_atoms))
 
     def generator(self, letter: int) -> FullGroupElement:
         """Image of a signed letter."""
@@ -99,42 +108,25 @@ def hom_metric(a: Homomorphism, b: Homomorphism) -> Fraction:
 
 
 def orbit(hom: Homomorphism, atom: int) -> frozenset[int]:
-    """Breadth-first closure of an atom under all generator images."""
-    seen = {atom}
-    frontier = [atom]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in hom.gens:
-                for y in (int(g.forward[x]), int(g.inverse[x])):
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
+    """Atoms sharing the root's orbit label (see `Homomorphism.orbit_labels`)."""
+    labels = hom.orbit_labels
+    return frozenset(np.flatnonzero(labels == labels[atom]).tolist())
 
 
 def orbits(hom: Homomorphism) -> list[tuple[int, ...]]:
     """All orbits, each sorted, listed by least atom."""
-    n = hom.space.n_atoms
-    seen = np.zeros(n, dtype=bool)
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orb = sorted(orbit(hom, start))
-        seen[orb] = True
-        out.append(tuple(orb))
-    return out
+    labels = hom.orbit_labels
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return [tuple(part.tolist()) for part in np.split(order, cuts)]
 
 
 def index_distribution(hom: Homomorphism) -> dict[int, Fraction]:
     """Measure of atoms lying on an orbit of each size."""
     n = hom.space.n_atoms
-    counts: Counter[int] = Counter()
-    for orb in orbits(hom):
-        counts[len(orb)] += len(orb)
-    return {size: Fraction(total, n) for size, total in sorted(counts.items())}
+    sizes = np.bincount(hom.orbit_labels, minlength=n)
+    totals = np.bincount(sizes[hom.orbit_labels])
+    return {size: Fraction(int(t), n) for size, t in enumerate(totals.tolist()) if t}
 
 
 # -- stabilizer traces ----------------------------------------------------
@@ -161,14 +153,6 @@ class StabilizerTrace:
         return self.bits.hex()
 
 
-def _perm_table(hom: Homomorphism) -> dict[int, np.ndarray]:
-    table = {}
-    for i, g in enumerate(hom.gens, start=1):
-        table[i] = g.forward
-        table[-i] = g.inverse
-    return table
-
-
 def stabilizer_trace(hom: Homomorphism, atom: int, radius: int) -> StabilizerTrace:
     """Trace of one atom: the ball words fixing it."""
     fb = ball(hom.rank, radius)
@@ -187,7 +171,8 @@ def stabilizer_trace(hom: Homomorphism, atom: int, radius: int) -> StabilizerTra
 def trace_code_matrix(hom: Homomorphism, radius: int, chunk: int = 8192) -> np.ndarray:
     """Packed trace bitsets for every atom, one row per atom."""
     fb = ball(hom.rank, radius)
-    table = _perm_table(hom)
+    table = {s * i: g.forward if s > 0 else g.inverse
+             for i, g in enumerate(hom.gens, start=1) for s in (1, -1)}
     n = hom.space.n_atoms
     n_words = len(fb)
     codes = np.empty((n, (n_words + 7) // 8), dtype=np.uint8)
@@ -260,6 +245,18 @@ def invariance_defect(hom: Homomorphism, radius: int) -> Fraction:
 # -- Schreier balls --------------------------------------------------------
 
 
+def ball_atoms(hom: Homomorphism, root: int, radius: int) -> np.ndarray:
+    """Atoms at word distance <= radius from the root, ascending."""
+    inside = np.zeros(hom.space.n_atoms, dtype=bool)
+    inside[root] = True
+    frontier = np.array([root], dtype=np.int64)
+    for _ in range(min(radius, hom.space.n_atoms)):
+        step = np.concatenate([t[frontier] for g in hom.gens for t in (g.forward, g.inverse)])
+        frontier = sorted_unique(step[~inside[step]])
+        inside[frontier] = True
+    return np.flatnonzero(inside)
+
+
 @dataclass(frozen=True)
 class SchreierBall:
     """Rooted labeled ball in the orbit graph of an action.
@@ -278,18 +275,7 @@ class SchreierBall:
 
 def schreier_ball(hom: Homomorphism, root: int, radius: int) -> SchreierBall:
     """Materialize the radius-R ball at an atom with its 2R+1 trace code."""
-    dist = {root: 0}
-    frontier = [root]
-    for d in range(radius):
-        nxt = []
-        for x in frontier:
-            for g in hom.gens:
-                for y in (int(g.forward[x]), int(g.inverse[x])):
-                    if y not in dist:
-                        dist[y] = d + 1
-                        nxt.append(y)
-        frontier = nxt
-    vertices = tuple(sorted(dist))
+    vertices = tuple(ball_atoms(hom, root, radius).tolist())
     vset = set(vertices)
     signed = [l for i in range(1, hom.rank + 1) for l in (i, -i)]
     edges = []

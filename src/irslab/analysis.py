@@ -15,17 +15,18 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 import numpy as np
 
 from .actions import (
     Homomorphism,
+    ball_atoms,
     hom_metric,
     orbit,
-    orbits,
     trace_code_matrix,
 )
+from .labels import component_labels
 from .rng import STREAM_SWEEP, derive_rng, random_full_group_element
 from .setops import member, merge_disjoint, sorted_unique
 from .words import ReducedWord, ball_size, format_word, parse_word
@@ -40,14 +41,14 @@ class AnalysisError(ValueError):
 
 def schreier_boundary_ratio(hom: Homomorphism, subset) -> Fraction:
     """max over generators g of |gF symm-diff F| / |F| for F = subset."""
-    atoms = np.asarray(sorted(set(int(x) for x in subset)), dtype=np.int64)
+    atoms = sorted_unique(subset if isinstance(subset, np.ndarray) else np.fromiter(subset, np.int64))
     if atoms.size == 0:
         raise ValueError("boundary ratio needs a nonempty set")
-    member = np.zeros(hom.space.n_atoms, dtype=bool)
-    member[atoms] = True
+    inside = np.zeros(hom.space.n_atoms, dtype=bool)
+    inside[atoms] = True
     worst = Fraction(0)
     for g in hom.gens:
-        escaped = int(np.count_nonzero(~member[g.forward[atoms]]))
+        escaped = int(np.count_nonzero(~inside[g.forward[atoms]]))
         worst = max(worst, Fraction(2 * escaped, atoms.size))
     return worst
 
@@ -71,101 +72,98 @@ def folner_search(hom: Homomorphism, root: int, l: int, radius: int) -> FolnerRe
     radius-`radius` Schreier ball of the root, and every prefix of a
     greedy growth that starts at the root and repeatedly adds the
     adjacent pool atom minimizing the boundary ratio.  The pool is the
-    ball plus those cycles.  Returns the best candidate's exact ratio;
+    union of those cycles, which covers the ball.  Orbit size and cycles
+    are read off the labelling kernel (`labels.component_labels`), and
+    greedy steps compare integer escape counts; a Fraction is built only
+    for each step's pick.  Returns the best candidate's exact ratio;
     success means ratio < 1/l.  An orbit of size one has no valid
     candidate and reports failure with ratio 1.
     """
     if l < 1:
         raise ValueError("l must be at least 1")
-    orb = orbit(hom, root)
-    cap = len(orb) // 2
+    cap = int(np.count_nonzero(hom.orbit_labels == hom.orbit_labels[root])) // 2
     if cap == 0:
         return FolnerResult(frozenset(), Fraction(1), False)
-    threshold = Fraction(1, l)
 
-    # plain vertex BFS; schreier_ball would also build the 2R+1 trace code,
-    # which is astronomically large at search radii
-    in_ball = {root}
-    frontier_bfs = [root]
-    for _ in range(radius):
-        nxt = []
-        for x in frontier_bfs:
-            for g in hom.gens:
-                for y in (int(g.forward[x]), int(g.inverse[x])):
-                    if y not in in_ball:
-                        in_ball.add(y)
-                        nxt.append(y)
-        frontier_bfs = nxt
-    pool = set(in_ball)
-    cycle_candidates = []
-    for cyc in hom.gens[-1].cycles():
-        if any(v in in_ball for v in cyc):
-            pool.update(cyc)
-            if 0 < len(cyc) <= cap:
-                cycle_candidates.append(frozenset(cyc))
+    # the pool: every cycle of the last generator that meets the ball
+    n = hom.space.n_atoms
+    cycle_of = component_labels([hom.gens[-1].forward], n)
+    hit = np.zeros(n, dtype=bool)
+    hit[cycle_of[ball_atoms(hom, root, radius)]] = True
+    in_pool = hit[cycle_of]
+    pool = np.flatnonzero(in_pool)
+    pool = pool[np.argsort(cycle_of[pool], kind="stable")]
+    cycles = np.split(pool, np.flatnonzero(np.diff(cycle_of[pool])) + 1)
 
     best_set: frozenset[int] = frozenset([root])
     best_ratio = schreier_boundary_ratio(hom, best_set)
-    for cand in sorted(cycle_candidates, key=lambda c: (len(c), sorted(c))):
+    for cand in sorted((c for c in cycles if c.size <= cap), key=lambda c: (c.size, c.tolist())):
         ratio = schreier_boundary_ratio(hom, cand)
-        if ratio < best_ratio or (ratio == best_ratio and len(cand) < len(best_set)):
-            best_set, best_ratio = cand, ratio
+        if ratio < best_ratio or (ratio == best_ratio and cand.size < len(best_set)):
+            best_set, best_ratio = frozenset(cand.tolist()), ratio
 
-    # greedy growth with incremental per-generator escape counts
-    n = hom.space.n_atoms
-    member = np.zeros(n, dtype=bool)
-    member[root] = True
+    # greedy growth with incremental per-generator escape counts; the candidates
+    # of one step share the denominator len(current) + 1, so compare numerators
+    inside = np.zeros(n, dtype=bool)
+    inside[root] = True
     current = [root]
-    out_count = []
-    in_count = []
-    for g in hom.gens:
-        out_count.append(0 if g.forward[root] == root else 1)
-        in_count.append(0 if g.inverse[root] == root else 1)
+    out_count = [int(g.forward[root] != root) for g in hom.gens]
+    in_count = [int(g.inverse[root] != root) for g in hom.gens]
 
     def neighbors(x):
         for g in hom.gens:
             yield int(g.forward[x])
             yield int(g.inverse[x])
 
-    frontier = {y for y in neighbors(root) if y in pool and y != root}
+    frontier = {y for y in neighbors(root) if in_pool[y] and y != root}
     evaluations = 0
-    while len(current) < min(cap, len(pool)):
+    while len(current) < min(cap, pool.size):
         if not frontier or evaluations > _GREEDY_STEP_BUDGET:
             break
         evaluations += len(frontier)
-        pick = None
-        for y in sorted(frontier):
-            worst = Fraction(0)
-            for gi, g in enumerate(hom.gens):
-                out = out_count[gi] - (1 if member[g.inverse[y]] else 0)
-                fy = int(g.forward[y])
-                if not member[fy] and fy != y:
-                    out += 1
-                inc = in_count[gi] - (1 if member[g.forward[y]] else 0)
-                by = int(g.inverse[y])
-                if not member[by] and by != y:
-                    inc += 1
-                worst = max(worst, Fraction(out + inc, len(current) + 1))
-            if pick is None or (worst, y) < pick[:2]:
-                pick = (worst, y, None)
-        ratio, y, _ = pick
-        member[y] = True
+        ys = np.sort(np.fromiter(frontier, np.int64))
+        worst = np.zeros(ys.size, dtype=np.int64)
+        for gi, g in enumerate(hom.gens):
+            fy, by = g.forward[ys], g.inverse[ys]
+            out = out_count[gi] - inside[by] + ((fy != ys) & ~inside[fy])
+            inc = in_count[gi] - inside[fy] + ((by != ys) & ~inside[by])
+            np.maximum(worst, out + inc, out=worst)
+        pick = int(np.argmin(worst))  # ys ascend, so ties go to the least atom
+        y = int(ys[pick])
+        ratio = Fraction(int(worst[pick]), len(current) + 1)
+        inside[y] = True
         current.append(y)
         atoms = np.asarray(current, dtype=np.int64)
         for gi, g in enumerate(hom.gens):
-            out_count[gi] = int(np.count_nonzero(~member[g.forward[atoms]]))
-            in_count[gi] = int(np.count_nonzero(~member[g.inverse[atoms]]))
+            out_count[gi] = int(np.count_nonzero(~inside[g.forward[atoms]]))
+            in_count[gi] = int(np.count_nonzero(~inside[g.inverse[atoms]]))
         frontier.discard(y)
-        frontier.update(z for z in neighbors(y) if z in pool and not member[z])
+        frontier.update(z for z in neighbors(y) if in_pool[z] and not inside[z])
         if ratio < best_ratio or (ratio == best_ratio and len(current) < len(best_set)):
             best_set, best_ratio = frozenset(current), ratio
 
-    return FolnerResult(best_set, best_ratio, best_ratio < threshold)
+    return FolnerResult(best_set, best_ratio, best_ratio < Fraction(1, l))
 
 
 # -- transitivity degree -----------------------------------------------------
 
 _TUPLE_SPACE_LIMIT = 5_000_000
+
+
+def _closure(start: tuple[int, ...], tables, limit: int) -> set[tuple[int, ...]]:
+    """Orbit of a tuple under the tables applied coordinatewise (a group from the identity)."""
+    seen = {start}
+    queue = [start]
+    while queue:
+        t = queue.pop()
+        for table in tables:
+            image = tuple(table[c] for c in t)
+            if image not in seen:
+                if len(seen) >= limit:
+                    raise AnalysisError("closure exceeded its limit")
+                seen.add(image)
+                queue.append(image)
+    return seen
 
 
 def transitivity_degree(hom: Homomorphism, root: int, k_max: int) -> int:
@@ -190,22 +188,10 @@ def transitivity_degree(hom: Homomorphism, root: int, k_max: int) -> int:
 
     degree = 1
     for k in range(2, k_cap + 1):
-        total = 1
-        for i in range(k):
-            total *= n - i
+        total = perm(n, k)
         if total > _TUPLE_SPACE_LIMIT:
             raise AnalysisError(f"{total} ordered {k}-tuples exceed the enumeration limit")
-        start = tuple(range(k))
-        seen = {start}
-        queue = [start]
-        while queue:
-            t = queue.pop()
-            for table in tables:
-                image = tuple(table[c] for c in t)
-                if image not in seen:
-                    seen.add(image)
-                    queue.append(image)
-        if len(seen) != total:
+        if len(_closure(tuple(range(k)), tables, total)) != total:
             break
         degree = k
     return degree
@@ -321,12 +307,11 @@ def core_check(hom: Homomorphism, word: ReducedWord) -> Fraction:
     if len(word) == 0:
         raise ValueError("word must be nonempty")
     g = hom.element_of(word)
-    fixed = g.forward == np.arange(hom.space.n_atoms)
-    trivial_atoms = 0
-    for orb in orbits(hom):
-        if fixed[np.asarray(orb, dtype=np.int64)].all():
-            trivial_atoms += len(orb)
-    return Fraction(trivial_atoms, hom.space.n_atoms)
+    n = hom.space.n_atoms
+    labels = hom.orbit_labels
+    moved = np.zeros(n, dtype=bool)
+    moved[labels[g.forward != np.arange(n)]] = True
+    return Fraction(int(np.count_nonzero(~moved[labels])), n)
 
 
 # -- ball stability ------------------------------------------------------------
@@ -363,23 +348,6 @@ def ball_stability_check(a: Homomorphism, b: Homomorphism, radius: int) -> BallS
 # -- classwise symmetric generation --------------------------------------------
 
 
-def _closure(perms: list[tuple[int, ...]], limit: int) -> set[tuple[int, ...]]:
-    degree = len(perms[0])
-    identity = tuple(range(degree))
-    group = {identity}
-    queue = [identity]
-    while queue:
-        p = queue.pop()
-        for q in perms:
-            composed = tuple(q[p[i]] for i in range(degree))
-            if composed not in group:
-                if len(group) >= limit:
-                    raise AnalysisError("group closure exceeded its limit")
-                group.add(composed)
-                queue.append(composed)
-    return group
-
-
 def generates_classwise_symmetric(hom: Homomorphism) -> bool:
     """Whether the generators restricted to each class generate its full Sym.
 
@@ -387,17 +355,20 @@ def generates_classwise_symmetric(hom: Homomorphism) -> bool:
     true, every orbit equals its class and the transitivity degree
     reaches the orbit size; that consequence is re-checked here.
     """
-    for orb in orbits(hom):
-        if len(orb) > 8:
-            raise AnalysisError(f"orbit of size {len(orb)} exceeds the brute-force guard of 8")
+    sizes = np.bincount(hom.orbit_labels)
+    too_big = np.flatnonzero(sizes > 8)
+    if too_big.size:
+        raise AnalysisError(f"orbit of size {sizes[too_big[0]]} exceeds the brute-force guard of 8")
+    # orbits refine the classes, so every class is an orbit iff the counts agree
+    if np.count_nonzero(sizes) != hom.space.class_count:
+        return False
     for cls in hom.space.classes():
         if len(cls) == 1:
             continue
-        if orbit(hom, cls[0]) != frozenset(cls):
-            return False
         relabel = {x: i for i, x in enumerate(cls)}
         perms = [tuple(relabel[int(g.forward[x])] for x in cls) for g in hom.gens]
-        if len(_closure(perms, factorial(len(cls)) + 1)) != factorial(len(cls)):
+        order = factorial(len(cls))
+        if len(_closure(tuple(range(len(cls))), perms, order)) != order:
             return False
     for cls in hom.space.classes():
         if transitivity_degree(hom, cls[0], len(cls)) != len(cls):

@@ -53,8 +53,9 @@ def _load_space(path: str) -> FiniteSpace:
     return space_from_doc(json.loads(Path(path).read_text()))
 
 
-def _load_hom(args) -> Homomorphism:
-    doc = json.loads(Path(args.hom).read_text())
+def _load_hom(args, path: str | None = None) -> Homomorphism:
+    """The hom document at path (default --hom), on the --space space if given."""
+    doc = json.loads(Path(path or args.hom).read_text())
     space = _load_space(args.space) if getattr(args, "space", None) else None
     return hom_from_doc(doc, space)
 
@@ -118,10 +119,7 @@ def _cmd_construct_splice(args):
     hom = _load_hom(args)
     other = hom
     if args.tau:
-        other = hom_from_doc(
-            json.loads(Path(args.tau).read_text()),
-            _load_space(args.space) if args.space else None,
-        )
+        other = _load_hom(args, args.tau)
     sigma = hom.gens[args.gen_index]
     tau = other.gens[args.tau_index]
     atoms = _ints(args.atoms) if args.atoms else []
@@ -356,10 +354,7 @@ def _cmd_analyze_degree(args):
 
 def _cmd_analyze_stability(args):
     hom = _load_hom(args)
-    other = hom_from_doc(
-        json.loads(Path(args.other).read_text()),
-        _load_space(args.space) if args.space else None,
-    )
+    other = _load_hom(args, args.other)
     result = analysis.ball_stability_check(hom, other, args.radius)
     checks = [
         _check(

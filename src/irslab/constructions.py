@@ -19,6 +19,7 @@ import numpy as np
 
 from .actions import Homomorphism
 from .fullgroup import FullGroupElement, cycle_structure
+from .labels import cycle_positions
 from .setops import sorted_unique
 from .words import ReducedWord, cyclic_reduce
 
@@ -93,10 +94,7 @@ def disjoint_support_partition(elements) -> list[tuple[int, ...]]:
     space = elements[0].space
     if any(t.space != space for t in elements):
         raise ValueError("elements live on different spaces")
-    common = np.ones(space.n_atoms, dtype=bool)
-    for t in elements:
-        moved = t.forward != np.arange(space.n_atoms)
-        common &= moved
+    common = np.logical_and.reduce([t.forward != np.arange(space.n_atoms) for t in elements])
     support = np.nonzero(common)[0]
     in_support = set(int(x) for x in support)
     color: dict[int, int] = {}
@@ -120,16 +118,9 @@ def disjoint_support_partition(elements) -> list[tuple[int, ...]]:
 
 
 def _cycle_order(sigma: FullGroupElement) -> tuple[np.ndarray, np.ndarray]:
-    """Cycle listing from atom 0 and each atom's position along it."""
-    n = sigma.space.n_atoms
-    cyc = np.empty(n, dtype=np.int64)
-    pos = np.empty(n, dtype=np.int64)
-    x = 0
-    for j in range(n):
-        cyc[j] = x
-        pos[x] = j
-        x = int(sigma.forward[x])
-    return cyc, pos
+    """Cycle listing from atom 0 and each atom's position along it (single cycle)."""
+    _, pos = cycle_positions(sigma.forward)
+    return np.argsort(pos), pos
 
 
 def rokhlin_base(sigma: FullGroupElement, height: int, bound: Fraction) -> tuple[int, ...]:
@@ -171,11 +162,15 @@ def first_return(sigma: FullGroupElement, subset) -> FullGroupElement:
     space = sigma.space
     in_y = np.zeros(space.n_atoms, dtype=bool)
     in_y[np.asarray(sorted(subset), dtype=np.int64)] = True
+    labels, pos = cycle_positions(sigma.forward)
+    ys = np.flatnonzero(in_y)
+    ys = ys[np.lexsort((pos[ys], labels[ys]))]
+    # each member maps to the next one of its cycle; the last wraps to the first
+    starts = np.flatnonzero(np.diff(labels[ys], prepend=-1))
+    ends = np.flatnonzero(np.diff(labels[ys], append=-1))
     forward = np.arange(space.n_atoms, dtype=np.int64)
-    for cyc in sigma.cycles():
-        members = [x for x in cyc if in_y[x]]
-        for a, b in zip(members, members[1:] + members[:1]):
-            forward[a] = b
+    forward[ys[:-1]] = ys[1:]
+    forward[ys[ends]] = ys[starts]
     return FullGroupElement.from_forward(space, forward)
 
 
@@ -193,16 +188,17 @@ def periodic_truncate(hom: Homomorphism, level: int) -> Homomorphism:
     moves exactly on the set where it previously left its block.
     """
     blocks = hom.space.block_index(level)
+    atoms = np.arange(hom.space.n_atoms)
     new_gens = []
     for g in hom.gens:
         stays_fwd = blocks[g.forward] == blocks
         stays_bwd = blocks[g.inverse] == blocks
-        forward = np.where(stays_fwd, g.forward, np.arange(hom.space.n_atoms))
-        for x in np.nonzero(stays_bwd & ~stays_fwd)[0]:
-            y = int(x)
-            while stays_bwd[y]:
-                y = int(g.inverse[y])
-            forward[x] = y
+        # pointer doubling to the start of each backward run; a run has at
+        # most 2**level atoms, so `level` doublings reach it
+        start = np.where(stays_bwd, g.inverse, atoms)
+        for _ in range(level):
+            start = start[start]
+        forward = np.where(stays_fwd, g.forward, np.where(stays_bwd, start, atoms))
         new_gens.append(FullGroupElement.from_forward(hom.space, forward))
     return Homomorphism(hom.space, tuple(new_gens))
 
@@ -383,9 +379,6 @@ def build_corefree_perturbation(hom: Homomorphism, word: ReducedWord, epsilon) -
     cyc, pos = _cycle_order(sigma)
     n = hom.space.n_atoms
 
-    def level_atoms(i: int) -> list[int]:
-        return [int(cyc[(pos[x] + i) % n]) for x in base]
-
     def shift(atoms_list, d):
         return [int(cyc[(pos[x] + d) % n]) for x in atoms_list]
 
@@ -411,7 +404,7 @@ def build_corefree_perturbation(hom: Homomorphism, word: ReducedWord, epsilon) -
         domain: list[int] = []
         target = np.full(n, -1, dtype=np.int64)
         for dom, step in per_gen.items():
-            atoms_here = level_atoms(dom)
+            atoms_here = shift(base, dom)
             domain.extend(atoms_here)
             target[atoms_here] = shift(atoms_here, step)
         unused_src = np.ones(n, dtype=bool)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .labels import component_labels, cycle_positions
 from .space import FiniteSpace, _frozen_array
 
 
@@ -91,21 +92,14 @@ class FullGroupElement:
         return np.nonzero(self.forward != np.arange(self.space.n_atoms))[0]
 
     def cycles(self) -> list[tuple[int, ...]]:
-        """All cycles (fixed points included), each starting at its least atom."""
-        n = self.space.n_atoms
-        seen = np.zeros(n, dtype=bool)
-        out = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            cyc = []
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                cyc.append(x)
-                x = int(self.forward[x])
-            out.append(tuple(cyc))
-        return out
+        """All cycles (fixed points included), each starting at its least atom.
+
+        Atoms sorted by `cycle_positions` label, then position, split per label.
+        """
+        labels, pos = cycle_positions(self.forward)
+        order = np.lexsort((pos, labels))
+        cuts = np.flatnonzero(np.diff(labels[order])) + 1
+        return [tuple(part.tolist()) for part in np.split(order, cuts)]
 
     def __eq__(self, other):
         if not isinstance(other, FullGroupElement):
@@ -138,8 +132,9 @@ def uniform_metric(a: FullGroupElement, b: FullGroupElement) -> Fraction:
 
 def cycle_structure(element: FullGroupElement) -> CycleStructure:
     """Cycle-length multiset of an element."""
-    lengths = tuple(sorted(len(c) for c in element.cycles()))
     n = element.space.n_atoms
+    sizes = np.bincount(component_labels([element.forward], n), minlength=n)
+    lengths = tuple(sorted(sizes[sizes > 0].tolist()))
     return CycleStructure(lengths, lengths == (n,), lengths[0])
 
 
@@ -147,17 +142,12 @@ def conjugate_to_standard_cycle(element: FullGroupElement) -> FullGroupElement:
     """Return c with c * element * c.inv() equal to the odometer.
 
     Only defined for a single cycle through every atom of a single-class
-    space; c relabels the cycle orbit starting from atom 0, so the
-    odometer itself maps to the identity.
+    space; c sends each atom to its position along the cycle from atom
+    0, so the odometer itself maps to the identity.
     """
     if not element.space.is_single_class:
         raise ValueError("conjugation to the standard cycle needs a single class")
     if not cycle_structure(element).is_single_cycle:
         raise ValueError("element is not a single cycle")
-    n = element.space.n_atoms
-    forward = np.empty(n, dtype=np.int64)
-    x = 0
-    for j in range(n):
-        forward[x] = j
-        x = int(element.forward[x])
-    return FullGroupElement.from_forward(element.space, forward)
+    _, pos = cycle_positions(element.forward)
+    return FullGroupElement.from_forward(element.space, pos)

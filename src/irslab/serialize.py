@@ -35,13 +35,25 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(int(match.group(1)), denominator)
 
 
-def _require(doc, what: str, *keys: str) -> None:
-    """Reject a document that is not an object or lacks one of the keys."""
+def _require(doc, what: str, ints=(), int_lists=()) -> None:
+    """Reject a non-object document, a missing key or a value of the wrong type.
+
+    `ints` keys hold integers (not booleans), `int_lists` keys lists of integer lists.
+    """
     if not isinstance(doc, dict):
         raise ValueError(f"{what} document must be a JSON object")
-    for key in keys:
+    for key in (*ints, *int_lists):
         if key not in doc:
             raise ValueError(f"{what} document is missing key {key!r}")
+    for key in ints:
+        if type(doc[key]) is not int:
+            raise ValueError(f"{what} document key {key!r} must be an integer")
+    for key in int_lists:
+        rows = doc[key]
+        if not isinstance(rows, list) or any(
+            not isinstance(row, list) or not set(map(type, row)) <= {int} for row in rows
+        ):
+            raise ValueError(f"{what} document key {key!r} must be a list of integer lists")
 
 
 def dumps_canonical(doc) -> str:
@@ -60,8 +72,8 @@ def space_to_doc(space: FiniteSpace) -> dict:
 
 
 def space_from_doc(doc: dict) -> FiniteSpace:
-    _require(doc, "space", "n_atoms", "classes")
-    n = int(doc["n_atoms"])
+    _require(doc, "space", ints=("n_atoms",), int_lists=("classes",))
+    n = doc["n_atoms"]
     class_of = np.full(n, -1, dtype=np.int64)
     for cid, atoms in enumerate(doc["classes"]):
         for atom in atoms:
@@ -71,7 +83,9 @@ def space_from_doc(doc: dict) -> FiniteSpace:
     if (class_of == -1).any():
         raise ValueError("classes must cover every atom")
     levels = doc.get("filtration_log2_levels")
-    return FiniteSpace(n, class_of, None if levels is None else int(levels))
+    if levels is not None and type(levels) is not int:
+        raise ValueError("space document key 'filtration_log2_levels' must be an integer")
+    return FiniteSpace(n, class_of, levels)
 
 
 # -- homomorphisms ----------------------------------------------------------
@@ -91,14 +105,14 @@ def hom_from_doc(doc: dict, space: FiniteSpace | None = None) -> Homomorphism:
     Without an explicit space a single-class space with the largest
     dyadic filtration is assumed, which accepts any permutation tables.
     """
-    _require(doc, "hom", "n_atoms", "rank", "gens")
-    n = int(doc["n_atoms"])
+    _require(doc, "hom", ints=("n_atoms", "rank"), int_lists=("gens",))
+    n = doc["n_atoms"]
     if space is None:
         space = FiniteSpace.single_class(n)
     elif space.n_atoms != n:
         raise ValueError("space size does not match the document")
     gens = doc["gens"]
-    if len(gens) != int(doc["rank"]):
+    if len(gens) != doc["rank"]:
         raise ValueError("rank does not match the generator count")
     return Homomorphism(space, tuple(FullGroupElement.from_forward(space, g) for g in gens))
 

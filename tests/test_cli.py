@@ -250,6 +250,51 @@ def test_space_document_missing_key_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.strip() == "error: space document must be a JSON object"
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("gens", 5, "a list of integer lists"),
+    ("gens", [[1, 2, 3, "0"]], "a list of integer lists"),
+    ("gens", [[1.0, 2, 3, 0]], "a list of integer lists"),
+    ("gens", [5], "a list of integer lists"),
+    ("n_atoms", "4", "an integer"),
+    ("rank", True, "an integer"),
+])
+def test_hom_document_wrong_type_exits_2(tmp_path, capsys, key, value, kind):
+    doc = {"n_atoms": 4, "rank": 1, "gens": [[1, 2, 3, 0]]}
+    doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["analyze", "index", "--hom", str(bad)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: hom document key {key!r} must be {kind}"
+
+
+def test_hom_document_int_gens_exits_2_without_traceback(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n_atoms": 4, "rank": 1, "gens": 5}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "irslab.cli", "analyze", "index", "--hom", str(bad)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip() == "error: hom document key 'gens' must be a list of integer lists"
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("classes", 5, "a list of integer lists"),
+    ("classes", [[0, 1], [2, "3"]], "a list of integer lists"),
+    ("n_atoms", "4", "an integer"),
+    ("filtration_log2_levels", "2", "an integer"),
+])
+def test_space_document_wrong_type_exits_2(tmp_path, capsys, key, value, kind):
+    hom = gen_hom(tmp_path, log2=2)
+    doc = {"n_atoms": 4, "classes": [[0, 1, 2, 3]], "filtration_log2_levels": 2}
+    doc[key] = value
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(doc))
+    assert main(["analyze", "index", "--hom", str(hom), "--space", str(space)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: space document key {key!r} must be {kind}"
+
+
 def test_console_script_entry_point(tmp_path):
     hom = gen_hom(tmp_path, log2=3)
     proc = subprocess.run(
