@@ -6,8 +6,10 @@ one labelling of the atoms by `labels.component_labels`, cached on the
 homomorphism, never walked atom by atom.  Stabilizer traces
 record which ball words fix an atom, stored as bitsets over the
 canonical length-lex ball enumeration so trace equality is a byte
-comparison; two rooted Schreier balls of radius R are isomorphic
-exactly when the traces at radius 2R+1 agree.
+comparison.  Ball codes record, for each word of B(R+1), the least
+word of B(R) reaching the same atom; two rooted Schreier balls of
+radius R are isomorphic exactly when their codes agree.  Traces and
+codes are both read off one kernel of ball-word images.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from .fullgroup import FullGroupElement, cycle_structure, uniform_metric
 from .labels import component_labels
 from .setops import sorted_unique
 from .space import FiniteSpace, _frozen_array
-from .words import ReducedWord, ball, reduce_letters
+from .words import ReducedWord, ball, ball_size, reduce_letters
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Homomorphism:
     """Images of the free generators, acting on a common space."""
 
@@ -81,14 +83,6 @@ class Homomorphism:
         gens = list(self.gens)
         gens[index] = element
         return Homomorphism(self.space, tuple(gens))
-
-    def __eq__(self, other):
-        if not isinstance(other, Homomorphism):
-            return NotImplemented
-        return self.space == other.space and self.gens == other.gens
-
-    def __hash__(self):
-        return hash((self.space, self.gens))
 
 
 def evaluate(hom: Homomorphism, word: ReducedWord, atom: int) -> int:
@@ -145,53 +139,68 @@ class StabilizerTrace:
         return bool(self.bits[i >> 3] & (0x80 >> (i & 7)))
 
     def words(self) -> tuple[ReducedWord, ...]:
-        fb = ball(self.rank, self.radius)
-        return tuple(w for i, w in enumerate(fb.words)
-                     if self.bits[i >> 3] & (0x80 >> (i & 7)))
+        return tuple(w for w in ball(self.rank, self.radius).words if self.contains(w))
 
     def hex(self) -> str:
         return self.bits.hex()
 
 
+_CHUNK_BYTES = 4 << 20  # bytes of int64 ball-word images per chunk of atoms
+
+
+def _ball_images(hom: Homomorphism, radius: int, atoms=None):
+    """Yield (chunk, images) over chunks of the atoms (default all), where
+    images[j, i] is length-lex ball word i applied to atom chunk[j]."""
+    fb = ball(hom.rank, radius)
+    table = {l: (g.inverse, g.forward)[l > 0] for i, g in enumerate(hom.gens, 1) for l in (i, -i)}
+    cuts = [*(np.flatnonzero(np.diff(fb.first_letter)) + 1).tolist(), len(fb)]
+    atoms = np.arange(hom.space.n_atoms) if atoms is None else np.asarray(atoms, dtype=np.int64)
+    size = max(1, _CHUNK_BYTES // (8 * len(fb)))
+    for start in range(0, atoms.size, size):
+        chunk = atoms[start:start + size]
+        cols = np.empty((len(fb), chunk.size), dtype=np.int64)
+        cols[0] = chunk
+        for lo, hi in zip(cuts, cuts[1:]):  # words sharing a first letter, all in one layer
+            cols[lo:hi] = table[int(fb.first_letter[lo])][cols[fb.parent[lo:hi]]]
+        yield chunk, cols.T
+
+
 def stabilizer_trace(hom: Homomorphism, atom: int, radius: int) -> StabilizerTrace:
     """Trace of one atom: the ball words fixing it."""
-    fb = ball(hom.rank, radius)
-    images = [0] * len(fb)
-    images[0] = atom
-    bits = bytearray((len(fb) + 7) // 8)
-    bits[0] |= 0x80
-    for i in range(1, len(fb)):
-        img = hom.letter_image(int(fb.first_letter[i]), images[int(fb.parent[i])])
-        images[i] = img
-        if img == atom:
-            bits[i >> 3] |= 0x80 >> (i & 7)
-    return StabilizerTrace(hom.rank, radius, bytes(bits))
+    ((_, images),) = _ball_images(hom, radius, [atom])
+    return StabilizerTrace(hom.rank, radius, np.packbits(images[0] == atom).tobytes())
 
 
-def trace_code_matrix(hom: Homomorphism, radius: int, chunk: int = 8192) -> np.ndarray:
+def trace_code_matrix(hom: Homomorphism, radius: int) -> np.ndarray:
     """Packed trace bitsets for every atom, one row per atom."""
-    fb = ball(hom.rank, radius)
-    table = {s * i: g.forward if s > 0 else g.inverse
-             for i, g in enumerate(hom.gens, start=1) for s in (1, -1)}
-    n = hom.space.n_atoms
-    n_words = len(fb)
-    codes = np.empty((n, (n_words + 7) // 8), dtype=np.uint8)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        atoms = np.arange(lo, hi)
-        cols = np.empty((n_words, hi - lo), dtype=np.int64)
-        cols[0] = atoms
-        for i in range(1, n_words):
-            cols[i] = table[int(fb.first_letter[i])][cols[int(fb.parent[i])]]
-        fixed = cols == atoms[None, :]
-        codes[lo:hi] = np.packbits(fixed.T, axis=1)
-    return codes
+    return np.concatenate([np.packbits(images == chunk[:, None], axis=1)
+                           for chunk, images in _ball_images(hom, radius)])
+
+
+def ball_codes(hom: Homomorphism, radius: int, atoms=None) -> np.ndarray:
+    """First-occurrence codes of rooted radius-R Schreier balls, one row per atom.
+
+    Entry w is the least B(R) word reaching the atom the B(R+1) word w
+    reaches, or |B(R)| if none does.  A row fixes which word pairs collide
+    at the root, so two rooted balls are label-isomorphic iff their rows agree.
+    """
+    n, inner = hom.space.n_atoms, ball_size(hom.rank, radius)
+    words = np.arange(ball_size(hom.rank, radius + 1))
+    rows = []
+    for chunk, images in _ball_images(hom, radius + 1, atoms):
+        # sorted (row, atom, word) keys: each run of one (row, atom) starts at its least word
+        keys = np.sort((images + n * np.arange(chunk.size)[:, None]) * words.size + words, None)
+        slot, word = np.divmod(keys, words.size)  # slot = row * n + atom
+        head = np.maximum.accumulate(np.where(np.diff(slot, prepend=-1), np.arange(slot.size), 0))
+        codes = np.empty(images.shape, dtype=np.min_scalar_type(inner))
+        codes[slot // n, word] = np.minimum(word[head], inner)
+        rows.append(codes)
+    return np.concatenate(rows)
 
 
 def empirical_irs(hom: Homomorphism, radius: int) -> "EmpiricalIRS":
     """Distribution of stabilizer traces over the uniform atom."""
-    codes = trace_code_matrix(hom, radius)
-    counts = Counter(row.tobytes() for row in codes)
+    counts = Counter(row.tobytes() for row in trace_code_matrix(hom, radius))
     n = hom.space.n_atoms
     weights = tuple(
         (StabilizerTrace(hom.rank, radius, bits), Fraction(c, n))
@@ -270,11 +279,11 @@ class SchreierBall:
     radius: int
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]
-    code: StabilizerTrace
+    code: bytes
 
 
 def schreier_ball(hom: Homomorphism, root: int, radius: int) -> SchreierBall:
-    """Materialize the radius-R ball at an atom with its 2R+1 trace code."""
+    """Materialize the radius-R ball at an atom with its ball code (see `ball_codes`)."""
     vertices = tuple(ball_atoms(hom, root, radius).tolist())
     vset = set(vertices)
     signed = [l for i in range(1, hom.rank + 1) for l in (i, -i)]
@@ -286,12 +295,12 @@ def schreier_ball(hom: Homomorphism, root: int, radius: int) -> SchreierBall:
             if t not in vset:
                 edges.append((t, -letter, v))
     edges.sort(key=lambda e: (e[0], abs(e[1]), e[1] < 0, e[2]))
-    code = stabilizer_trace(hom, root, 2 * radius + 1)
+    code = ball_codes(hom, radius, [root]).tobytes()
     return SchreierBall(root, radius, vertices, tuple(edges), code)
 
 
 def balls_isomorphic(a: Homomorphism, x: int, b: Homomorphism, y: int, radius: int) -> bool:
-    """Rooted label-isomorphism of radius-R balls via trace codes at 2R+1."""
+    """Rooted label-isomorphism of radius-R balls: the roots' ball codes agree."""
     if a.rank != b.rank:
         raise ValueError("actions have different ranks")
-    return stabilizer_trace(a, x, 2 * radius + 1) == stabilizer_trace(b, y, 2 * radius + 1)
+    return np.array_equal(ball_codes(a, radius, [x]), ball_codes(b, radius, [y]))

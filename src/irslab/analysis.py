@@ -22,9 +22,9 @@ import numpy as np
 from .actions import (
     Homomorphism,
     ball_atoms,
+    ball_codes,
     hom_metric,
     orbit,
-    trace_code_matrix,
 )
 from .labels import component_labels
 from .rng import STREAM_SWEEP, derive_rng, random_full_group_element
@@ -102,13 +102,13 @@ def folner_search(hom: Homomorphism, root: int, l: int, radius: int) -> FolnerRe
         if ratio < best_ratio or (ratio == best_ratio and cand.size < len(best_set)):
             best_set, best_ratio = frozenset(cand.tolist()), ratio
 
-    # greedy growth with incremental per-generator escape counts; the candidates
+    # greedy growth with escape counts kept per generator (one row each); the candidates
     # of one step share the denominator len(current) + 1, so compare numerators
     inside = np.zeros(n, dtype=bool)
     inside[root] = True
     current = [root]
-    out_count = [int(g.forward[root] != root) for g in hom.gens]
-    in_count = [int(g.inverse[root] != root) for g in hom.gens]
+    out_count = np.array([[g.forward[root] != root] for g in hom.gens], dtype=np.int64)
+    in_count = np.array([[g.inverse[root] != root] for g in hom.gens], dtype=np.int64)
 
     def neighbors(x):
         for g in hom.gens:
@@ -122,21 +122,18 @@ def folner_search(hom: Homomorphism, root: int, l: int, radius: int) -> FolnerRe
             break
         evaluations += len(frontier)
         ys = np.sort(np.fromiter(frontier, np.int64))
-        worst = np.zeros(ys.size, dtype=np.int64)
-        for gi, g in enumerate(hom.gens):
-            fy, by = g.forward[ys], g.inverse[ys]
-            out = out_count[gi] - inside[by] + ((fy != ys) & ~inside[fy])
-            inc = in_count[gi] - inside[fy] + ((by != ys) & ~inside[by])
-            np.maximum(worst, out + inc, out=worst)
+        fy = np.stack([g.forward[ys] for g in hom.gens])
+        by = np.stack([g.inverse[ys] for g in hom.gens])
+        # adding y: g^-1 y stops escaping if inside, y escapes unless g y is in F + {y}
+        out = out_count - inside[by] + ((fy != ys) & ~inside[fy])
+        inc = in_count - inside[fy] + ((by != ys) & ~inside[by])
+        worst = (out + inc).max(axis=0)
         pick = int(np.argmin(worst))  # ys ascend, so ties go to the least atom
         y = int(ys[pick])
         ratio = Fraction(int(worst[pick]), len(current) + 1)
         inside[y] = True
         current.append(y)
-        atoms = np.asarray(current, dtype=np.int64)
-        for gi, g in enumerate(hom.gens):
-            out_count[gi] = int(np.count_nonzero(~inside[g.forward[atoms]]))
-            in_count[gi] = int(np.count_nonzero(~inside[g.inverse[atoms]]))
+        out_count, in_count = out[:, pick:pick + 1], inc[:, pick:pick + 1]
         frontier.discard(y)
         frontier.update(z for z in neighbors(y) if in_pool[z] and not inside[z])
         if ratio < best_ratio or (ratio == best_ratio and len(current) < len(best_set)):
@@ -327,18 +324,16 @@ def ball_stability_check(a: Homomorphism, b: Homomorphism, radius: int) -> BallS
     """Fraction of atoms whose radius-R balls differ, against the union bound.
 
     observed = fraction of atoms x whose rooted balls under the two
-    actions are non-isomorphic (trace codes at radius 2R+1 differ);
+    actions are non-isomorphic (their rows of `ball_codes` differ);
     bound = delta * (2R+1) * |B(2R+1)| with delta the metric between the
     actions.  The inequality observed <= bound always holds; a violation
     means a broken invariant and raises.
     """
     if a.space != b.space or a.rank != b.rank:
         raise ValueError("actions must share space and rank")
-    word_radius = 2 * radius + 1
-    codes_a = trace_code_matrix(a, word_radius)
-    codes_b = trace_code_matrix(b, word_radius)
-    differ = int(np.count_nonzero((codes_a != codes_b).any(axis=1)))
+    differ = int(np.count_nonzero((ball_codes(a, radius) != ball_codes(b, radius)).any(axis=1)))
     observed = Fraction(differ, a.space.n_atoms)
+    word_radius = 2 * radius + 1
     bound = hom_metric(a, b) * word_radius * ball_size(a.rank, word_radius)
     if observed > bound:
         raise RuntimeError(f"stability bound violated: observed {observed} > bound {bound}")

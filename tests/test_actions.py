@@ -4,12 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irslab import (
     FiniteSpace,
     FullGroupElement,
     Homomorphism,
+    StabilizerTrace,
     ball,
+    ball_codes,
+    ball_size,
     balls_isomorphic,
     derive_rng,
     empirical_irs,
@@ -17,6 +22,7 @@ from irslab import (
     hom_metric,
     index_distribution,
     invariance_defect,
+    lean_aperiodic_homomorphism,
     orbit,
     orbits,
     parse_word,
@@ -27,6 +33,7 @@ from irslab import (
     stabilizer_trace,
     trace_code_matrix,
 )
+from irslab import actions
 from irslab.rng import STREAM_TEST
 
 
@@ -163,13 +170,18 @@ def test_torus_action_has_trivial_short_trace():
     assert longer.contains(parse_word("s1 s2 s1^-1 s2^-1", 2))
 
 
-def test_trace_code_matrix_matches_single_traces():
+def test_trace_code_matrix_matches_single_traces(monkeypatch):
     sp = FiniteSpace.from_class_sizes([6, 10], levels=None)
     rng = derive_rng(5, STREAM_TEST, 5)
     hom = random_homomorphism(sp, 2, rng)
-    codes = trace_code_matrix(hom, 2, chunk=5)
-    for atom in range(sp.n_atoms):
-        assert codes[atom].tobytes() == stabilizer_trace(hom, atom, 2).bits
+    whole = ball_codes(hom, 1)
+    for chunk_atoms in range(1, 6):
+        # a budget of chunk_atoms int64 columns of |B(2)| words
+        monkeypatch.setattr(actions, "_CHUNK_BYTES", chunk_atoms * 8 * ball_size(2, 2))
+        codes = trace_code_matrix(hom, 2)
+        for atom in range(sp.n_atoms):
+            assert codes[atom].tobytes() == stabilizer_trace(hom, atom, 2).bits
+        assert (ball_codes(hom, 1) == whole).all()
 
 
 def test_empirical_irs_weights():
@@ -207,7 +219,15 @@ def test_schreier_ball_structure():
     assert len(b.edges) == 2 * len(b.vertices) + 2
     assert (0, 1, 1) in b.edges and (0, -1, 7) in b.edges
     assert (3, -1, 2) in b.edges and (5, 1, 6) in b.edges
-    assert b.code == stabilizer_trace(hom, 0, 5)
+    # the codes agree exactly when the rooted balls are isomorphic
+    sp = FiniteSpace.single_class(8, levels=None)
+    two_fours = Homomorphism(
+        sp, (FullGroupElement.from_forward(sp, [1, 2, 3, 0, 5, 6, 7, 4]),)
+    )
+    for other, radius in ((hom, 2), (two_fours, 1), (two_fours, 2)):
+        same = schreier_ball(hom, 0, radius).code == schreier_ball(other, 0, radius).code
+        assert same == balls_isomorphic(hom, 0, other, 0, radius)
+    assert b.code == ball_codes(hom, 2)[0].tobytes()
 
 
 def test_schreier_ball_radius_zero():
@@ -262,3 +282,67 @@ def test_balls_isomorphic_matches_brute_oracle():
         assert balls_isomorphic(a, x, conj, c(x), 1)
         assert brute_ball_iso(a, x, conj, c(x), 1)
     assert seen == {True, False}
+
+
+# -- oracle: the per-atom trace walk the ball-word images kernel replaced -------
+
+
+def walk_stabilizer_trace(hom, atom, radius):
+    """Trace of one atom: the ball words fixing it."""
+    fb = ball(hom.rank, radius)
+    images = [0] * len(fb)
+    images[0] = atom
+    bits = bytearray((len(fb) + 7) // 8)
+    bits[0] |= 0x80
+    for i in range(1, len(fb)):
+        img = hom.letter_image(int(fb.first_letter[i]), images[int(fb.parent[i])])
+        images[i] = img
+        if img == atom:
+            bits[i >> 3] |= 0x80 >> (i & 7)
+    return StabilizerTrace(hom.rank, radius, bytes(bits))
+
+
+@st.composite
+def homs(draw):
+    """Lean-aperiodic and random homs of rank 1-3 on one class, and random
+    homs on several classes with singletons."""
+    kind = draw(st.sampled_from(["lean", "random", "classes"]))
+    rng = derive_rng(draw(st.integers(0, 2**16)), STREAM_TEST, 8)
+    rank = draw(st.integers(1, 3))
+    if kind == "classes":
+        space = FiniteSpace.from_class_sizes(draw(st.lists(st.integers(1, 6), min_size=1, max_size=8)))
+    else:
+        space = FiniteSpace.single_class(draw(st.integers(1, 48)))
+    if kind == "lean":
+        return lean_aperiodic_homomorphism(space, rank, rng)
+    return random_homomorphism(space, rank, rng)
+
+
+def _partition(rows):
+    """Each row's label: the least row index holding the same bytes."""
+    first = {}
+    return [first.setdefault(row.tobytes(), i) for i, row in enumerate(rows)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(homs(), st.integers(0, 2), st.data())
+def test_traces_and_ball_codes_match_the_oracles(hom, radius, data):
+    n = hom.space.n_atoms
+    traces = trace_code_matrix(hom, radius)
+    for atom in range(n):
+        walk = walk_stabilizer_trace(hom, atom, radius)
+        assert traces[atom].tobytes() == walk.bits
+        assert stabilizer_trace(hom, atom, radius) == walk
+
+    # the ball codes partition the atoms as the 2R+1 traces and the brute oracle do
+    codes = ball_codes(hom, radius)
+    assert codes.shape == (n, ball_size(hom.rank, radius + 1))
+    labels = _partition(codes)
+    assert labels == _partition(trace_code_matrix(hom, 2 * radius + 1))
+    for _ in range(2):
+        x = data.draw(st.integers(0, n - 1))
+        for y in (labels[x], data.draw(st.integers(0, n - 1))):
+            iso = labels[x] == labels[y]
+            assert brute_ball_iso(hom, x, hom, y, radius) == iso
+            assert balls_isomorphic(hom, x, hom, y, radius) == iso
+            assert (schreier_ball(hom, x, radius).code == schreier_ball(hom, y, radius).code) == iso
