@@ -8,13 +8,15 @@ record which ball words fix an atom, stored as bitsets over the
 canonical length-lex ball enumeration so trace equality is a byte
 comparison.  Ball codes record, for each word of B(R+1), the least
 word of B(R) reaching the same atom; two rooted Schreier balls of
-radius R are isomorphic exactly when their codes agree.  Traces and
-codes are both read off one kernel of ball-word images.
+radius R are isomorphic exactly when their codes agree.  Traces,
+codes and the conjugated traces of the invariance check are all read
+off one kernel of ball-word images; trace distributions are counted
+with `setops.row_ids`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,9 +25,9 @@ import numpy as np
 
 from .fullgroup import FullGroupElement, cycle_structure, uniform_metric
 from .labels import component_labels
-from .setops import sorted_unique
+from .setops import row_ids, sorted_unique
 from .space import FiniteSpace, _frozen_array
-from .words import ReducedWord, ball, ball_size, reduce_letters
+from .words import ReducedWord, ball, ball_size
 
 
 @dataclass(frozen=True)
@@ -199,12 +201,15 @@ def ball_codes(hom: Homomorphism, radius: int, atoms=None) -> np.ndarray:
 
 
 def empirical_irs(hom: Homomorphism, radius: int) -> "EmpiricalIRS":
-    """Distribution of stabilizer traces over the uniform atom."""
-    counts = Counter(row.tobytes() for row in trace_code_matrix(hom, radius))
+    """Distribution of stabilizer traces over the uniform atom, by ascending bytes."""
+    rows = trace_code_matrix(hom, radius)
+    ids, count = row_ids(rows)
+    first = np.empty(count, dtype=np.int64)
+    first[ids] = np.arange(ids.size)  # an atom holding each trace
     n = hom.space.n_atoms
     weights = tuple(
-        (StabilizerTrace(hom.rank, radius, bits), Fraction(c, n))
-        for bits, c in sorted(counts.items())
+        (StabilizerTrace(hom.rank, radius, rows[i].tobytes()), Fraction(c, n))
+        for i, c in zip(first.tolist(), np.bincount(ids, minlength=count).tolist())
     )
     return EmpiricalIRS(n_atoms=n, rank=hom.rank, radius=radius, weights=weights)
 
@@ -219,35 +224,49 @@ class EmpiricalIRS:
     weights: tuple[tuple[StabilizerTrace, Fraction], ...]
 
     def __post_init__(self):
-        total = sum((w for _, w in self.weights), Fraction(0))
-        if total != 1:
+        # integers over the common denominator: ~23k Fraction additions took ~0.1 s
+        common = math.lcm(*(w.denominator for _, w in self.weights))
+        if sum(w.numerator * (common // w.denominator) for _, w in self.weights) != common:
             raise ValueError("weights must sum to exactly 1")
-        for _, w in self.weights:
-            if (w * self.n_atoms).denominator != 1:
-                raise ValueError("weights must be multiples of 1/n_atoms")
+        if any(self.n_atoms % w.denominator for _, w in self.weights):
+            raise ValueError("weights must be multiples of 1/n_atoms")
+        if any(w <= 0 for _, w in self.weights):
+            raise ValueError("weights must be positive")
+        if len({t for t, _ in self.weights}) != len(self.weights):
+            raise ValueError("traces must not repeat")
 
     def as_dict(self) -> dict[StabilizerTrace, Fraction]:
         return dict(self.weights)
 
 
+def _conjugate_trace_rows(hom: Homomorphism, radius: int, letter: int) -> np.ndarray:
+    """Packed trace rows of the conjugates by a signed letter s: bit i of row x
+    is set iff s^-1 w s fixes x, for ball word i = w, evaluated as s^-1(w(s x))."""
+    g = hom.gens[abs(letter) - 1]
+    step, back = (g.forward, g.inverse) if letter > 0 else (g.inverse, g.forward)
+    rows, start = [], 0
+    for _, images in _ball_images(hom, radius, step):  # images[j] = the ball words at s(x)
+        x = np.arange(start, start + images.shape[0])  # the chunk's atoms s(x) sit at x
+        rows.append(np.packbits(back[images] == x[:, None], axis=1))
+        start += images.shape[0]
+    return np.concatenate(rows)
+
+
 def invariance_defect(hom: Homomorphism, radius: int) -> Fraction:
     """Largest total-variation gap between the trace distribution and any
     generator-conjugated one.  Exactly zero for every homomorphism; the
-    conjugated membership tests are evaluated directly, not rewritten.
+    conjugated membership tests are evaluated directly, not rewritten:
+    each conjugate s^-1 w s is applied to x letter by letter, w to s(x)
+    on the ball-word images kernel and then s^-1.  Both distributions
+    are counted on one `row_ids` numbering of their trace rows.
     """
-    fb = ball(hom.rank, radius)
     n = hom.space.n_atoms
-    base = Counter(row.tobytes() for row in trace_code_matrix(hom, radius))
-    atoms = np.arange(n)
+    base = trace_code_matrix(hom, radius)
     worst = Fraction(0)
     for letter in [l for i in range(1, hom.rank + 1) for l in (i, -i)]:
-        fixed = np.empty((len(fb), n), dtype=bool)
-        for i, w in enumerate(fb.words):
-            conj = reduce_letters(hom.rank, (-letter,) + w.letters + (letter,))
-            fixed[i] = hom.element_of(conj).forward == atoms
-        conj_counts = Counter(row.tobytes() for row in np.packbits(fixed.T, axis=1))
-        l1 = sum(abs(base[k] - conj_counts[k]) for k in base.keys() | conj_counts.keys())
-        worst = max(worst, Fraction(l1, 2 * n))
+        ids, count = row_ids(np.concatenate([base, _conjugate_trace_rows(hom, radius, letter)]))
+        gap = np.abs(np.bincount(ids[:n], minlength=count) - np.bincount(ids[n:], minlength=count))
+        worst = max(worst, Fraction(int(gap.sum()), 2 * n))
     return worst
 
 

@@ -60,6 +60,13 @@ def _load_hom(args, path: str | None = None) -> Homomorphism:
     return hom_from_doc(doc, space)
 
 
+def _root(hom: Homomorphism, root: int) -> int:
+    """--root, checked to be an atom of the hom's space."""
+    if not 0 <= root < hom.space.n_atoms:
+        raise ValueError(f"--root {root} is not an atom in [0, {hom.space.n_atoms})")
+    return root
+
+
 def _write_artifact(path: str | None, text: str) -> None:
     if path:
         Path(path).write_text(text)
@@ -302,7 +309,7 @@ def _cmd_analyze_irs(args):
 
 def _cmd_analyze_folner(args):
     hom = _load_hom(args)
-    result = analysis.folner_search(hom, args.root, args.l, args.radius)
+    result = analysis.folner_search(hom, _root(hom, args.root), args.l, args.radius)
     checks = [
         _check(
             "found a set with boundary ratio below 1/l",
@@ -346,7 +353,7 @@ def _cmd_analyze_realize(args):
 
 def _cmd_analyze_degree(args):
     hom = _load_hom(args)
-    degree = analysis.transitivity_degree(hom, args.root, args.k_max)
+    degree = analysis.transitivity_degree(hom, _root(hom, args.root), args.k_max)
     checks = [_check("degree computed within the brute-force guard", True, str(degree))]
     inputs = {"hom": args.hom, "root": args.root, "k_max": args.k_max}
     return inputs, {"degree": degree}, checks
@@ -403,7 +410,7 @@ def _cmd_export(args):
     else:
         if args.radius is None or args.root is None:
             raise ValueError("dot export needs --root and --radius")
-        ball = schreier_ball(hom, args.root, args.radius)
+        ball = schreier_ball(hom, _root(hom, args.root), args.radius)
         text = schreier_ball_to_dot(ball)
         degree_ok = len(ball.edges) >= 2 * hom.rank * len(ball.vertices)
         checks = [_check("every vertex carries all generator edges", degree_ok)]

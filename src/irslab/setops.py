@@ -1,9 +1,10 @@
-"""Set operations on sorted int64 arrays by sorting and binary search.
+"""Set operations on sorted arrays by sorting and binary search.
 
 numpy's own set routines (`unique`, `isin`, `union1d`, ...) go through
 a hash table in numpy 2.x, which is slow on large integer keys and
 wastes the order the callers here already keep.  These helpers return
-ascending arrays, so results are exact and deterministic.
+ascending arrays, or ids numbered in ascending order, so results are
+exact and deterministic.
 """
 
 from __future__ import annotations
@@ -35,3 +36,21 @@ def merge_disjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ascending union of two ascending arrays that share no value."""
     # timsort finds the two ascending runs and merges them in linear time
     return np.sort(np.concatenate([a, b]), kind="stable")
+
+
+def row_ids(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ids of equal rows of a 2-D byte array, and how many there are.
+
+    Ids follow the ascending byte order of the rows, which is the order
+    Python's `sorted` gives their `tobytes()`.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()  # memcmp order
+    order = np.argsort(keys)
+    ranked = keys[order]
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    new[1:] = ranked[1:] != ranked[:-1]
+    ids = np.empty(keys.size, dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, int(np.count_nonzero(new))

@@ -1,5 +1,6 @@
 """Free-group actions: evaluation, orbits, traces, and Schreier balls."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -29,11 +30,13 @@ from irslab import (
     random_full_group_element,
     random_homomorphism,
     random_reduced_word,
+    reduce_letters,
     schreier_ball,
     stabilizer_trace,
     trace_code_matrix,
 )
 from irslab import actions
+from irslab.actions import EmpiricalIRS, _conjugate_trace_rows
 from irslab.rng import STREAM_TEST
 
 
@@ -202,6 +205,26 @@ def test_empirical_irs_weights():
     assert sorted(w for _, w in mixed.weights) == [Fraction(1, 2), Fraction(1, 2)]
 
 
+def test_empirical_irs_rejects_malformed_weights():
+    n = 4
+    t0, t1 = (StabilizerTrace(1, 0, bytes([b])) for b in (0x80, 0x00))
+    ok = EmpiricalIRS(n, 1, 0, ((t0, Fraction(1, 4)), (t1, Fraction(3, 4))))
+    assert ok.as_dict() == {t0: Fraction(1, 4), t1: Fraction(3, 4)}
+    cases = [
+        ((), "weights must sum to exactly 1"),
+        (((t0, Fraction(1, 4)), (t1, Fraction(1, 2))), "weights must sum to exactly 1"),
+        # a sum of 1/3 that is not a multiple of 1/4 either: the sum is checked first
+        (((t0, Fraction(1, 3)),), "weights must sum to exactly 1"),
+        (((t0, Fraction(1, 3)), (t1, Fraction(2, 3))), "weights must be multiples of 1/n_atoms"),
+        (((t0, Fraction(1)), (t1, Fraction(0))), "weights must be positive"),
+        (((t0, Fraction(5, 4)), (t1, Fraction(-1, 4))), "weights must be positive"),
+        (((t0, Fraction(1, 2)), (t0, Fraction(1, 2))), "traces must not repeat"),
+    ]
+    for weights, message in cases:
+        with pytest.raises(ValueError, match=message):
+            EmpiricalIRS(n, 1, 0, weights)
+
+
 def test_invariance_defect_is_zero():
     rng = derive_rng(6, STREAM_TEST, 6)
     for space in (FiniteSpace.single_class(64), FiniteSpace.from_class_sizes([16, 48])):
@@ -346,3 +369,46 @@ def test_traces_and_ball_codes_match_the_oracles(hom, radius, data):
             assert brute_ball_iso(hom, x, hom, y, radius) == iso
             assert balls_isomorphic(hom, x, hom, y, radius) == iso
             assert (schreier_ball(hom, x, radius).code == schreier_ball(hom, y, radius).code) == iso
+
+
+# -- oracle: the invariance defect built from one permutation per conjugate ----
+
+
+def oracle_invariance_defect(hom, radius):
+    """Largest total-variation gap between the trace distribution and any
+    generator-conjugated one.  Exactly zero for every homomorphism; the
+    conjugated membership tests are evaluated directly, not rewritten.
+    """
+    fb = ball(hom.rank, radius)
+    n = hom.space.n_atoms
+    base = Counter(row.tobytes() for row in trace_code_matrix(hom, radius))
+    atoms = np.arange(n)
+    worst = Fraction(0)
+    for letter in [l for i in range(1, hom.rank + 1) for l in (i, -i)]:
+        fixed = np.empty((len(fb), n), dtype=bool)
+        for i, w in enumerate(fb.words):
+            conj = reduce_letters(hom.rank, (-letter,) + w.letters + (letter,))
+            fixed[i] = hom.element_of(conj).forward == atoms
+        conj_counts = Counter(row.tobytes() for row in np.packbits(fixed.T, axis=1))
+        l1 = sum(abs(base[k] - conj_counts[k]) for k in base.keys() | conj_counts.keys())
+        worst = max(worst, Fraction(l1, 2 * n))
+    return worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(homs(), st.integers(0, 3), st.integers(1, 5))
+def test_conjugate_traces_match_the_permutation_oracle(hom, radius, chunk_atoms):
+    n, fb = hom.space.n_atoms, ball(hom.rank, radius)
+    with pytest.MonkeyPatch.context() as mp:
+        # chunks of chunk_atoms atoms, so most atoms sit at a nonzero chunk offset
+        mp.setattr(actions, "_CHUNK_BYTES", chunk_atoms * 8 * len(fb))
+        for letter in [l for i in range(1, hom.rank + 1) for l in (i, -i)]:
+            rows = _conjugate_trace_rows(hom, radius, letter)
+            assert rows.shape == (n, (len(fb) + 7) // 8)
+            bits = np.unpackbits(rows, axis=1, count=len(fb)).astype(bool)
+            for i, w in enumerate(fb.words):
+                conj = hom.element_of(reduce_letters(hom.rank, (-letter,) + w.letters + (letter,)))
+                assert np.array_equal(bits[:, i], conj.forward == np.arange(n)), (letter, str(w))
+        defect = invariance_defect(hom, radius)
+    assert defect == 0
+    assert defect == oracle_invariance_defect(hom, radius)

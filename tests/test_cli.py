@@ -76,6 +76,58 @@ def test_analyze_irs_reports_zero_defect(tmp_path):
     assert csv.read_text().startswith("trace,numerator,denominator")
 
 
+# recorded from the invariance check that built one permutation per conjugate
+PINNED_IRS_REPORT = """{
+  "checks": [
+    {
+      "detail": "0/1",
+      "name": "invariance defect is zero",
+      "passed": true
+    }
+  ],
+  "command": "analyze irs",
+  "inputs": {
+    "hom": "hom.json",
+    "radius": 2
+  },
+  "outputs": {
+    "csv": "irs.csv",
+    "defect": "0/1",
+    "trace_count": 14
+  },
+  "passed": true
+}
+"""
+PINNED_IRS_CSV = """trace,numerator,denominator
+800000,3,16
+800480,1,8
+803000,1,8
+804200,1,32
+807680,1,32
+810800,1,32
+820100,1,8
+830d80,1,32
+848000,1,16
+848480,1,32
+980480,1,32
+9c8480,1,32
+e48000,1,8
+e48480,1,32
+"""
+
+
+def test_analyze_irs_bytes_on_a_multi_class_space(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "space", "--classes", "8,8,4,12", "--out", "space.json"]) == 0
+    assert main(["gen", "hom", "--model", "random", "--rank", "2", "--seed", "11",
+                 "--space", "space.json", "--out", "hom.json"]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "irs", "--hom", "hom.json", "--space", "space.json",
+                 "--radius", "2", "--csv", "irs.csv"]) == 0
+    assert capsys.readouterr().out == PINNED_IRS_REPORT
+    assert (tmp_path / "irs.csv").read_bytes() == PINNED_IRS_CSV.encode()
+
+
 def test_analyze_index(tmp_path):
     hom = gen_hom(tmp_path, log2=3)
     code, report = run(tmp_path, "analyze", "index", "--hom", str(hom))
@@ -222,6 +274,32 @@ def test_bad_input_exit_code(tmp_path, capsys):
     assert main(["construct", "ht", "--hom", str(hom), "--m", "2",
                  "--tau", "1 0", "--epsilon", "1/99"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [
+    ("export", "--format", "dot", "--radius", "1", "--out", "x.dot"),
+    ("analyze", "folner", "--l", "2", "--radius", "2"),
+    ("analyze", "degree", "--k-max", "2"),
+])
+@pytest.mark.parametrize("root", [99, 16, -1])
+def test_root_outside_the_atoms_exits_2(tmp_path, monkeypatch, capsys, command, root):
+    hom = gen_hom(tmp_path, log2=4)
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--hom", str(hom), "--root", str(root)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: --root {root} is not an atom in [0, 16)"
+    assert not (tmp_path / "x.dot").exists()
+
+
+def test_root_outside_the_atoms_exits_2_without_traceback(tmp_path):
+    hom = gen_hom(tmp_path, log2=4)
+    proc = subprocess.run(
+        [sys.executable, "-m", "irslab.cli", "export", "--hom", str(hom), "--format", "dot",
+         "--root", "99", "--radius", "1", "--out", str(tmp_path / "x.dot")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip() == "error: --root 99 is not an atom in [0, 16)"
 
 
 @pytest.mark.parametrize("missing", ["gens", "n_atoms", "rank"])

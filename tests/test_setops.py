@@ -1,6 +1,7 @@
 """Sorted-array set kernel, and the realization kernel built on it checked
 against the earlier numpy set-op implementation kept here as an oracle."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from irslab import (
     realizes_tau_fraction,
 )
 from irslab.rng import STREAM_TEST
-from irslab.setops import member, merge_disjoint, sorted_unique
+from irslab.setops import member, merge_disjoint, row_ids, sorted_unique
 
 # -- helpers -------------------------------------------------------------------
 
@@ -62,6 +63,38 @@ def test_helpers_match_numpy_set_ops(xs, ys):
     assert np.array_equal(member(ua, b), np.isin(b, a))
     only_b = ub[~member(ua, ub)]
     assert np.array_equal(merge_disjoint(ua, only_b), np.union1d(a, b))
+
+
+def _check_row_ids(rows):
+    ids, count = row_ids(rows)
+    keys = [row.tobytes() for row in rows]
+    distinct = sorted(set(keys))
+    assert count == len(distinct)
+    assert ids.tolist() == [distinct.index(k) for k in keys]
+    assert np.bincount(ids, minlength=count).tolist() == [Counter(keys)[k] for k in distinct]
+
+
+def test_row_ids_edge_cases():
+    for width in (1, 3, 8, 9):
+        ids, count = row_ids(np.empty((0, width), np.uint8))
+        assert ids.tolist() == [] and count == 0
+    # one byte wide: ids ascend with the byte value, 0x80 and above included
+    column = np.array([[200], [3], [200], [0], [128], [3]], np.uint8)
+    ids, count = row_ids(column)
+    assert ids.tolist() == [3, 1, 3, 0, 2, 1] and count == 4
+    ids, count = row_ids(np.full((5, 13), 0xA5, np.uint8))
+    assert ids.tolist() == [0] * 5 and count == 1
+    # rows compare byte by byte from the left, as Python bytes do
+    rows = np.array([[1, 255, 0], [2, 0, 0], [1, 255, 1], [0, 0, 255]], np.uint8)
+    assert row_ids(rows)[0].tolist() == [1, 3, 2, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20), st.integers(0, 30), st.integers(1, 255), st.data())
+def test_row_ids_match_sorted_bytes(width, count, top, data):
+    """Widths 1-20, mostly not multiples of 8; small byte ranges repeat rows."""
+    cells = data.draw(st.lists(st.integers(0, top), min_size=width * count, max_size=width * count))
+    _check_row_ids(np.array(cells, np.uint8).reshape(count, width))
 
 
 # -- oracle: the set-op kernel this package used before setops -------------------
