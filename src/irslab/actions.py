@@ -186,6 +186,8 @@ def ball_codes(hom: Homomorphism, radius: int, atoms=None) -> np.ndarray:
     reaches, or |B(R)| if none does.  A row fixes which word pairs collide
     at the root, so two rooted balls are label-isomorphic iff their rows agree.
     """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     n, inner = hom.space.n_atoms, ball_size(hom.rank, radius)
     words = np.arange(ball_size(hom.rank, radius + 1))
     rows = []
@@ -275,6 +277,8 @@ def invariance_defect(hom: Homomorphism, radius: int) -> Fraction:
 
 def ball_atoms(hom: Homomorphism, root: int, radius: int) -> np.ndarray:
     """Atoms at word distance <= radius from the root, ascending."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     inside = np.zeros(hom.space.n_atoms, dtype=bool)
     inside[root] = True
     frontier = np.array([root], dtype=np.int64)

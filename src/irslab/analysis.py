@@ -5,14 +5,15 @@ enumeration at the scales the guards allow: Foelner-set search with
 honest boundary ratios, transitivity degree by tuple-orbit closure,
 realization of a prescribed tower permutation by bidirectional word
 search, triviality of a word per orbit, the ball-stability bound, and
-seeded genericity sweeps over perturbation balls.
+seeded genericity sweeps over perturbation balls.  Transitivity,
+classwise Sym generation and realization grow tuple orbits with one
+kernel: packed (tuple, tag) keys stepped breadth-first by `_grow`.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, perm
@@ -142,59 +143,17 @@ def folner_search(hom: Homomorphism, root: int, l: int, radius: int) -> FolnerRe
     return FolnerResult(best_set, best_ratio, best_ratio < Fraction(1, l))
 
 
-# -- transitivity degree -----------------------------------------------------
+# -- tuple orbits and transitivity degree ------------------------------------
 
 _TUPLE_SPACE_LIMIT = 5_000_000
 
 
-def _closure(start: tuple[int, ...], tables, limit: int) -> set[tuple[int, ...]]:
-    """Orbit of a tuple under the tables applied coordinatewise (a group from the identity)."""
-    seen = {start}
-    queue = [start]
-    while queue:
-        t = queue.pop()
-        for table in tables:
-            image = tuple(table[c] for c in t)
-            if image not in seen:
-                if len(seen) >= limit:
-                    raise AnalysisError("closure exceeded its limit")
-                seen.add(image)
-                queue.append(image)
-    return seen
-
-
-def transitivity_degree(hom: Homomorphism, root: int, k_max: int) -> int:
-    """Largest k <= k_max with a transitive action on distinct k-tuples.
-
-    Restricted to the orbit of the root; brute-force tuple closure with
-    an orbit-size guard of 12.  Singleton orbits are vacuously
-    1-transitive.
-    """
-    orb = sorted(orbit(hom, root))
-    n = len(orb)
-    if n > 12:
-        raise AnalysisError(f"orbit of size {n} exceeds the brute-force guard of 12")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    k_cap = min(k_max, n)
-    relabel = {x: i for i, x in enumerate(orb)}
-    tables = []
-    for g in hom.gens:
-        tables.append(tuple(relabel[int(g.forward[x])] for x in orb))
-        tables.append(tuple(relabel[int(g.inverse[x])] for x in orb))
-
-    degree = 1
-    for k in range(2, k_cap + 1):
-        total = perm(n, k)
-        if total > _TUPLE_SPACE_LIMIT:
-            raise AnalysisError(f"{total} ordered {k}-tuples exceed the enumeration limit")
-        if len(_closure(tuple(range(k)), tables, total)) != total:
-            break
-        degree = k
-    return degree
-
-
-# -- tower-permutation realization -------------------------------------------
+def _pack(coords, tags, n: int) -> np.ndarray:
+    """Base-n keys of (tuple, tag) states; coords[i] holds coordinate i of every tuple."""
+    out = 0
+    for coord in coords:
+        out = out * n + coord
+    return out * n + tags
 
 
 def _diagonal_images(keys: np.ndarray, tables, n: int, m: int) -> np.ndarray:
@@ -206,13 +165,53 @@ def _diagonal_images(keys: np.ndarray, tables, n: int, m: int) -> np.ndarray:
     tags = keys % n
     code = keys // n
     coords = [(code // n ** (m - 1 - i)) % n for i in range(m)]
-    grown = []
-    for table in tables:
-        out = np.zeros_like(tags)
-        for coord in coords:
-            out = out * n + table[coord]
-        grown.append(out * n + tags)
-    return np.concatenate(grown)
+    return np.concatenate([_pack([table[c] for c in coords], tags, n) for table in tables])
+
+
+def _grow(frontier: np.ndarray, visited: np.ndarray, tables, n: int, m: int):
+    """One breadth-first step on ascending keys: (images not yet visited, new visited)."""
+    fresh = sorted_unique(_diagonal_images(frontier, tables, n, m))
+    fresh = fresh[~member(visited, fresh)]
+    return fresh, merge_disjoint(visited, fresh)
+
+
+def _orbit_size(start, tables, k: int) -> int:
+    """Size of the orbit of the k-tuple start under the permutation tables."""
+    n = len(tables[0])
+    frontier = visited = _pack(np.array(start, dtype=np.int64)[:, None], 0, n)
+    while frontier.size:
+        frontier, visited = _grow(frontier, visited, tables, n, k)
+    return visited.size
+
+
+def transitivity_degree(hom: Homomorphism, root: int, k_max: int) -> int:
+    """Largest k <= k_max with a transitive action on distinct k-tuples.
+
+    Restricted to the orbit of the root; for each k the orbit of the
+    tuple (0, ..., k-1) (`_orbit_size`) is compared with perm(n, k), with an
+    orbit-size guard of 12.  Singleton orbits are vacuously 1-transitive.
+    """
+    orb = np.array(sorted(orbit(hom, root)), dtype=np.int64)
+    n = orb.size
+    if n > 12:
+        raise AnalysisError(f"orbit of size {n} exceeds the brute-force guard of 12")
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    k_cap = min(k_max, n)
+    tables = [np.searchsorted(orb, t[orb]) for g in hom.gens for t in (g.forward, g.inverse)]
+
+    degree = 1
+    for k in range(2, k_cap + 1):
+        total = perm(n, k)
+        if total > _TUPLE_SPACE_LIMIT:
+            raise AnalysisError(f"{total} ordered {k}-tuples exceed the enumeration limit")
+        if _orbit_size(range(k), tables, k) != total:
+            break
+        degree = k
+    return degree
+
+
+# -- tower-permutation realization -------------------------------------------
 
 
 def realizes_tau_fraction(hom: Homomorphism, m: int, tau, radius: int) -> Fraction:
@@ -224,9 +223,9 @@ def realizes_tau_fraction(hom: Homomorphism, m: int, tau, radius: int) -> Fracti
     generator.  Exact: bidirectional breadth-first closure over packed
     (tuple, source atom) states, expanding the smaller side; an atom is
     settled positively on the first meet and negatively when one of its
-    frontiers dies or the combined depth reaches the radius.  The visited
-    sets are ascending key arrays kept by sort-merge (see `setops`), so
-    each depth costs O(states * log states) in the states it touches.
+    frontiers dies or the combined depth reaches the radius.  Each depth
+    is one step of the tuple-orbit kernel (`_grow`) on ascending key
+    arrays, so it costs O(states * log states) in the states it touches.
     Cost grows with the diagonal orbit of the fiber tuple; sized for
     small spaces.
     """
@@ -249,14 +248,8 @@ def realizes_tau_fraction(hom: Homomorphism, m: int, tau, radius: int) -> Fracti
     for i in range(1, m):
         powers[i] = sigma.forward[powers[i - 1]]
 
-    def pack(rows) -> np.ndarray:
-        out = np.zeros(n, dtype=np.int64)
-        for i in range(m):
-            out = out * n + rows[i]
-        return out * n + np.arange(n)
-
-    start = pack([powers[i] for i in range(m)])
-    target = pack([powers[tau[i]] for i in range(m)])
+    start = _pack(powers, np.arange(n), n)
+    target = _pack(powers[list(tau)], np.arange(n), n)
 
     tables = [g.forward for g in hom.gens] + [g.inverse for g in hom.gens]
     realized = np.zeros(n, dtype=bool)
@@ -281,10 +274,8 @@ def realizes_tau_fraction(hom: Homomorphism, m: int, tau, radius: int) -> Fracti
             # closure complete on this side: the rest can never meet
             dead[~(realized | dead)] = True
             break
-        fresh = sorted_unique(_diagonal_images(frontier[side], tables, n, m))
-        fresh = fresh[~member(visited[side], fresh)]
+        fresh, visited[side] = _grow(frontier[side], visited[side], tables, n, m)
         depth[side] += 1
-        visited[side] = merge_disjoint(visited[side], fresh)
         frontier[side] = fresh
         fresh_atoms = fresh % n
         realized[fresh_atoms[member(visited[1 - side], fresh)]] = True
@@ -346,9 +337,11 @@ def ball_stability_check(a: Homomorphism, b: Homomorphism, radius: int) -> BallS
 def generates_classwise_symmetric(hom: Homomorphism) -> bool:
     """Whether the generators restricted to each class generate its full Sym.
 
-    Brute force, guarded to orbit sizes at most 8.  When the answer is
-    true, every orbit equals its class and the transitivity degree
-    reaches the orbit size; that consequence is re-checked here.
+    Sym(c) on a class of c atoms is generated iff the orbit of the tuple
+    of its atoms (`_orbit_size`) has c! members; guarded to orbit sizes
+    at most 8.  When the answer is true, every orbit equals its class
+    and the transitivity degree reaches the orbit size; that consequence
+    is re-checked here.
     """
     sizes = np.bincount(hom.orbit_labels)
     too_big = np.flatnonzero(sizes > 8)
@@ -360,10 +353,9 @@ def generates_classwise_symmetric(hom: Homomorphism) -> bool:
     for cls in hom.space.classes():
         if len(cls) == 1:
             continue
-        relabel = {x: i for i, x in enumerate(cls)}
-        perms = [tuple(relabel[int(g.forward[x])] for x in cls) for g in hom.gens]
-        order = factorial(len(cls))
-        if len(_closure(tuple(range(len(cls))), perms, order)) != order:
+        atoms = np.array(cls, dtype=np.int64)
+        perms = [np.searchsorted(atoms, g.forward[atoms]) for g in hom.gens]
+        if _orbit_size(range(atoms.size), perms, atoms.size) != factorial(atoms.size):
             return False
     for cls in hom.space.classes():
         if transitivity_degree(hom, cls[0], len(cls)) != len(cls):
@@ -494,6 +486,7 @@ def genericity_sweep(
             (hom, epsilon, prop, seed, indices[w::workers])
             for w in range(min(workers, samples))
         ]
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             hits = sum(pool.map(_sweep_chunk, chunks))
     return Fraction(hits, samples)

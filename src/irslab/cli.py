@@ -60,11 +60,15 @@ def _load_hom(args, path: str | None = None) -> Homomorphism:
     return hom_from_doc(doc, space)
 
 
+def _index(flag: str, value: int, size: int, what: str) -> int:
+    """An index option's value, checked to lie in [0, size)."""
+    if not 0 <= value < size:
+        raise ValueError(f"{flag} {value} is not {what} in [0, {size})")
+    return value
+
+
 def _root(hom: Homomorphism, root: int) -> int:
-    """--root, checked to be an atom of the hom's space."""
-    if not 0 <= root < hom.space.n_atoms:
-        raise ValueError(f"--root {root} is not an atom in [0, {hom.space.n_atoms})")
-    return root
+    return _index("--root", root, hom.space.n_atoms, "an atom")
 
 
 def _write_artifact(path: str | None, text: str) -> None:
@@ -127,11 +131,12 @@ def _cmd_construct_splice(args):
     other = hom
     if args.tau:
         other = _load_hom(args, args.tau)
-    sigma = hom.gens[args.gen_index]
-    tau = other.gens[args.tau_index]
+    gen_index = _index("--gen-index", args.gen_index, hom.rank, "a generator")
+    sigma = hom.gens[gen_index]
+    tau = other.gens[_index("--tau-index", args.tau_index, other.rank, "a generator")]
     atoms = _ints(args.atoms) if args.atoms else []
     spliced = constructions.splice(sigma, atoms, tau)
-    result = hom.replace_generator(args.gen_index, spliced)
+    result = hom.replace_generator(gen_index, spliced)
     doc = hom_to_doc(result)
     _write_artifact(args.out, dumps_canonical(doc))
     agrees = all(spliced(x) == tau(x) for x in atoms)

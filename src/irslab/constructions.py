@@ -274,6 +274,8 @@ def build_ht_perturbation(hom: Homomorphism, m: int, tau, epsilon) -> Homomorphi
     at most 2*max-hitting-time + 1.
     """
     epsilon = Fraction(epsilon)
+    if m < 1:
+        raise ValueError("m must be at least 1")
     tau = tuple(int(t) for t in tau)
     if sorted(tau) != list(range(m)):
         raise ValueError(f"tau must be a permutation of 0..{m - 1}")

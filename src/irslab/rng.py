@@ -45,6 +45,9 @@ def lean_aperiodic_homomorphism(space: FiniteSpace, rank: int, rng: np.random.Ge
     """First generator the standard full cycle, the rest random."""
     from .actions import Homomorphism
 
+    if rank < 1:
+        raise ValueError("rank must be at least 1")
+
     gens = [FullGroupElement.odometer(space)]
     gens.extend(random_full_group_element(space, rng) for _ in range(rank - 1))
     return Homomorphism(space, tuple(gens))

@@ -16,10 +16,12 @@ from irslab import (
     ball,
     ball_codes,
     ball_size,
+    ball_stability_check,
     balls_isomorphic,
     derive_rng,
     empirical_irs,
     evaluate,
+    folner_search,
     hom_metric,
     index_distribution,
     invariance_defect,
@@ -412,3 +414,20 @@ def test_conjugate_traces_match_the_permutation_oracle(hom, radius, chunk_atoms)
         defect = invariance_defect(hom, radius)
     assert defect == 0
     assert defect == oracle_invariance_defect(hom, radius)
+
+
+@pytest.mark.parametrize("radius", [-1, -3])
+def test_negative_radius_is_rejected(radius):
+    hom = lean_aperiodic_homomorphism(FiniteSpace.single_class(16), 2, derive_rng(0, STREAM_TEST, 7))
+    calls = [
+        lambda: actions.ball_atoms(hom, 0, radius),
+        lambda: ball_codes(hom, radius),
+        lambda: ball_codes(hom, radius, [3]),
+        lambda: schreier_ball(hom, 0, radius),
+        lambda: balls_isomorphic(hom, 0, hom, 1, radius),
+        lambda: folner_search(hom, 0, 2, radius),
+        lambda: ball_stability_check(hom, hom, radius),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+            call()

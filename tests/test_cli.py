@@ -381,3 +381,94 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a parallel sweep needs concurrent.futures; every CLI job pays for its import
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, irslab.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("rank", ["0", "-3"])
+@pytest.mark.parametrize("model, message", [
+    ("lean-aperiodic", "rank must be at least 1"),
+    ("random", "need at least one generator image"),
+])
+def test_gen_hom_rank_below_one_exits_2(tmp_path, capsys, rank, model, message):
+    out = tmp_path / "h.json"
+    assert main(["gen", "hom", "--model", model, "--rank", rank, "--seed", "1",
+                 "--log2", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--gen-index", "2"), ("--gen-index", "5"), ("--gen-index", "-1"),
+    ("--tau-index", "7"), ("--tau-index", "-2"),
+])
+def test_splice_index_outside_the_generators_exits_2(tmp_path, capsys, flag, value):
+    hom = gen_hom(tmp_path, log2=3)
+    out = tmp_path / "spliced.json"
+    assert main(["construct", "splice", "--hom", str(hom), "--atoms", "0,1",
+                 flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {flag} {value} is not a generator in [0, 2)"
+    assert not out.exists()
+
+
+def test_splice_tau_index_is_checked_against_the_tau_hom(tmp_path, capsys):
+    hom = gen_hom(tmp_path, log2=3)
+    tau = gen_hom(tmp_path, "tau.json", log2=3, rank=3)
+    code, report = run(tmp_path, "construct", "splice", "--hom", str(hom), "--tau", str(tau),
+                       "--tau-index", "2", "--atoms", "0")
+    assert code == 0 and report["passed"] is True
+    assert main(["construct", "splice", "--hom", str(hom), "--tau", str(tau),
+                 "--tau-index", "3", "--atoms", "0"]) == 2
+    assert capsys.readouterr().err.strip() == "error: --tau-index 3 is not a generator in [0, 3)"
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_construct_ht_m_below_one_exits_2(tmp_path, capsys, m):
+    hom = gen_hom(tmp_path, log2=3)
+    assert main(["construct", "ht", "--hom", str(hom), "--m", m, "--tau", "",
+                 "--epsilon", "1/2"]) == 2
+    assert capsys.readouterr().err.strip() == "error: m must be at least 1"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "hom", "--rank", "0", "--seed", "1"], "rank must be at least 1"),
+    (["construct", "splice", "--hom", "{hom}", "--gen-index", "5"],
+     "--gen-index 5 is not a generator in [0, 2)"),
+    (["construct", "ht", "--hom", "{hom}", "--m", "0", "--tau", "", "--epsilon", "1/2"],
+     "m must be at least 1"),
+    (["analyze", "folner", "--hom", "{hom}", "--root", "0", "--l", "2", "--radius", "-3"],
+     "radius must be nonnegative"),
+])
+def test_malformed_integers_exit_2_without_traceback(tmp_path, argv, message):
+    hom = gen_hom(tmp_path, log2=3)
+    proc = subprocess.run(
+        [sys.executable, "-m", "irslab.cli", *(a.format(hom=hom) for a in argv)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip() == f"error: {message}"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "folner", "--hom", "{hom}", "--root", "0", "--l", "2", "--radius", "-3"],
+    ["export", "--hom", "{hom}", "--format", "dot", "--root", "0", "--radius", "-1", "--out", "x.dot"],
+    ["analyze", "stability", "--hom", "{hom}", "--other", "{hom}", "--radius", "-1"],
+    ["sweep", "--hom", "{hom}", "--epsilon", "1/4", "--samples", "2", "--seed", "1",
+     "--property", "folner(3,-2)"],
+])
+def test_negative_radius_exits_2(tmp_path, monkeypatch, capsys, argv):
+    hom = gen_hom(tmp_path, log2=4)
+    monkeypatch.chdir(tmp_path)
+    assert main([a.format(hom=hom) for a in argv]) == 2
+    assert capsys.readouterr().err.strip() == "error: radius must be nonnegative"
+    assert not (tmp_path / "x.dot").exists()

@@ -477,3 +477,15 @@ def test_cycle_order_walks_the_cycle():
     cyc, pos = _cycle_order(FullGroupElement.odometer(sp))
     assert cyc.tolist() == list(range(8))
     assert pos.tolist() == list(range(8))
+
+
+@pytest.mark.parametrize("m", [0, -2])
+def test_ht_perturbation_needs_m_at_least_one(m):
+    with pytest.raises(ValueError, match="^m must be at least 1$"):
+        build_ht_perturbation(odometer_hom(16), m, (), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("rank", [0, -3])
+def test_lean_aperiodic_homomorphism_needs_rank_at_least_one(rank):
+    with pytest.raises(ValueError, match="^rank must be at least 1$"):
+        lean_aperiodic_homomorphism(single(8), rank, derive_rng(0, STREAM_TEST, 9))

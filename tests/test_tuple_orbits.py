@@ -1,0 +1,217 @@
+"""Tuple-orbit kernel behind `transitivity_degree` and
+`generates_classwise_symmetric`, checked against the Python set closure
+this package used before, kept here verbatim as an oracle, and against
+groups of known transitivity."""
+
+from contextlib import contextmanager
+from math import factorial, perm
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_labels import _outcome, _sparse_element, homs
+
+import irslab.analysis
+from irslab import (
+    AnalysisError,
+    FiniteSpace,
+    FullGroupElement,
+    Homomorphism,
+    derive_rng,
+    generates_classwise_symmetric,
+    orbit,
+    random_homomorphism,
+    transitivity_degree,
+)
+from irslab.analysis import _grow, _orbit_size, _pack
+from irslab.rng import STREAM_TEST
+
+# -- kernel steps ------------------------------------------------------------------
+
+
+def test_grow_keeps_only_unvisited_images():
+    # 1-tuples over 0..2 with tag 0 under the 3-cycle 0 -> 1 -> 2 -> 0
+    key = {x: int(_pack([np.array([x])], 0, 3)[0]) for x in range(3)}
+    visited = np.array([key[0], key[1]])
+    fresh, visited = _grow(visited, visited, [np.array([1, 2, 0])], 3, 1)
+    assert fresh.tolist() == [key[2]]
+    assert visited.tolist() == [key[0], key[1], key[2]]
+    fresh, visited = _grow(fresh, visited, [np.array([1, 2, 0])], 3, 1)
+    assert fresh.size == 0 and visited.size == 3
+
+
+def test_orbit_size_of_the_identity_and_a_transposition():
+    assert _orbit_size([0], [np.arange(1)], 1) == 1
+    assert _orbit_size(range(3), [np.arange(3)], 3) == 1
+    assert _orbit_size([2, 0], [np.array([1, 0, 2])], 2) == 2
+
+
+# -- oracle: the closure the kernel replaced -----------------------------------------
+
+_TUPLE_SPACE_LIMIT = 5_000_000
+
+
+def _closure(start: tuple[int, ...], tables, limit: int) -> set[tuple[int, ...]]:
+    """Orbit of a tuple under the tables applied coordinatewise (a group from the identity)."""
+    seen = {start}
+    queue = [start]
+    while queue:
+        t = queue.pop()
+        for table in tables:
+            image = tuple(table[c] for c in t)
+            if image not in seen:
+                if len(seen) >= limit:
+                    raise AnalysisError("closure exceeded its limit")
+                seen.add(image)
+                queue.append(image)
+    return seen
+
+
+def oracle_transitivity_degree(hom: Homomorphism, root: int, k_max: int) -> int:
+    """Largest k <= k_max with a transitive action on distinct k-tuples.
+
+    Restricted to the orbit of the root; brute-force tuple closure with
+    an orbit-size guard of 12.  Singleton orbits are vacuously
+    1-transitive.
+    """
+    orb = sorted(orbit(hom, root))
+    n = len(orb)
+    if n > 12:
+        raise AnalysisError(f"orbit of size {n} exceeds the brute-force guard of 12")
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    k_cap = min(k_max, n)
+    relabel = {x: i for i, x in enumerate(orb)}
+    tables = []
+    for g in hom.gens:
+        tables.append(tuple(relabel[int(g.forward[x])] for x in orb))
+        tables.append(tuple(relabel[int(g.inverse[x])] for x in orb))
+
+    degree = 1
+    for k in range(2, k_cap + 1):
+        total = perm(n, k)
+        if total > _TUPLE_SPACE_LIMIT:
+            raise AnalysisError(f"{total} ordered {k}-tuples exceed the enumeration limit")
+        if len(_closure(tuple(range(k)), tables, total)) != total:
+            break
+        degree = k
+    return degree
+
+
+@contextmanager
+def _tuple_space_limit(limit):
+    """Lower the enumeration limit of the kernel and the oracle alike, so the
+    oracle stays fast and the limit's message is reached on small orbits."""
+    global _TUPLE_SPACE_LIMIT
+    saved = _TUPLE_SPACE_LIMIT, irslab.analysis._TUPLE_SPACE_LIMIT
+    _TUPLE_SPACE_LIMIT = irslab.analysis._TUPLE_SPACE_LIMIT = limit
+    try:
+        yield
+    finally:
+        _TUPLE_SPACE_LIMIT, irslab.analysis._TUPLE_SPACE_LIMIT = saved
+
+
+@settings(max_examples=150, deadline=None)
+@given(homs(), st.data())
+def test_transitivity_degree_matches_the_closure(hom, data):
+    root = data.draw(st.integers(0, hom.space.n_atoms - 1))
+    k_max = data.draw(st.integers(1, len(orbit(hom, root))))
+    with _tuple_space_limit(data.draw(st.integers(1, 20_000))):
+        assert _outcome(lambda h: transitivity_degree(h, root, k_max), hom) == \
+            _outcome(lambda h: oracle_transitivity_degree(h, root, k_max), hom)
+
+
+@st.composite
+def small_orbit_homs(draw):
+    """Random and sparse homs of rank 1-3 on classes of 3 to 12 atoms, so every
+    orbit fits the guard and many are more than 1-transitive."""
+    rng = derive_rng(draw(st.integers(0, 2**16)), STREAM_TEST, 4)
+    space = FiniteSpace.from_class_sizes(draw(st.lists(st.integers(3, 12), min_size=1, max_size=3)))
+    rank = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return random_homomorphism(space, rank, rng)
+    swaps = draw(st.integers(1, 2 * space.n_atoms))
+    return Homomorphism(space, tuple(_sparse_element(space, rng, swaps) for _ in range(rank)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_orbit_homs(), st.data())
+def test_transitivity_degree_on_small_orbits_matches_the_closure(hom, data):
+    sizes = np.bincount(hom.orbit_labels)[hom.orbit_labels]
+    root = data.draw(st.sampled_from(np.flatnonzero(sizes == sizes.max()).tolist()))
+    k_max = data.draw(st.integers(2, max(2, int(sizes.max()))))
+    with _tuple_space_limit(data.draw(st.integers(1, 20_000))):
+        assert _outcome(lambda h: transitivity_degree(h, root, k_max), hom) == \
+            _outcome(lambda h: oracle_transitivity_degree(h, root, k_max), hom)
+
+
+def test_transitivity_degree_at_the_default_limit_matches_the_closure():
+    sp = FiniteSpace.single_class(9, levels=None)
+    cycle = FullGroupElement.from_forward(sp, [(i + 1) % 9 for i in range(9)])
+    swap = FullGroupElement.from_forward(sp, [1, 0, *range(2, 9)])
+    hom = Homomorphism(sp, (cycle, swap))
+    assert transitivity_degree(hom, 4, 6) == oracle_transitivity_degree(hom, 4, 6) == 6
+
+
+# -- groups of known transitivity ----------------------------------------------------
+
+
+def _from_cycles(n, cycles):
+    """Permutation of 0..n-1 from cycles written on the points 1..n."""
+    forward = list(range(n))
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            forward[a - 1] = b - 1
+    return forward
+
+
+def _hom(n, *gens):
+    sp = FiniteSpace.single_class(n, levels=None)
+    return Homomorphism(sp, tuple(FullGroupElement.from_forward(sp, g) for g in gens))
+
+
+# standard generators of the Mathieu groups: M11 is sharply 4-transitive on 11
+# points (order 7920), M12 sharply 5-transitive on 12 points (order 95040)
+M11 = _hom(11, _from_cycles(11, [(2, 10), (4, 11), (5, 7), (8, 9)]),
+           _from_cycles(11, [(1, 4, 3, 8), (2, 5, 6, 9)]))
+M12 = _hom(12, _from_cycles(12, [(1, 4), (3, 10), (5, 11), (6, 12)]),
+           _from_cycles(12, [(1, 8, 9), (2, 3, 4), (5, 12, 11), (6, 10, 7)]))
+
+
+@pytest.mark.parametrize("hom, order, degree", [(M11, 7920, 4), (M12, 95040, 5)])
+def test_mathieu_groups(hom, order, degree):
+    n = hom.space.n_atoms
+    tables = [g.forward for g in hom.gens]
+    # the orbit of an n-tuple of distinct points is a copy of the group
+    assert _orbit_size(range(n), tables, n) == order
+    assert [_orbit_size(range(k), tables, k) for k in range(1, degree + 2)] == \
+        [perm(n, k) for k in range(1, degree + 1)] + [order]
+    assert transitivity_degree(hom, 3, n) == degree
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_alternating_groups_are_n_minus_2_transitive(n):
+    # an n-cycle and a 3-cycle, both even for odd n, generate Alt(n)
+    hom = _hom(n, _from_cycles(n, [tuple(range(1, n + 1))]), _from_cycles(n, [(1, 2, 3)]))
+    assert _orbit_size(range(n), [g.forward for g in hom.gens], n) == factorial(n) // 2
+    assert transitivity_degree(hom, 0, n) == n - 2
+    assert not generates_classwise_symmetric(hom)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_symmetric_groups_are_fully_transitive(n):
+    hom = _hom(n, _from_cycles(n, [tuple(range(1, n + 1))]), _from_cycles(n, [(1, 2)]))
+    assert transitivity_degree(hom, n - 1, n) == n
+    assert generates_classwise_symmetric(hom)
+
+
+def test_orbit_on_a_class_that_is_not_the_first():
+    # the orbit {4, ..., 7} is relabelled to 0..3 before its tuples are packed
+    sp = FiniteSpace.from_class_sizes([4, 4], levels=None)
+    cycle = FullGroupElement.from_forward(sp, [0, 1, 2, 3, 5, 6, 7, 4])
+    swap = FullGroupElement.from_forward(sp, [0, 1, 2, 3, 5, 4, 6, 7])
+    hom = Homomorphism(sp, (cycle, swap))
+    assert transitivity_degree(hom, 6, 4) == 4
+    assert transitivity_degree(hom, 0, 1) == 1
+    assert not generates_classwise_symmetric(hom)
