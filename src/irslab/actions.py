@@ -59,6 +59,11 @@ class Homomorphism:
         """Least atom of each atom's orbit, computed once per homomorphism."""
         return _frozen_array(component_labels([g.forward for g in self.gens], self.space.n_atoms))
 
+    @cached_property
+    def tables(self) -> dict[int, np.ndarray]:
+        """Permutation table of each signed letter, in the ball's order s1, s1^-1, s2, ..."""
+        return {l: t for i, g in enumerate(self.gens, 1) for l, t in ((i, g.forward), (-i, g.inverse))}
+
     def generator(self, letter: int) -> FullGroupElement:
         """Image of a signed letter."""
         if letter == 0 or abs(letter) > self.rank:
@@ -67,9 +72,9 @@ class Homomorphism:
         return g if letter > 0 else g.inv()
 
     def letter_image(self, letter: int, atom: int) -> int:
-        g = self.gens[abs(letter) - 1]
-        table = g.forward if letter > 0 else g.inverse
-        return int(table[atom])
+        if letter not in self.tables:
+            raise ValueError(f"letter {letter} out of range")
+        return int(self.tables[letter][atom])
 
     def element_of(self, word: ReducedWord) -> FullGroupElement:
         """The image permutation of a word."""
@@ -82,6 +87,8 @@ class Homomorphism:
 
     def replace_generator(self, index: int, element: FullGroupElement) -> "Homomorphism":
         """Copy with the 0-based generator at index swapped out."""
+        if not 0 <= index < self.rank:
+            raise ValueError(f"generator index {index} is not in [0, {self.rank})")
         gens = list(self.gens)
         gens[index] = element
         return Homomorphism(self.space, tuple(gens))
@@ -154,7 +161,6 @@ def _ball_images(hom: Homomorphism, radius: int, atoms=None):
     """Yield (chunk, images) over chunks of the atoms (default all), where
     images[j, i] is length-lex ball word i applied to atom chunk[j]."""
     fb = ball(hom.rank, radius)
-    table = {l: (g.inverse, g.forward)[l > 0] for i, g in enumerate(hom.gens, 1) for l in (i, -i)}
     cuts = [*(np.flatnonzero(np.diff(fb.first_letter)) + 1).tolist(), len(fb)]
     atoms = np.arange(hom.space.n_atoms) if atoms is None else np.asarray(atoms, dtype=np.int64)
     size = max(1, _CHUNK_BYTES // (8 * len(fb)))
@@ -163,7 +169,7 @@ def _ball_images(hom: Homomorphism, radius: int, atoms=None):
         cols = np.empty((len(fb), chunk.size), dtype=np.int64)
         cols[0] = chunk
         for lo, hi in zip(cuts, cuts[1:]):  # words sharing a first letter, all in one layer
-            cols[lo:hi] = table[int(fb.first_letter[lo])][cols[fb.parent[lo:hi]]]
+            cols[lo:hi] = hom.tables[int(fb.first_letter[lo])][cols[fb.parent[lo:hi]]]
         yield chunk, cols.T
 
 
@@ -244,8 +250,7 @@ class EmpiricalIRS:
 def _conjugate_trace_rows(hom: Homomorphism, radius: int, letter: int) -> np.ndarray:
     """Packed trace rows of the conjugates by a signed letter s: bit i of row x
     is set iff s^-1 w s fixes x, for ball word i = w, evaluated as s^-1(w(s x))."""
-    g = hom.gens[abs(letter) - 1]
-    step, back = (g.forward, g.inverse) if letter > 0 else (g.inverse, g.forward)
+    step, back = hom.tables[letter], hom.tables[-letter]
     rows, start = [], 0
     for _, images in _ball_images(hom, radius, step):  # images[j] = the ball words at s(x)
         x = np.arange(start, start + images.shape[0])  # the chunk's atoms s(x) sit at x
@@ -265,7 +270,7 @@ def invariance_defect(hom: Homomorphism, radius: int) -> Fraction:
     n = hom.space.n_atoms
     base = trace_code_matrix(hom, radius)
     worst = Fraction(0)
-    for letter in [l for i in range(1, hom.rank + 1) for l in (i, -i)]:
+    for letter in hom.tables:
         ids, count = row_ids(np.concatenate([base, _conjugate_trace_rows(hom, radius, letter)]))
         gap = np.abs(np.bincount(ids[:n], minlength=count) - np.bincount(ids[n:], minlength=count))
         worst = max(worst, Fraction(int(gap.sum()), 2 * n))
@@ -283,7 +288,7 @@ def ball_atoms(hom: Homomorphism, root: int, radius: int) -> np.ndarray:
     inside[root] = True
     frontier = np.array([root], dtype=np.int64)
     for _ in range(min(radius, hom.space.n_atoms)):
-        step = np.concatenate([t[frontier] for g in hom.gens for t in (g.forward, g.inverse)])
+        step = np.concatenate([t[frontier] for t in hom.tables.values()])
         frontier = sorted_unique(step[~inside[step]])
         inside[frontier] = True
     return np.flatnonzero(inside)
@@ -309,11 +314,10 @@ def schreier_ball(hom: Homomorphism, root: int, radius: int) -> SchreierBall:
     """Materialize the radius-R ball at an atom with its ball code (see `ball_codes`)."""
     vertices = tuple(ball_atoms(hom, root, radius).tolist())
     vset = set(vertices)
-    signed = [l for i in range(1, hom.rank + 1) for l in (i, -i)]
     edges = []
     for v in vertices:
-        for letter in signed:
-            t = hom.letter_image(letter, v)
+        for letter, table in hom.tables.items():
+            t = int(table[v])
             edges.append((v, letter, t))
             if t not in vset:
                 edges.append((t, -letter, v))

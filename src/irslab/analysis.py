@@ -82,6 +82,8 @@ def folner_search(hom: Homomorphism, root: int, l: int, radius: int) -> FolnerRe
     """
     if l < 1:
         raise ValueError("l must be at least 1")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     cap = int(np.count_nonzero(hom.orbit_labels == hom.orbit_labels[root])) // 2
     if cap == 0:
         return FolnerResult(frozenset(), Fraction(1), False)
@@ -112,9 +114,7 @@ def folner_search(hom: Homomorphism, root: int, l: int, radius: int) -> FolnerRe
     in_count = np.array([[g.inverse[root] != root] for g in hom.gens], dtype=np.int64)
 
     def neighbors(x):
-        for g in hom.gens:
-            yield int(g.forward[x])
-            yield int(g.inverse[x])
+        return (int(t[x]) for t in hom.tables.values())
 
     frontier = {y for y in neighbors(root) if in_pool[y] and y != root}
     evaluations = 0
@@ -198,7 +198,7 @@ def transitivity_degree(hom: Homomorphism, root: int, k_max: int) -> int:
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     k_cap = min(k_max, n)
-    tables = [np.searchsorted(orb, t[orb]) for g in hom.gens for t in (g.forward, g.inverse)]
+    tables = [np.searchsorted(orb, t[orb]) for t in hom.tables.values()]
 
     degree = 1
     for k in range(2, k_cap + 1):
@@ -251,7 +251,6 @@ def realizes_tau_fraction(hom: Homomorphism, m: int, tau, radius: int) -> Fracti
     start = _pack(powers, np.arange(n), n)
     target = _pack(powers[list(tau)], np.arange(n), n)
 
-    tables = [g.forward for g in hom.gens] + [g.inverse for g in hom.gens]
     realized = np.zeros(n, dtype=bool)
     dead = np.zeros(n, dtype=bool)
 
@@ -274,7 +273,7 @@ def realizes_tau_fraction(hom: Homomorphism, m: int, tau, radius: int) -> Fracti
             # closure complete on this side: the rest can never meet
             dead[~(realized | dead)] = True
             break
-        fresh, visited[side] = _grow(frontier[side], visited[side], tables, n, m)
+        fresh, visited[side] = _grow(frontier[side], visited[side], hom.tables.values(), n, m)
         depth[side] += 1
         frontier[side] = fresh
         fresh_atoms = fresh % n

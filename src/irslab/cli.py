@@ -2,7 +2,8 @@
 
 Every subcommand writes one JSON report (stdout by default, --report
 for a file) containing its inputs, exact rational outputs, and a list
-of named checks; the exit status is 0 exactly when every check passed.
+of named checks; the exit status is 0 exactly when every check passed,
+1 when one failed, 2 on bad input and 3 on a broken internal invariant.
 Rationals cross the boundary as "p/q" text, never as floats.
 """
 
@@ -13,6 +14,8 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from . import analysis, constructions
 from .actions import (
@@ -225,12 +228,10 @@ def _cmd_construct_ht(args):
     _write_artifact(args.out, dumps_canonical(doc))
     distance = hom_metric(hom, result)
     sigma = hom.gens[0]
-    base = constructions.rokhlin_base(sigma, args.m, epsilon / (2 * args.m))
-    fibered = all(
-        result.gens[1](int((sigma ** i)(x))) == int((sigma ** tau[i])(x))
-        for x in base
-        for i in range(args.m)
-    )
+    base = np.array(constructions.rokhlin_base(sigma, args.m, epsilon / (2 * args.m)))
+    levels = [(sigma ** i).forward[base] for i in range(args.m)]  # level i of every fiber
+    fibered = all(np.array_equal(result.gens[1].forward[levels[i]], levels[t])
+                  for i, t in enumerate(tau))
     checks = [
         _check(
             "distance below epsilon",
@@ -249,7 +250,7 @@ def _cmd_construct_ht(args):
     outputs = {
         "hom": doc,
         "distance": fraction_to_text(distance),
-        "base": [int(x) for x in base],
+        "base": base.tolist(),
     }
     return inputs, outputs, checks
 
@@ -266,9 +267,9 @@ def _cmd_construct_corefree(args):
     tau = constructions.tau_for_word(core)
     s = len(core)
     sigma = hom.gens[0]
-    base = constructions.rokhlin_base(sigma, s + 1, epsilon / (2 * (s + 1)))
-    start = [int((sigma ** tau[0])(x)) for x in base]
-    end = {int((sigma ** tau[s])(x)) for x in base}
+    base = np.array(constructions.rokhlin_base(sigma, s + 1, epsilon / (2 * (s + 1))))
+    start = (sigma ** tau[0]).forward[base].tolist()
+    end = set((sigma ** tau[s]).forward[base].tolist())
     displaced = {evaluate(result, core, x) for x in start} == end
     checks = [
         _check(
@@ -283,7 +284,7 @@ def _cmd_construct_corefree(args):
         "hom": doc,
         "distance": fraction_to_text(distance),
         "tau": [int(i) for i in tau],
-        "base": [int(x) for x in base],
+        "base": base.tolist(),
     }
     return inputs, outputs, checks
 
@@ -565,6 +566,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, RuntimeError) as exc:  # a broken internal invariant
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     passed = all(c["passed"] for c in checks)
     report = {
         "command": command,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -75,9 +75,9 @@ def cyclic_reduce(word: ReducedWord) -> tuple[ReducedWord, ReducedWord]:
 class FreeBall:
     """All reduced words of length at most radius, in length-lex order.
 
-    Besides the word list, the ball stores for each word its first
-    letter and the index of the word with that letter removed, so images
-    of every ball word at an atom can be filled in one linear pass.
+    The ball is two arrays, each word's first letter and the index of
+    the word with that letter removed, so images of every ball word at
+    an atom fill in one linear pass; words are built on first use.
     """
 
     def __init__(self, rank: int, radius: int):
@@ -85,33 +85,36 @@ class FreeBall:
             raise ValueError("need rank >= 1 and radius >= 0")
         self.rank = rank
         self.radius = radius
-        letter_order = [l for i in range(1, rank + 1) for l in (i, -i)]
-        words: list[tuple[int, ...]] = [()]
-        first_letter = [0]
-        parent = [0]
-        start, end = 0, 1
+        letter_order = np.array([l for i in range(1, rank + 1) for l in (i, -i)])
+        first_letter, parent = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        layer = parent
         for _ in range(radius):
-            for letter in letter_order:
-                for idx in range(start, end):
-                    tail = words[idx]
-                    if tail and tail[0] == -letter:
-                        continue
-                    words.append((letter,) + tail)
-                    first_letter.append(letter)
-                    parent.append(idx)
-            start, end = end, len(words)
-        self.words = tuple(ReducedWord(rank, w) for w in words)
-        self.first_letter = np.array(first_letter, dtype=np.int64)
-        self.parent = np.array(parent, dtype=np.int64)
-        self.index = {w: i for i, w in enumerate(words)}
-        inv = [self.index[tuple(-l for l in reversed(w))] for w in words]
-        self.inverse_index = np.array(inv, dtype=np.int64)
+            kept = [layer[first_letter[layer] != -letter] for letter in letter_order]
+            layer = np.arange(parent.size, parent.size + sum(k.size for k in kept))
+            parent = np.concatenate([parent, *kept])
+            first_letter = np.concatenate([first_letter, letter_order.repeat([k.size for k in kept])])
+        self.first_letter, self.parent = first_letter, parent
 
     def __len__(self):
-        return len(self.words)
+        return self.parent.size
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        letters = [()]
+        for first, rest in zip(self.first_letter[1:].tolist(), self.parent[1:].tolist()):
+            letters.append((first,) + letters[rest])
+        return {w: i for i, w in enumerate(letters)}
+
+    @cached_property
+    def words(self) -> tuple[ReducedWord, ...]:
+        return tuple(ReducedWord(self.rank, w) for w in self._index)  # keys in ball order
+
+    @cached_property
+    def inverse_index(self) -> np.ndarray:
+        return np.array([self.word_index(w.inverse()) for w in self.words], dtype=np.int64)
 
     def word_index(self, word: ReducedWord) -> int:
-        return self.index[word.letters]
+        return self._index[word.letters]
 
 
 @lru_cache(maxsize=32)

@@ -431,3 +431,27 @@ def test_negative_radius_is_rejected(radius):
     for call in calls:
         with pytest.raises(ValueError, match="^radius must be nonnegative$"):
             call()
+
+
+def test_tables_follow_the_ball_letter_order():
+    hom = random_homomorphism(FiniteSpace.single_class(12), 3, derive_rng(8, STREAM_TEST, 8))
+    assert list(hom.tables) == [1, -1, 2, -2, 3, -3]
+    for letter, table in hom.tables.items():
+        assert np.array_equal(table, hom.generator(letter).forward)
+        assert [hom.letter_image(letter, x) for x in range(12)] == table.tolist()
+
+
+@pytest.mark.parametrize("letter", [0, 3, -3, -5])
+def test_letter_image_rejects_letters_outside_the_rank(letter):
+    hom = odometer_hom(4)
+    with pytest.raises(ValueError, match=f"letter {letter} out of range"):
+        hom.letter_image(letter, 0)
+
+
+@pytest.mark.parametrize("index", [-1, -2, 2, 7])
+def test_replace_generator_rejects_indices_outside_the_rank(index):
+    hom = odometer_hom(4)
+    ident = FullGroupElement.identity(hom.space)
+    with pytest.raises(ValueError, match=rf"generator index {index} is not in \[0, 2\)"):
+        hom.replace_generator(index, ident)
+    assert hom.replace_generator(0, ident).gens == (ident, hom.gens[1])

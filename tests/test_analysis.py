@@ -382,3 +382,11 @@ def test_worker_count_is_clamped(monkeypatch):
         monkeypatch.setenv("IRSLAB_WORKERS", text)
         with pytest.raises(ValueError, match="IRSLAB_WORKERS must be an integer"):
             _worker_count()
+
+
+def test_folner_search_rejects_a_negative_radius_on_a_singleton_orbit():
+    sp = single(16)
+    ident = FullGroupElement.identity(sp)
+    hom = Homomorphism(sp, (ident, ident))
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        folner_search(hom, 0, 2, -3)

@@ -472,3 +472,77 @@ def test_negative_radius_exits_2(tmp_path, monkeypatch, capsys, argv):
     assert main([a.format(hom=hom) for a in argv]) == 2
     assert capsys.readouterr().err.strip() == "error: radius must be nonnegative"
     assert not (tmp_path / "x.dot").exists()
+
+
+def identity_hom(tmp_path, log2=4):
+    from irslab import FiniteSpace, FullGroupElement, Homomorphism
+    from irslab.serialize import dumps_canonical, hom_to_doc
+
+    ident = FullGroupElement.identity(FiniteSpace.single_class(2 ** log2))
+    out = tmp_path / "identity.json"
+    out.write_text(dumps_canonical(hom_to_doc(Homomorphism(ident.space, (ident, ident)))))
+    return out
+
+
+def test_negative_folner_radius_on_a_singleton_orbit_exits_2(tmp_path, capsys):
+    hom = identity_hom(tmp_path)
+    argv = ["analyze", "folner", "--hom", str(hom), "--root", "0", "--l", "2", "--radius", "-3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip() == "error: radius must be nonnegative"
+
+
+@pytest.mark.parametrize("builder, argv, check", [
+    ("build_ht_perturbation", ["ht", "--m", "2", "--tau", "1 0"],
+     "second generator permutes every tower fiber by tau"),
+    ("build_corefree_perturbation", ["corefree", "--word", "s2"],
+     "word carries the first tower level onto the last"),
+])
+def test_construct_report_checks_fail_when_the_construction_does_nothing(
+        tmp_path, monkeypatch, builder, argv, check):
+    from irslab import constructions
+
+    hom = gen_hom(tmp_path, log2=6)
+    monkeypatch.setattr(constructions, builder, lambda hom, *args: hom)
+    code, report = run(tmp_path, "construct", *argv, "--hom", str(hom), "--epsilon", "1/2")
+    assert code == 1
+    assert report["passed"] is False
+    assert {c["name"]: c["passed"] for c in report["checks"]} == {
+        "distance below epsilon": True, check: False,
+    }
+
+
+@pytest.mark.parametrize("error", [RuntimeError, AssertionError])
+def test_broken_internal_invariant_exits_3(tmp_path, monkeypatch, capsys, error):
+    from irslab import analysis
+
+    def broken(*args):
+        raise error("stability bound violated: observed 1/1 > bound 0/1")
+
+    hom = gen_hom(tmp_path, log2=3)
+    monkeypatch.setattr(analysis, "ball_stability_check", broken)
+    argv = ["analyze", "stability", "--hom", str(hom), "--other", str(hom), "--radius", "1"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: stability bound violated: observed 1/1 > bound 0/1\n"
+    assert captured.out == ""
+
+
+def test_broken_internal_invariant_exits_3_without_traceback(tmp_path):
+    hom = gen_hom(tmp_path, log2=3)
+    script = (
+        "import sys\n"
+        "from irslab import analysis, cli\n"
+        "def broken(*args):\n"
+        "    raise RuntimeError('stability bound violated')\n"
+        "analysis.ball_stability_check = broken\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "analyze", "stability", "--hom", str(hom),
+         "--other", str(hom), "--radius", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "internal error: stability bound violated\n"
+    assert proc.stdout == ""

@@ -1,5 +1,6 @@
 """Reduced words, cyclic reduction, balls, and the text form."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,9 @@ from irslab import (
     random_reduced_word,
     reduce_letters,
 )
+from irslab import FiniteSpace, ball_codes, random_homomorphism, trace_code_matrix
 from irslab.rng import STREAM_TEST
+from irslab.words import FreeBall
 
 letters_lists = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12)
 
@@ -173,3 +176,66 @@ def test_cyclic_core_is_cyclically_reduced(letters):
     conj, core = cyclic_reduce(word)
     assert core.is_cyclically_reduced()
     assert conj * core * conj.inverse() == word
+
+
+# -- the ball's arrays against the word-by-word builder they replaced ----------
+
+
+class OracleFreeBall:
+    """The ball builder that made one ReducedWord per word, kept as an oracle."""
+
+    def __init__(self, rank: int, radius: int):
+        if rank < 1 or radius < 0:
+            raise ValueError("need rank >= 1 and radius >= 0")
+        self.rank = rank
+        self.radius = radius
+        letter_order = [l for i in range(1, rank + 1) for l in (i, -i)]
+        words: list[tuple[int, ...]] = [()]
+        first_letter = [0]
+        parent = [0]
+        start, end = 0, 1
+        for _ in range(radius):
+            for letter in letter_order:
+                for idx in range(start, end):
+                    tail = words[idx]
+                    if tail and tail[0] == -letter:
+                        continue
+                    words.append((letter,) + tail)
+                    first_letter.append(letter)
+                    parent.append(idx)
+            start, end = end, len(words)
+        self.words = tuple(ReducedWord(rank, w) for w in words)
+        self.first_letter = np.array(first_letter, dtype=np.int64)
+        self.parent = np.array(parent, dtype=np.int64)
+        self.index = {w: i for i, w in enumerate(words)}
+        inv = [self.index[tuple(-l for l in reversed(w))] for w in words]
+        self.inverse_index = np.array(inv, dtype=np.int64)
+
+    def __len__(self):
+        return len(self.words)
+
+    def word_index(self, word: ReducedWord) -> int:
+        return self.index[word.letters]
+
+
+@pytest.mark.parametrize("rank, radius", [
+    *((rank, radius) for rank in range(1, 5) for radius in range(6)), (2, 8),
+])
+def test_ball_arrays_match_the_oracle(rank, radius):
+    got, want = FreeBall(rank, radius), OracleFreeBall(rank, radius)
+    assert len(got) == len(want) == ball_size(rank, radius)
+    for name in ("first_letter", "parent", "inverse_index"):
+        assert getattr(got, name).dtype == np.int64
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.words == want.words
+    assert [got.word_index(u) for u in want.words] == list(range(len(want)))
+
+
+def test_ball_kernels_build_no_words():
+    ball.cache_clear()
+    hom = random_homomorphism(FiniteSpace.single_class(16), 2, derive_rng(5, STREAM_TEST, 5))
+    trace_code_matrix(hom, 3)
+    ball_codes(hom, 3)
+    for radius in (3, 4):
+        built = vars(ball(2, radius))
+        assert "words" not in built and "inverse_index" not in built
