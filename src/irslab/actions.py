@@ -10,8 +10,10 @@ comparison.  Ball codes record, for each word of B(R+1), the least
 word of B(R) reaching the same atom; two rooted Schreier balls of
 radius R are isomorphic exactly when their codes agree.  Traces,
 codes and the conjugated traces of the invariance check are all read
-off one kernel of ball-word images; trace distributions are counted
-with `setops.row_ids`.
+off one kernel of ball-word images.  The distinct trace rows and their
+counts are sorted once per (hom, R) with `setops.row_ids` and cached on
+the homomorphism; the trace distribution is read off that table, and
+the conjugated rows are counted into it by binary search.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .fullgroup import FullGroupElement, cycle_structure, uniform_metric
 from .labels import component_labels
-from .setops import row_ids, sorted_unique
+from .setops import row_ids, row_keys, sorted_unique
 from .space import FiniteSpace, _frozen_array
 from .words import ReducedWord, ball, ball_size
 
@@ -63,6 +65,11 @@ class Homomorphism:
     def tables(self) -> dict[int, np.ndarray]:
         """Permutation table of each signed letter, in the ball's order s1, s1^-1, s2, ..."""
         return {l: t for i, g in enumerate(self.gens, 1) for l, t in ((i, g.forward), (-i, g.inverse))}
+
+    @cached_property
+    def _trace_tables(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Per radius, the distinct trace rows and their counts (see `_trace_table`)."""
+        return {}
 
     def generator(self, letter: int) -> FullGroupElement:
         """Image of a signed letter."""
@@ -155,6 +162,11 @@ class StabilizerTrace:
 
 
 _CHUNK_BYTES = 4 << 20  # bytes of int64 ball-word images per chunk of atoms
+_TRACE_ROW_BUDGET = 1 << 28  # bytes of packed trace rows, one row per atom
+
+
+class TraceBudgetError(ValueError):
+    """The packed trace rows of every atom would exceed `_TRACE_ROW_BUDGET` bytes."""
 
 
 def _ball_images(hom: Homomorphism, radius: int, atoms=None):
@@ -180,7 +192,17 @@ def stabilizer_trace(hom: Homomorphism, atom: int, radius: int) -> StabilizerTra
 
 
 def trace_code_matrix(hom: Homomorphism, radius: int) -> np.ndarray:
-    """Packed trace bitsets for every atom, one row per atom."""
+    """Packed trace bitsets for every atom, one row per atom.
+
+    Raises `TraceBudgetError`, before the ball is built, when the rows
+    would exceed `_TRACE_ROW_BUDGET` bytes.
+    """
+    need = hom.space.n_atoms * -(-ball_size(hom.rank, radius) // 8)
+    if need > _TRACE_ROW_BUDGET:
+        raise TraceBudgetError(
+            f"trace rows at radius {radius} need {need} bytes for {hom.space.n_atoms} atoms, "
+            f"over the budget of {_TRACE_ROW_BUDGET}"
+        )
     return np.concatenate([np.packbits(images == chunk[:, None], axis=1)
                            for chunk, images in _ball_images(hom, radius)])
 
@@ -208,16 +230,27 @@ def ball_codes(hom: Homomorphism, radius: int, atoms=None) -> np.ndarray:
     return np.concatenate(rows)
 
 
+def _trace_table(hom: Homomorphism, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct packed trace rows in ascending byte order, and how many
+    atoms hold each; built once per (hom, radius) and cached on the hom."""
+    cached = hom._trace_tables.get(radius)
+    if cached is None:
+        rows = trace_code_matrix(hom, radius)
+        ids, count = row_ids(rows)
+        table = np.empty((count, rows.shape[1]), dtype=np.uint8)
+        table[ids] = rows
+        cached = hom._trace_tables[radius] = (table, np.bincount(ids, minlength=count))
+    return cached
+
+
 def empirical_irs(hom: Homomorphism, radius: int) -> "EmpiricalIRS":
     """Distribution of stabilizer traces over the uniform atom, by ascending bytes."""
-    rows = trace_code_matrix(hom, radius)
-    ids, count = row_ids(rows)
-    first = np.empty(count, dtype=np.int64)
-    first[ids] = np.arange(ids.size)  # an atom holding each trace
-    n = hom.space.n_atoms
+    table, counts = _trace_table(hom, radius)
+    n, counts = hom.space.n_atoms, counts.tolist()
+    weight = {c: Fraction(c, n) for c in set(counts)}  # traces share few counts
     weights = tuple(
-        (StabilizerTrace(hom.rank, radius, rows[i].tobytes()), Fraction(c, n))
-        for i, c in zip(first.tolist(), np.bincount(ids, minlength=count).tolist())
+        (StabilizerTrace(hom.rank, radius, row.tobytes()), weight[c])
+        for row, c in zip(table, counts)
     )
     return EmpiricalIRS(n_atoms=n, rank=hom.rank, radius=radius, weights=weights)
 
@@ -238,7 +271,7 @@ class EmpiricalIRS:
             raise ValueError("weights must sum to exactly 1")
         if any(self.n_atoms % w.denominator for _, w in self.weights):
             raise ValueError("weights must be multiples of 1/n_atoms")
-        if any(w <= 0 for _, w in self.weights):
+        if any(w.numerator <= 0 for _, w in self.weights):
             raise ValueError("weights must be positive")
         if len({t for t, _ in self.weights}) != len(self.weights):
             raise ValueError("traces must not repeat")
@@ -247,16 +280,38 @@ class EmpiricalIRS:
         return dict(self.weights)
 
 
-def _conjugate_trace_rows(hom: Homomorphism, radius: int, letter: int) -> np.ndarray:
-    """Packed trace rows of the conjugates by a signed letter s: bit i of row x
-    is set iff s^-1 w s fixes x, for ball word i = w, evaluated as s^-1(w(s x))."""
-    step, back = hom.tables[letter], hom.tables[-letter]
-    rows, start = [], 0
-    for _, images in _ball_images(hom, radius, step):  # images[j] = the ball words at s(x)
-        x = np.arange(start, start + images.shape[0])  # the chunk's atoms s(x) sit at x
-        rows.append(np.packbits(back[images] == x[:, None], axis=1))
-        start += images.shape[0]
-    return np.concatenate(rows)
+def _conjugate_rows(hom: Homomorphism, radius: int):
+    """Yield (letter, x, rows) for each signed letter s on each chunk of the
+    ball-word images kernel: bit i of rows[j] is set iff s^-1 w s fixes x[j],
+    for ball word i = w, evaluated as s^-1(w(y)) at y = s(x[j]), a chunk atom.
+    Over all chunks, x runs through every atom once per letter.
+    """
+    for chunk, images in _ball_images(hom, radius):
+        for letter, step in hom.tables.items():
+            back = hom.tables[-letter]
+            x = back[chunk]
+            if not np.array_equal(step[x], chunk):
+                raise AssertionError(f"the tables of letters {letter} and {-letter} are not inverse")
+            yield letter, x, np.packbits(back[images] == x[:, None], axis=1)
+
+
+def _conjugate_gaps(hom: Homomorphism, radius: int) -> dict[int, int]:
+    """Per signed letter, the L1 distance in atoms between the trace counts
+    and the counts of the traces conjugated by that letter.  Conjugated rows
+    are counted by binary search into the cached table of distinct traces;
+    a row missing from it adds one atom to the gap, its base count being 0.
+    """
+    table, counts = _trace_table(hom, radius)
+    keys = row_keys(table)
+    conjugated = {letter: np.zeros(keys.size, dtype=np.int64) for letter in hom.tables}
+    missing = dict.fromkeys(hom.tables, 0)
+    for letter, _, rows in _conjugate_rows(hom, radius):
+        probe = row_keys(rows)
+        at = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
+        found = keys[at] == probe
+        conjugated[letter] += np.bincount(at[found], minlength=keys.size)
+        missing[letter] += probe.size - int(np.count_nonzero(found))
+    return {l: int(np.abs(counts - c).sum()) + missing[l] for l, c in conjugated.items()}
 
 
 def invariance_defect(hom: Homomorphism, radius: int) -> Fraction:
@@ -264,17 +319,10 @@ def invariance_defect(hom: Homomorphism, radius: int) -> Fraction:
     generator-conjugated one.  Exactly zero for every homomorphism; the
     conjugated membership tests are evaluated directly, not rewritten:
     each conjugate s^-1 w s is applied to x letter by letter, w to s(x)
-    on the ball-word images kernel and then s^-1.  Both distributions
-    are counted on one `row_ids` numbering of their trace rows.
+    on the ball-word images kernel and then s^-1.  One pass of the kernel
+    serves every letter (see `_conjugate_gaps`).
     """
-    n = hom.space.n_atoms
-    base = trace_code_matrix(hom, radius)
-    worst = Fraction(0)
-    for letter in hom.tables:
-        ids, count = row_ids(np.concatenate([base, _conjugate_trace_rows(hom, radius, letter)]))
-        gap = np.abs(np.bincount(ids[:n], minlength=count) - np.bincount(ids[n:], minlength=count))
-        worst = max(worst, Fraction(int(gap.sum()), 2 * n))
-    return worst
+    return Fraction(max(_conjugate_gaps(hom, radius).values()), 2 * hom.space.n_atoms)
 
 
 # -- Schreier balls --------------------------------------------------------

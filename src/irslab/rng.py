@@ -3,7 +3,9 @@
 Every randomized code path asks for a generator via derive_rng with a
 fixed stream id and a counter, so results never depend on evaluation
 order or worker count.  Philox is counter-based; SeedSequence spawn
-keys carry the (stream, counter) path.
+keys carry the (stream, counter) path.  Vectorized samplers must draw
+the same stream as the per-item loops they replace, so that seeded
+outputs never change.
 """
 
 from __future__ import annotations
@@ -25,11 +27,15 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 
 
 def random_full_group_element(space: FiniteSpace, rng: np.random.Generator) -> FullGroupElement:
-    """Uniformly random class-preserving permutation."""
+    """Uniformly random class-preserving permutation.
+
+    One `rng.permuted` call shuffles the rows of each of `space.class_runs`
+    in class-id order, which draws exactly what one `rng.permutation` per
+    class would, so the element and the generator's next draw are unchanged.
+    """
     forward = np.arange(space.n_atoms, dtype=np.int64)
-    for atoms in space.classes():
-        atoms = np.array(atoms, dtype=np.int64)
-        forward[atoms] = atoms[rng.permutation(len(atoms))]
+    for run in space.class_runs:
+        forward[run] = rng.permuted(run, axis=1)
     return FullGroupElement.from_forward(space, forward)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -73,15 +74,19 @@ def space_to_doc(space: FiniteSpace) -> dict:
 
 def space_from_doc(doc: dict) -> FiniteSpace:
     _require(doc, "space", ints=("n_atoms",), int_lists=("classes",))
-    n = doc["n_atoms"]
-    class_of = np.full(n, -1, dtype=np.int64)
-    for cid, atoms in enumerate(doc["classes"]):
-        for atom in atoms:
-            if not 0 <= atom < n or class_of[atom] != -1:
-                raise ValueError("classes must partition the atoms")
-            class_of[atom] = cid
-    if (class_of == -1).any():
+    n, classes = doc["n_atoms"], doc["classes"]
+    flat = list(chain.from_iterable(classes))
+    # bounds on Python ints first, so an atom beyond int64 is out of range, not an overflow
+    if flat and not 0 <= min(flat) <= max(flat) < n:
+        raise ValueError("classes must partition the atoms")
+    atoms = np.array(flat, dtype=np.int64)
+    hits = np.bincount(atoms, minlength=n)
+    if (hits > 1).any():
+        raise ValueError("classes must partition the atoms")
+    if (hits == 0).any():
         raise ValueError("classes must cover every atom")
+    class_of = np.empty(n, dtype=np.int64)
+    class_of[atoms] = np.repeat(np.arange(len(classes)), [len(c) for c in classes])
     levels = doc.get("filtration_log2_levels")
     if levels is not None and type(levels) is not int:
         raise ValueError("space document key 'filtration_log2_levels' must be an integer")

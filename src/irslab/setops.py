@@ -38,14 +38,19 @@ def merge_disjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([a, b]), kind="stable")
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One void key per row of a 2-D byte array.  Keys compare, sort and
+    `searchsorted` in memcmp order, the order Python gives the rows' `tobytes()`."""
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
 def row_ids(rows: np.ndarray) -> tuple[np.ndarray, int]:
     """Dense ids of equal rows of a 2-D byte array, and how many there are.
 
-    Ids follow the ascending byte order of the rows, which is the order
-    Python's `sorted` gives their `tobytes()`.
+    Ids follow the ascending byte order of the rows (see `row_keys`).
     """
-    rows = np.ascontiguousarray(rows, dtype=np.uint8)
-    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()  # memcmp order
+    keys = row_keys(rows)
     order = np.argsort(keys)
     ranked = keys[order]
     new = np.empty(keys.size, dtype=bool)

@@ -1,7 +1,9 @@
 """Finite uniform probability spaces carrying an equivalence relation.
 
 Atoms are the integers 0..n_atoms-1, each of measure 1/n_atoms.  The
-equivalence relation is stored as a class id per atom.  An optional
+equivalence relation is stored as a class id per atom, and read back
+as sorted atom lists per class or, for vectorized per-class work, as
+one atom matrix per run of consecutive equal-size classes.  An optional
 dyadic filtration marks the space as explicitly hyperfinite: level j
 groups the atoms into consecutive blocks of size 2**j, level 0 is the
 discrete partition, and every top-level block must lie inside a single
@@ -95,13 +97,23 @@ class FiniteSpace:
         return self.class_count == 1
 
     @cached_property
-    def _classes(self) -> tuple[tuple[int, ...], ...]:
+    def class_runs(self) -> tuple[np.ndarray, ...]:
+        """One read-only (classes x size) atom matrix per run of consecutive
+        class ids of one size; its rows are the run's classes in id order,
+        each listing its atoms ascending."""
         order = np.argsort(self.class_of, kind="stable")
-        bounds = np.searchsorted(self.class_of[order], np.arange(self.class_count + 1))
-        return tuple(
-            tuple(int(a) for a in order[bounds[c]:bounds[c + 1]])
-            for c in range(self.class_count)
-        )
+        sizes = np.bincount(self.class_of)
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), sizes.size]
+        runs = tuple(order[starts[lo]:starts[hi]].reshape(hi - lo, sizes[lo])
+                     for lo, hi in zip(cuts, cuts[1:]))
+        for run in runs:
+            run.setflags(write=False)
+        return runs
+
+    @cached_property
+    def _classes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(atoms) for run in self.class_runs for atoms in run.tolist())
 
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """Atoms of each class, sorted, indexed by class id."""

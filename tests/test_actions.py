@@ -37,9 +37,10 @@ from irslab import (
     stabilizer_trace,
     trace_code_matrix,
 )
-from irslab import actions
-from irslab.actions import EmpiricalIRS, _conjugate_trace_rows
+from irslab import TraceBudgetError, actions
+from irslab.actions import EmpiricalIRS, _ball_images, _conjugate_gaps, _conjugate_rows
 from irslab.rng import STREAM_TEST
+from irslab.setops import row_ids
 
 
 def odometer_hom(n, rank=2):
@@ -397,6 +398,53 @@ def oracle_invariance_defect(hom, radius):
     return worst
 
 
+# -- oracles: conjugated traces one letter at a time, counted by concatenation ---
+
+
+def _conjugate_trace_rows(hom: Homomorphism, radius: int, letter: int) -> np.ndarray:
+    """Packed trace rows of the conjugates by a signed letter s: bit i of row x
+    is set iff s^-1 w s fixes x, for ball word i = w, evaluated as s^-1(w(s x))."""
+    step, back = hom.tables[letter], hom.tables[-letter]
+    rows, start = [], 0
+    for _, images in _ball_images(hom, radius, step):  # images[j] = the ball words at s(x)
+        x = np.arange(start, start + images.shape[0])  # the chunk's atoms s(x) sit at x
+        rows.append(np.packbits(back[images] == x[:, None], axis=1))
+        start += images.shape[0]
+    return np.concatenate(rows)
+
+
+def concat_invariance_defect(hom: Homomorphism, radius: int) -> Fraction:
+    """Largest total-variation gap between the trace distribution and any
+    generator-conjugated one.  Exactly zero for every homomorphism; the
+    conjugated membership tests are evaluated directly, not rewritten:
+    each conjugate s^-1 w s is applied to x letter by letter, w to s(x)
+    on the ball-word images kernel and then s^-1.  Both distributions
+    are counted on one `row_ids` numbering of their trace rows.
+    """
+    n = hom.space.n_atoms
+    base = trace_code_matrix(hom, radius)
+    worst = Fraction(0)
+    for letter in hom.tables:
+        ids, count = row_ids(np.concatenate([base, _conjugate_trace_rows(hom, radius, letter)]))
+        gap = np.abs(np.bincount(ids[:n], minlength=count) - np.bincount(ids[n:], minlength=count))
+        worst = max(worst, Fraction(int(gap.sum()), 2 * n))
+    return worst
+
+
+def empirical_irs_from_first_atoms(hom, radius):
+    """Distribution of stabilizer traces over the uniform atom, by ascending bytes."""
+    rows = trace_code_matrix(hom, radius)
+    ids, count = row_ids(rows)
+    first = np.empty(count, dtype=np.int64)
+    first[ids] = np.arange(ids.size)  # an atom holding each trace
+    n = hom.space.n_atoms
+    weights = tuple(
+        (StabilizerTrace(hom.rank, radius, rows[i].tobytes()), Fraction(c, n))
+        for i, c in zip(first.tolist(), np.bincount(ids, minlength=count).tolist())
+    )
+    return EmpiricalIRS(n_atoms=n, rank=hom.rank, radius=radius, weights=weights)
+
+
 @settings(max_examples=60, deadline=None)
 @given(homs(), st.integers(0, 3), st.integers(1, 5))
 def test_conjugate_traces_match_the_permutation_oracle(hom, radius, chunk_atoms):
@@ -404,16 +452,79 @@ def test_conjugate_traces_match_the_permutation_oracle(hom, radius, chunk_atoms)
     with pytest.MonkeyPatch.context() as mp:
         # chunks of chunk_atoms atoms, so most atoms sit at a nonzero chunk offset
         mp.setattr(actions, "_CHUNK_BYTES", chunk_atoms * 8 * len(fb))
+        one_pass = {letter: np.zeros((n, (len(fb) + 7) // 8), dtype=np.uint8) for letter in hom.tables}
+        seen = Counter()
+        for letter, x, rows in _conjugate_rows(hom, radius):
+            one_pass[letter][x] = rows
+            seen.update((letter, a) for a in x.tolist())
+        assert seen == Counter({(letter, a): 1 for letter in hom.tables for a in range(n)})
         for letter in [l for i in range(1, hom.rank + 1) for l in (i, -i)]:
             rows = _conjugate_trace_rows(hom, radius, letter)
             assert rows.shape == (n, (len(fb) + 7) // 8)
+            assert np.array_equal(one_pass[letter], rows)
             bits = np.unpackbits(rows, axis=1, count=len(fb)).astype(bool)
             for i, w in enumerate(fb.words):
                 conj = hom.element_of(reduce_letters(hom.rank, (-letter,) + w.letters + (letter,)))
                 assert np.array_equal(bits[:, i], conj.forward == np.arange(n)), (letter, str(w))
         defect = invariance_defect(hom, radius)
     assert defect == 0
+    assert defect == concat_invariance_defect(hom, radius)
     assert defect == oracle_invariance_defect(hom, radius)
+    assert empirical_irs(hom, radius) == empirical_irs_from_first_atoms(hom, radius)
+
+
+def test_gap_counts_match_the_concatenation_oracle(monkeypatch):
+    """Counted against another action's trace table, the conjugated rows
+    miss some traces and overfill others; every letter's gap must still
+    equal the one counted on the concatenated rows."""
+    saw_missing = saw_surplus = False
+    for seed, sizes, rank, radius in [(1, [12], 2, 2), (2, [5, 3, 3, 1], 2, 1), (3, [9], 1, 3), (4, [4, 4], 3, 1)]:
+        rng = derive_rng(seed, STREAM_TEST, 10)
+        space = FiniteSpace.from_class_sizes(sizes, levels=None)
+        hom, other = random_homomorphism(space, rank, rng), random_homomorphism(space, rank, rng)
+        base = trace_code_matrix(other, radius)
+        hom._trace_tables[radius] = actions._trace_table(other, radius)
+        n, known = space.n_atoms, Counter(row.tobytes() for row in base)
+        gaps = _conjugate_gaps(hom, radius)
+        for letter, gap in gaps.items():
+            conj = _conjugate_trace_rows(hom, radius, letter)
+            ids, count = row_ids(np.concatenate([base, conj]))
+            expected = np.abs(np.bincount(ids[:n], minlength=count) - np.bincount(ids[n:], minlength=count))
+            assert gap == int(expected.sum()), (seed, letter)
+            counted = Counter(row.tobytes() for row in conj)
+            saw_missing |= any(row not in known for row in counted)
+            saw_surplus |= any(0 < known[row] < c for row, c in counted.items())
+        with monkeypatch.context() as mp:  # the oracle reads its base rows off the other action
+            mp.setitem(concat_invariance_defect.__globals__, "trace_code_matrix", lambda h, r: base)
+            expected_defect = concat_invariance_defect(hom, radius)
+        assert invariance_defect(hom, radius) == expected_defect == Fraction(max(gaps.values()), 2 * n)
+        assert expected_defect > 0
+    assert saw_missing and saw_surplus
+
+
+def test_letter_tables_that_are_not_inverse_are_an_internal_error():
+    hom = random_homomorphism(FiniteSpace.single_class(9), 2, derive_rng(11, STREAM_TEST, 11))
+    tables = dict(hom.tables)
+    tables[-1] = tables[1]  # not an involution, so not its own inverse
+    assert not np.array_equal(tables[1][tables[1]], np.arange(9))
+    hom.__dict__["tables"] = tables
+    with pytest.raises(AssertionError, match="tables of letters 1 and -1 are not inverse"):
+        invariance_defect(hom, 1)
+
+
+def test_trace_rows_over_the_byte_budget_fail_before_the_ball_is_built(monkeypatch):
+    hom = random_homomorphism(FiniteSpace.single_class(16), 2, derive_rng(12, STREAM_TEST, 12))
+
+    def no_ball(*args):
+        raise AssertionError("the ball was built")
+
+    monkeypatch.setattr(actions, "ball", no_ball)
+    for call in (trace_code_matrix, empirical_irs, invariance_defect):
+        with pytest.raises(TraceBudgetError, match="^trace rows at radius 20 need 13947137616 bytes"):
+            call(hom, 20)
+    assert issubclass(TraceBudgetError, ValueError)
+    # the budget holds every radius the benchmark runs: R = 4 on 2^16 atoms
+    assert (1 << 16) * -(-ball_size(2, 4) // 8) <= actions._TRACE_ROW_BUDGET
 
 
 @pytest.mark.parametrize("radius", [-1, -3])

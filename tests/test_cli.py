@@ -302,6 +302,20 @@ def test_root_outside_the_atoms_exits_2_without_traceback(tmp_path):
     assert proc.stderr.strip() == "error: --root 99 is not an atom in [0, 16)"
 
 
+@pytest.mark.parametrize("command", [
+    ("analyze", "irs", "--radius", "20", "--csv", "x.csv"),
+    ("export", "--format", "csv", "--radius", "20", "--out", "x.csv"),
+])
+def test_trace_rows_over_the_byte_budget_exit_2(tmp_path, monkeypatch, capsys, command):
+    hom = gen_hom(tmp_path, log2=4)
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--hom", str(hom)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: trace rows at radius 20 need 13947137616 bytes for 16 atoms")
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("missing", ["gens", "n_atoms", "rank"])
 def test_hom_document_missing_key_exits_2(tmp_path, missing):
     doc = {"n_atoms": 4, "rank": 1, "gens": [[1, 2, 3, 0]]}

@@ -237,3 +237,49 @@ def test_inverse_and_product_identities(p, q):
     assert a.inv() * a == e
     assert (a * b).inv() == b.inv() * a.inv()
     assert a * e == a and e * a == a
+
+
+# -- oracle: one rng.permutation per class, in class-id order --------------------
+
+
+def loop_random_full_group_element(space, rng):
+    """Uniformly random class-preserving permutation."""
+    forward = np.arange(space.n_atoms, dtype=np.int64)
+    for atoms in space.classes():
+        atoms = np.array(atoms, dtype=np.int64)
+        forward[atoms] = atoms[rng.permutation(len(atoms))]
+    return FullGroupElement.from_forward(space, forward)
+
+
+@st.composite
+def class_layouts(draw):
+    """Runs of equal class sizes (singletons included), with class ids either
+    consecutive along the atoms or scattered over them."""
+    runs = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 4)), min_size=1, max_size=6))
+    class_of = np.repeat(np.arange(sum(k for _, k in runs)), [s for s, k in runs for _ in range(k)])
+    if draw(st.booleans()):
+        class_of = class_of[draw(st.permutations(range(class_of.size)))]
+    return FiniteSpace(class_of.size, class_of)
+
+
+@settings(max_examples=100, deadline=None)
+@given(class_layouts(), st.integers(0, 2**16))
+def test_batched_draw_matches_the_per_class_loop(space, seed):
+    classes = [tuple(np.flatnonzero(space.class_of == c).tolist()) for c in range(space.class_count)]
+    assert space.classes() == tuple(classes)
+    assert [tuple(row) for run in space.class_runs for row in run.tolist()] == classes
+    for run in space.class_runs:
+        assert len({len(c) for c in run.tolist()}) == 1
+        assert not run.flags.writeable
+    batched, looped = derive_rng(seed, STREAM_TEST, 9), derive_rng(seed, STREAM_TEST, 9)
+    for _ in range(2):
+        a = random_full_group_element(space, batched)
+        b = loop_random_full_group_element(space, looped)
+        assert np.array_equal(a.forward, b.forward)
+        assert batched.integers(1 << 62) == looped.integers(1 << 62)
+
+
+def test_class_runs_split_where_the_size_changes():
+    space = FiniteSpace.from_class_sizes([2, 2, 1, 1, 1, 3, 2], levels=None)
+    runs = [run.tolist() for run in space.class_runs]
+    assert runs == [[[0, 1], [2, 3]], [[4], [5], [6]], [[7, 8, 9]], [[10, 11]]]

@@ -65,6 +65,31 @@ def test_space_doc_validation():
         space_from_doc(bad)
 
 
+@pytest.mark.parametrize("classes, message", [
+    ([[0, 1], [2]], "classes must cover every atom"),
+    ([[0, 1], [2, 4]], "classes must partition the atoms"),
+    ([[0, -1], [2, 3]], "classes must partition the atoms"),
+    ([[0, 1], [1, 2, 3]], "classes must partition the atoms"),
+    ([[0, 0], [1, 2, 3]], "classes must partition the atoms"),
+    ([[0, 1], [2, 2**70], [3]], "classes must partition the atoms"),
+    ([[-2**70, 0, 1, 2, 3]], "classes must partition the atoms"),
+    # an atom out of range is reported before the atoms left uncovered
+    ([[0, 9]], "classes must partition the atoms"),
+    ([[0, 0]], "classes must partition the atoms"),
+])
+def test_space_doc_class_errors(classes, message):
+    doc = {"n_atoms": 4, "classes": classes, "filtration_log2_levels": None}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        space_from_doc(doc)
+
+
+def test_space_doc_keeps_scattered_class_ids():
+    space = FiniteSpace(6, [1, 0, 2, 1, 0, 2])
+    doc = space_to_doc(space)
+    assert doc["classes"] == [[1, 4], [0, 3], [2, 5]]
+    assert space_from_doc(doc) == space
+
+
 def test_hom_doc_round_trip():
     rng = derive_rng(40, STREAM_TEST, 40)
     space = FiniteSpace.from_class_sizes([8, 8])

@@ -17,7 +17,7 @@ from irslab import (
     realizes_tau_fraction,
 )
 from irslab.rng import STREAM_TEST
-from irslab.setops import member, merge_disjoint, row_ids, sorted_unique
+from irslab.setops import member, merge_disjoint, row_ids, row_keys, sorted_unique
 
 # -- helpers -------------------------------------------------------------------
 
@@ -95,6 +95,22 @@ def test_row_ids_match_sorted_bytes(width, count, top, data):
     """Widths 1-20, mostly not multiples of 8; small byte ranges repeat rows."""
     cells = data.draw(st.lists(st.integers(0, top), min_size=width * count, max_size=width * count))
     _check_row_ids(np.array(cells, np.uint8).reshape(count, width))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 30), st.integers(1, 255), st.data())
+def test_row_keys_binary_search_in_bytes_order(width, count, top, data):
+    """A probe row is found in a sorted table of rows exactly when its bytes are."""
+    def draw_rows(k):
+        cells = data.draw(st.lists(st.integers(0, top), min_size=width * k, max_size=width * k))
+        return np.array(cells, np.uint8).reshape(k, width)
+    table, probes = draw_rows(count), draw_rows(data.draw(st.integers(0, 10)))
+    keys = np.sort(row_keys(table))
+    assert [k.tobytes() for k in keys] == sorted(row.tobytes() for row in table)
+    at = np.minimum(np.searchsorted(keys, row_keys(probes)), keys.size - 1)
+    known = {row.tobytes() for row in table}
+    for row, i in zip(probes, at.tolist()):
+        assert (keys[i].tobytes() == row.tobytes()) == (row.tobytes() in known)
 
 
 # -- oracle: the set-op kernel this package used before setops -------------------
