@@ -242,12 +242,7 @@ def realizes_tau_fraction(hom: Homomorphism, m: int, tau, radius: int) -> Fracti
     if n ** (m + 1) >= 2 ** 63:
         raise AnalysisError(f"packed state space n^(m+1) = {n}^{m + 1} overflows 64-bit keys")
 
-    sigma = hom.gens[0]
-    powers = np.empty((m, n), dtype=np.int64)
-    powers[0] = np.arange(n)
-    for i in range(1, m):
-        powers[i] = sigma.forward[powers[i - 1]]
-
+    powers = hom.gens[0].levels(np.arange(n), m)
     start = _pack(powers, np.arange(n), n)
     target = _pack(powers[list(tau)], np.arange(n), n)
 

@@ -227,11 +227,8 @@ def _cmd_construct_ht(args):
     doc = hom_to_doc(result)
     _write_artifact(args.out, dumps_canonical(doc))
     distance = hom_metric(hom, result)
-    sigma = hom.gens[0]
-    base = np.array(constructions.rokhlin_base(sigma, args.m, epsilon / (2 * args.m)))
-    levels = [(sigma ** i).forward[base] for i in range(args.m)]  # level i of every fiber
-    fibered = all(np.array_equal(result.gens[1].forward[levels[i]], levels[t])
-                  for i, t in enumerate(tau))
+    levels = constructions.perturbation_tower(hom.gens[0], args.m, epsilon)
+    fibered = np.array_equal(result.gens[1].forward[levels], levels[list(tau)])
     checks = [
         _check(
             "distance below epsilon",
@@ -250,7 +247,7 @@ def _cmd_construct_ht(args):
     outputs = {
         "hom": doc,
         "distance": fraction_to_text(distance),
-        "base": base.tolist(),
+        "base": levels[0].tolist(),
     }
     return inputs, outputs, checks
 
@@ -266,11 +263,9 @@ def _cmd_construct_corefree(args):
     _, core = cyclic_reduce(word)
     tau = constructions.tau_for_word(core)
     s = len(core)
-    sigma = hom.gens[0]
-    base = np.array(constructions.rokhlin_base(sigma, s + 1, epsilon / (2 * (s + 1))))
-    start = (sigma ** tau[0]).forward[base].tolist()
-    end = set((sigma ** tau[s]).forward[base].tolist())
-    displaced = {evaluate(result, core, x) for x in start} == end
+    levels = constructions.perturbation_tower(hom.gens[0], s + 1, epsilon)
+    images = [evaluate(result, core, x) for x in levels[tau[0]].tolist()]
+    displaced = images == levels[tau[s]].tolist()
     checks = [
         _check(
             "distance below epsilon",
@@ -284,7 +279,7 @@ def _cmd_construct_corefree(args):
         "hom": doc,
         "distance": fraction_to_text(distance),
         "tau": [int(i) for i in tau],
-        "base": base.tolist(),
+        "base": levels[0].tolist(),
     }
     return inputs, outputs, checks
 

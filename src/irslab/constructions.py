@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .actions import Homomorphism
-from .fullgroup import FullGroupElement, cycle_structure
+from .fullgroup import FullGroupElement
 from .labels import cycle_positions
 from .setops import sorted_unique
 from .words import ReducedWord, cyclic_reduce
@@ -117,12 +117,6 @@ def disjoint_support_partition(elements) -> list[tuple[int, ...]]:
     return result
 
 
-def _cycle_order(sigma: FullGroupElement) -> tuple[np.ndarray, np.ndarray]:
-    """Cycle listing from atom 0 and each atom's position along it (single cycle)."""
-    _, pos = cycle_positions(sigma.forward)
-    return np.argsort(pos), pos
-
-
 def rokhlin_base(sigma: FullGroupElement, height: int, bound: Fraction) -> tuple[int, ...]:
     """Base of a tower of the given height under a single full cycle.
 
@@ -131,7 +125,8 @@ def rokhlin_base(sigma: FullGroupElement, height: int, bound: Fraction) -> tuple
     disjoint.  Deterministic: O starts at atom 0 and uses stride
     n_atoms // |O| >= height.
     """
-    if not cycle_structure(sigma).is_single_cycle:
+    labels, pos = cycle_positions(sigma.forward)
+    if labels.any():
         raise ConstructionError("tower base needs a single full cycle")
     if height < 1:
         raise ValueError("height must be positive")
@@ -145,12 +140,22 @@ def rokhlin_base(sigma: FullGroupElement, height: int, bound: Fraction) -> tuple
             f"no feasible base: need some m >= 1 with m/{n} < {bound} and stride >= {height}"
         )
     stride = n // m
-    cyc, _ = _cycle_order(sigma)
-    base = tuple(sorted(int(cyc[j * stride]) for j in range(m)))
     occupied = {(j * stride + i) % n for j in range(m) for i in range(height)}
     if len(occupied) != m * height:
         raise AssertionError("tower levels overlap")
-    return base
+    return tuple(np.flatnonzero((pos % stride == 0) & (pos < m * stride)).tolist())
+
+
+def perturbation_tower(sigma: FullGroupElement, height: int, epsilon) -> np.ndarray:
+    """Levels of the tower a perturbation below epsilon rearranges.
+
+    Row i is sigma^i(O) for O = rokhlin_base(sigma, height,
+    epsilon/(2 height)).  The tower covers less than epsilon/2 of the
+    space, so a splice on it moves a generator by less than epsilon.
+    """
+    if height < 1:
+        raise ValueError("height must be positive")
+    return sigma.levels(rokhlin_base(sigma, height, Fraction(epsilon) / (2 * height)), height)
 
 
 def first_return(sigma: FullGroupElement, subset) -> FullGroupElement:
@@ -242,6 +247,8 @@ def build_folner_perturbation(hom: Homomorphism, epsilon, sizes) -> Homomorphism
             f"requested classes need measure {Fraction(total, n)}, "
             f"not below epsilon/2r = {epsilon / (2 * hom.rank)}"
         )
+    if total > n:
+        raise ConstructionError(f"requested classes need {total} atoms, more than the {n} in the space")
     runs = folner_planted_classes(sizes)
     subset = list(range(total))
     target = np.arange(n, dtype=np.int64)
@@ -266,12 +273,13 @@ def build_folner_perturbation(hom: Homomorphism, epsilon, sizes) -> Homomorphism
 def build_ht_perturbation(hom: Homomorphism, m: int, tau, epsilon) -> Homomorphism:
     """Make the second generator permute every tower fiber by tau.
 
-    Picks the base O = rokhlin_base(gens[0], m, epsilon/2m), whose first
-    m translates under the full cycle sigma are disjoint, then splices
-    the second generator so it sends sigma^i(x) to sigma^(tau(i))(x) for
-    every x in O.  Conjugating by the power of s1 that carries an atom
-    into O shows every atom realizes tau with a witness word of length
-    at most 2*max-hitting-time + 1.
+    Takes the levels of perturbation_tower(gens[0], m, epsilon), the
+    first m translates sigma^i(O) of a base O under the full cycle
+    sigma, and splices the second generator so it sends level i onto
+    level tau(i) fiber by fiber: sigma^i(x) goes to sigma^(tau(i))(x)
+    for every x in O.  Conjugating by the power of s1 that carries an
+    atom into O shows every atom realizes tau with a witness word of
+    length at most 2*max-hitting-time + 1.
     """
     epsilon = Fraction(epsilon)
     if m < 1:
@@ -283,17 +291,11 @@ def build_ht_perturbation(hom: Homomorphism, m: int, tau, epsilon) -> Homomorphi
         raise ConstructionError("need rank at least 2")
     if not hom.is_lean_aperiodic:
         raise ConstructionError("first generator must be a single full cycle")
-    sigma = hom.gens[0]
-    base = rokhlin_base(sigma, m, epsilon / (2 * m))
-    cyc, pos = _cycle_order(sigma)
-    n = hom.space.n_atoms
-    target = np.arange(n, dtype=np.int64)
-    for x in base:
-        for i in range(m):
-            target[cyc[(pos[x] + i) % n]] = cyc[(pos[x] + tau[i]) % n]
-    levels = [int(cyc[(pos[x] + i) % n]) for x in base for i in range(m)]
+    levels = perturbation_tower(hom.gens[0], m, epsilon)
+    target = np.arange(hom.space.n_atoms, dtype=np.int64)
+    target[levels] = levels[list(tau)]
     tau_elem = FullGroupElement.from_forward(hom.space, target)
-    spliced = splice(hom.gens[1], levels, tau_elem)
+    spliced = splice(hom.gens[1], levels.ravel(), tau_elem)
     return hom.replace_generator(1, spliced)
 
 
@@ -355,9 +357,9 @@ def build_corefree_perturbation(hom: Homomorphism, word: ReducedWord, epsilon) -
     """Perturb so the given word fixes no orbit pointwise.
 
     Works with the cyclically reduced core g = w_s..w_1 and the position
-    permutation tau = tau_for_word(core).  A tower of height s+1 on the
-    base rokhlin_base(gens[0], s+1, epsilon/2(s+1)) is rearranged by a
-    block permuter that advances level tau(i) to level tau(i+1); each
+    permutation tau = tau_for_word(core).  The levels of
+    perturbation_tower(gens[0], s+1, epsilon) are rearranged by a block
+    permuter that advances level tau(i) to level tau(i+1); each
     generator is spliced so the letter w_i performs the i-th advance.
     Letters equal to s1 already do (tau steps up exactly there), so only
     the other generators move, each on at most s tower levels.  The word
@@ -376,15 +378,10 @@ def build_corefree_perturbation(hom: Homomorphism, word: ReducedWord, epsilon) -
         raise ConstructionError("cyclically reduced core must not be a power of the first generator")
     s = len(core)
     tau = tau_for_word(core)
-    sigma = hom.gens[0]
-    base = rokhlin_base(sigma, s + 1, epsilon / (2 * (s + 1)))
-    cyc, pos = _cycle_order(sigma)
+    levels = perturbation_tower(hom.gens[0], s + 1, epsilon)
     n = hom.space.n_atoms
 
-    def shift(atoms_list, d):
-        return [int(cyc[(pos[x] + d) % n]) for x in atoms_list]
-
-    # instructions[j]: tower level -> signed step the j-th generator must take there
+    # instructions[j]: tower level -> the level the j-th generator must send it to
     instructions: dict[int, dict[int, int]] = {}
     w = [0] + [core.letters[s - i] for i in range(1, s + 1)]
     for i in range(1, s + 1):
@@ -392,29 +389,23 @@ def build_corefree_perturbation(hom: Homomorphism, word: ReducedWord, epsilon) -
         gen_index = abs(letter)
         if gen_index == 1:
             continue
-        if letter > 0:
-            dom, step = tau[i - 1], tau[i] - tau[i - 1]
-        else:
-            dom, step = tau[i], tau[i - 1] - tau[i]
+        dom, dest = (tau[i - 1], tau[i]) if letter > 0 else (tau[i], tau[i - 1])
         per_gen = instructions.setdefault(gen_index, {})
         if dom in per_gen:
             raise AssertionError("conflicting instructions on one tower level")
-        per_gen[dom] = step
+        per_gen[dom] = dest
 
     result = hom
     for gen_index, per_gen in sorted(instructions.items()):
-        domain: list[int] = []
+        domain = levels[list(per_gen)].ravel()
         target = np.full(n, -1, dtype=np.int64)
-        for dom, step in per_gen.items():
-            atoms_here = shift(base, dom)
-            domain.extend(atoms_here)
-            target[atoms_here] = shift(atoms_here, step)
+        target[domain] = levels[list(per_gen.values())].ravel()
         unused_src = np.ones(n, dtype=bool)
         unused_src[domain] = False
         unused_tgt = np.ones(n, dtype=bool)
         unused_tgt[target[domain]] = False
         target[unused_src] = np.nonzero(unused_tgt)[0]
         tau_elem = FullGroupElement.from_forward(hom.space, target)
-        spliced = splice(result.gens[gen_index - 1], sorted(domain), tau_elem)
+        spliced = splice(result.gens[gen_index - 1], domain, tau_elem)
         result = result.replace_generator(gen_index - 1, spliced)
     return result

@@ -101,6 +101,14 @@ class FullGroupElement:
         cuts = np.flatnonzero(np.diff(labels[order])) + 1
         return [tuple(part.tolist()) for part in np.split(order, cuts)]
 
+    def levels(self, base, height: int) -> np.ndarray:
+        """The (height x |base|) array whose row i is the i-th power's image of base."""
+        rows = np.empty((height, np.size(base)), dtype=np.int64)
+        rows[:1] = base
+        for i in range(1, height):
+            rows[i] = self.forward[rows[i - 1]]
+        return rows
+
     def __eq__(self, other):
         if not isinstance(other, FullGroupElement):
             return NotImplemented

@@ -80,10 +80,11 @@ def space_from_doc(doc: dict) -> FiniteSpace:
     if flat and not 0 <= min(flat) <= max(flat) < n:
         raise ValueError("classes must partition the atoms")
     atoms = np.array(flat, dtype=np.int64)
-    hits = np.bincount(atoms, minlength=n)
-    if (hits > 1).any():
+    ordered = np.sort(atoms)
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("classes must partition the atoms")
-    if (hits == 0).any():
+    # distinct atoms in [0, n) cover every atom exactly when there are n of them
+    if atoms.size != n:
         raise ValueError("classes must cover every atom")
     class_of = np.empty(n, dtype=np.int64)
     class_of[atoms] = np.repeat(np.arange(len(classes)), [len(c) for c in classes])
@@ -111,14 +112,18 @@ def hom_from_doc(doc: dict, space: FiniteSpace | None = None) -> Homomorphism:
     dyadic filtration is assumed, which accepts any permutation tables.
     """
     _require(doc, "hom", ints=("n_atoms", "rank"), int_lists=("gens",))
-    n = doc["n_atoms"]
-    if space is None:
-        space = FiniteSpace.single_class(n)
-    elif space.n_atoms != n:
+    n, gens = doc["n_atoms"], doc["gens"]
+    if space is not None and space.n_atoms != n:
         raise ValueError("space size does not match the document")
-    gens = doc["gens"]
     if len(gens) != doc["rank"]:
         raise ValueError("rank does not match the generator count")
+    # the listed tables bound n_atoms before a space of that size is built
+    if not gens:
+        raise ValueError("need at least one generator image")
+    if any(len(g) != n for g in gens):
+        raise ValueError("forward table must list one image per atom")
+    if space is None:
+        space = FiniteSpace.single_class(n)
     return Homomorphism(space, tuple(FullGroupElement.from_forward(space, g) for g in gens))
 
 

@@ -109,10 +109,6 @@ class FreeBall:
     def words(self) -> tuple[ReducedWord, ...]:
         return tuple(ReducedWord(self.rank, w) for w in self._index)  # keys in ball order
 
-    @cached_property
-    def inverse_index(self) -> np.ndarray:
-        return np.array([self.word_index(w.inverse()) for w in self.words], dtype=np.int64)
-
     def word_index(self, word: ReducedWord) -> int:
         return self._index[word.letters]
 

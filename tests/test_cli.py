@@ -560,3 +560,43 @@ def test_broken_internal_invariant_exits_3_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "internal error: stability bound violated\n"
     assert proc.stdout == ""
+
+
+def test_folner_classes_larger_than_the_space_exit_2(tmp_path):
+    hom = gen_hom(tmp_path, log2=6)
+    proc = subprocess.run(
+        [sys.executable, "-m", "irslab.cli", "construct", "folner", "--hom", str(hom),
+         "--epsilon", "100", "--sizes", "100"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: requested classes need 100 atoms, more than the 64 in the space\n"
+    assert proc.stdout == ""
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+
+@pytest.mark.parametrize("doc_flag, doc, message", [
+    ("--hom", {"n_atoms": 2**40, "rank": 1, "gens": [[0]]},
+     "forward table must list one image per atom"),
+    ("--hom", {"n_atoms": 2**40, "rank": 0, "gens": []}, "need at least one generator image"),
+    ("--space", {"n_atoms": 2**40, "classes": [[0]]}, "classes must cover every atom"),
+    ("--space", {"n_atoms": 2**40, "classes": [[0, 1], [1]]}, "classes must partition the atoms"),
+])
+def test_documents_claiming_huge_spaces_exit_2_before_allocating(tmp_path, doc_flag, doc, message):
+    """A 2^40-atom claim needs 8 TiB; under a 3 GB address-space limit the
+    loaders must reject the short lists before building anything that size."""
+    hom, big = gen_hom(tmp_path, log2=2), tmp_path / "big.json"
+    big.write_text(json.dumps(doc))
+    paths = {"--hom": str(hom), doc_flag: str(big)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "irslab.cli", "analyze", "index",
+         *(a for flag, path in paths.items() for a in (flag, path))],
+        capture_output=True, text=True, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"

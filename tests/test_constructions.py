@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irslab import (
     ConstructionError,
@@ -24,18 +26,22 @@ from irslab import (
     orbits,
     parse_word,
     periodic_truncate,
+    perturbation_tower,
     random_full_group_element,
     random_homomorphism,
     random_reduced_word,
     realizes_tau_fraction,
+    reduce_letters,
     rokhlin_base,
     schreier_boundary_ratio,
     splice,
     tau_for_word,
     uniform_metric,
 )
-from irslab.constructions import _cycle_order
+from irslab.fullgroup import cycle_structure
+from irslab.labels import cycle_positions
 from irslab.rng import STREAM_TEST
+from irslab.words import cyclic_reduce
 
 
 def single(n, levels="auto"):
@@ -315,6 +321,14 @@ def test_folner_perturbation_feasibility():
         build_folner_perturbation(hom, Fraction(1, 2), [0])
 
 
+def test_folner_perturbation_classes_may_fill_but_not_exceed_the_space():
+    hom = odometer_hom(16)
+    full = build_folner_perturbation(hom, Fraction(100), [10, 6])
+    assert {full.gens[-1](x) for x in range(10)} == set(range(10))
+    with pytest.raises(ConstructionError, match="^requested classes need 17 atoms, more than the 16"):
+        build_folner_perturbation(hom, Fraction(100), [10, 7])
+
+
 # -- tower rearrangement -------------------------------------------------------
 
 
@@ -489,3 +503,197 @@ def test_ht_perturbation_needs_m_at_least_one(m):
 def test_lean_aperiodic_homomorphism_needs_rank_at_least_one(rank):
     with pytest.raises(ValueError, match="^rank must be at least 1$"):
         lean_aperiodic_homomorphism(single(8), rank, derive_rng(0, STREAM_TEST, 9))
+
+
+# -- oracles: the cycle-position tower code that the levels array replaced ------
+#
+# `_cycle_order`, `rokhlin_base` and the two builders as they were before the
+# tower became one (height x |base|) array, kept verbatim (only renamed) as
+# independent oracles.
+
+
+def _cycle_order(sigma: FullGroupElement) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle listing from atom 0 and each atom's position along it (single cycle)."""
+    _, pos = cycle_positions(sigma.forward)
+    return np.argsort(pos), pos
+
+
+def oracle_rokhlin_base(sigma: FullGroupElement, height: int, bound: Fraction) -> tuple[int, ...]:
+    if not cycle_structure(sigma).is_single_cycle:
+        raise ConstructionError("tower base needs a single full cycle")
+    if height < 1:
+        raise ValueError("height must be positive")
+    n = sigma.space.n_atoms
+    bound = Fraction(bound)
+    # largest m with m/n < bound, capped so the stride stays >= height
+    m_strict = (bound.numerator * n - 1) // bound.denominator
+    m = min(m_strict, n // height)
+    if m < 1:
+        raise ConstructionError(
+            f"no feasible base: need some m >= 1 with m/{n} < {bound} and stride >= {height}"
+        )
+    stride = n // m
+    cyc, _ = _cycle_order(sigma)
+    base = tuple(sorted(int(cyc[j * stride]) for j in range(m)))
+    occupied = {(j * stride + i) % n for j in range(m) for i in range(height)}
+    if len(occupied) != m * height:
+        raise AssertionError("tower levels overlap")
+    return base
+
+
+def oracle_build_ht_perturbation(hom: Homomorphism, m: int, tau, epsilon) -> Homomorphism:
+    epsilon = Fraction(epsilon)
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    tau = tuple(int(t) for t in tau)
+    if sorted(tau) != list(range(m)):
+        raise ValueError(f"tau must be a permutation of 0..{m - 1}")
+    if hom.rank < 2:
+        raise ConstructionError("need rank at least 2")
+    if not hom.is_lean_aperiodic:
+        raise ConstructionError("first generator must be a single full cycle")
+    sigma = hom.gens[0]
+    base = oracle_rokhlin_base(sigma, m, epsilon / (2 * m))
+    cyc, pos = _cycle_order(sigma)
+    n = hom.space.n_atoms
+    target = np.arange(n, dtype=np.int64)
+    for x in base:
+        for i in range(m):
+            target[cyc[(pos[x] + i) % n]] = cyc[(pos[x] + tau[i]) % n]
+    levels = [int(cyc[(pos[x] + i) % n]) for x in base for i in range(m)]
+    tau_elem = FullGroupElement.from_forward(hom.space, target)
+    spliced = splice(hom.gens[1], levels, tau_elem)
+    return hom.replace_generator(1, spliced)
+
+
+def oracle_build_corefree_perturbation(hom: Homomorphism, word, epsilon) -> Homomorphism:
+    epsilon = Fraction(epsilon)
+    if hom.rank < 2:
+        raise ConstructionError("need rank at least 2")
+    if not hom.is_lean_aperiodic:
+        raise ConstructionError("first generator must be a single full cycle")
+    if word.rank != hom.rank:
+        raise ValueError("word rank does not match the homomorphism")
+    _, core = cyclic_reduce(word)
+    if len(core) == 0 or all(abs(l) == 1 for l in core.letters):
+        raise ConstructionError("cyclically reduced core must not be a power of the first generator")
+    s = len(core)
+    tau = tau_for_word(core)
+    sigma = hom.gens[0]
+    base = oracle_rokhlin_base(sigma, s + 1, epsilon / (2 * (s + 1)))
+    cyc, pos = _cycle_order(sigma)
+    n = hom.space.n_atoms
+
+    def shift(atoms_list, d):
+        return [int(cyc[(pos[x] + d) % n]) for x in atoms_list]
+
+    # instructions[j]: tower level -> signed step the j-th generator must take there
+    instructions: dict[int, dict[int, int]] = {}
+    w = [0] + [core.letters[s - i] for i in range(1, s + 1)]
+    for i in range(1, s + 1):
+        letter = w[i]
+        gen_index = abs(letter)
+        if gen_index == 1:
+            continue
+        if letter > 0:
+            dom, step = tau[i - 1], tau[i] - tau[i - 1]
+        else:
+            dom, step = tau[i], tau[i - 1] - tau[i]
+        per_gen = instructions.setdefault(gen_index, {})
+        if dom in per_gen:
+            raise AssertionError("conflicting instructions on one tower level")
+        per_gen[dom] = step
+
+    result = hom
+    for gen_index, per_gen in sorted(instructions.items()):
+        domain: list[int] = []
+        target = np.full(n, -1, dtype=np.int64)
+        for dom, step in per_gen.items():
+            atoms_here = shift(base, dom)
+            domain.extend(atoms_here)
+            target[atoms_here] = shift(atoms_here, step)
+        unused_src = np.ones(n, dtype=bool)
+        unused_src[domain] = False
+        unused_tgt = np.ones(n, dtype=bool)
+        unused_tgt[target[domain]] = False
+        target[unused_src] = np.nonzero(unused_tgt)[0]
+        tau_elem = FullGroupElement.from_forward(hom.space, target)
+        spliced = splice(result.gens[gen_index - 1], sorted(domain), tau_elem)
+        result = result.replace_generator(gen_index - 1, spliced)
+    return result
+
+
+def _outcome(build, *args):
+    """What a build returns, or the class and message of the error it raises."""
+    try:
+        return build(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def tower_homs(draw):
+    """Homs of rank 2-3 on 1-300 atoms whose first generator is one full
+    cycle: the odometer or a random conjugate of it."""
+    sp = single(draw(st.integers(1, 300)))
+    rng = derive_rng(draw(st.integers(0, 2**16)), STREAM_TEST, 23)
+    hom = lean_aperiodic_homomorphism(sp, draw(st.integers(2, 3)), rng)
+    if draw(st.booleans()):
+        pi = random_full_group_element(sp, rng)
+        hom = hom.replace_generator(0, pi * hom.gens[0] * pi.inv())
+    return hom
+
+
+epsilons = st.builds(Fraction, st.integers(1, 40), st.integers(1, 60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tower_homs(), st.integers(1, 6), st.data(), epsilons)
+def test_ht_perturbation_matches_the_cycle_position_oracle(hom, m, data, epsilon):
+    tau = data.draw(st.permutations(range(m)))
+    got = _outcome(build_ht_perturbation, hom, m, tau, epsilon)
+    assert got == _outcome(oracle_build_ht_perturbation, hom, m, tau, epsilon)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tower_homs(), st.data(), epsilons)
+def test_corefree_perturbation_matches_the_cycle_position_oracle(hom, data, epsilon):
+    letters = st.integers(1, hom.rank).flatmap(lambda i: st.sampled_from([i, -i]))
+    word = reduce_letters(hom.rank, data.draw(st.lists(letters, max_size=9)))
+    got = _outcome(build_corefree_perturbation, hom, word, epsilon)
+    assert got == _outcome(oracle_build_corefree_perturbation, hom, word, epsilon)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tower_homs(), st.integers(1, 7), epsilons)
+def test_tower_rows_are_the_powers_of_sigma_over_the_base(hom, height, epsilon):
+    sigma = hom.gens[0]
+    bound = epsilon / (2 * height)
+    want = _outcome(oracle_rokhlin_base, sigma, height, bound)
+    assert _outcome(rokhlin_base, sigma, height, bound) == want
+    if isinstance(want[0], type):  # infeasible: the tower raises the same error
+        assert _outcome(perturbation_tower, sigma, height, epsilon) == want
+        return
+    base = np.array(want)
+    levels = perturbation_tower(sigma, height, epsilon)
+    assert levels.dtype == np.int64 and levels.shape == (height, base.size)
+    for i in range(height):
+        assert np.array_equal(levels[i], (sigma ** i).forward[base])
+
+
+def test_levels_of_an_empty_tower_or_base():
+    sigma = FullGroupElement.odometer(single(8))
+    for height in (0, -1):
+        with pytest.raises(ValueError, match="^height must be positive$"):
+            perturbation_tower(sigma, height, Fraction(1, 2))
+    assert sigma.levels([], 3).shape == (3, 0)
+    assert sigma.levels([5], 0).shape == (0, 1)
+    assert sigma.levels([5, 0], 3).tolist() == [[5, 0], [6, 1], [7, 2]]
+
+
+def test_rokhlin_base_needs_one_full_cycle_even_with_a_short_tower():
+    sp = single(8)
+    two_cycles = FullGroupElement.from_forward(sp, [1, 2, 3, 0, 5, 6, 7, 4])
+    for sigma in (two_cycles, FullGroupElement.identity(sp)):
+        with pytest.raises(ConstructionError, match="^tower base needs a single full cycle$"):
+            rokhlin_base(sigma, 1, Fraction(1, 2))

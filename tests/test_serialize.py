@@ -2,8 +2,12 @@
 
 import json
 from fractions import Fraction
+from itertools import chain
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irslab import (
     FiniteSpace,
@@ -24,6 +28,7 @@ from irslab import (
     space_to_doc,
 )
 from irslab.rng import STREAM_TEST
+from irslab.serialize import _require
 
 
 def test_fraction_text_round_trip():
@@ -150,3 +155,80 @@ def test_schreier_ball_dot():
     assert "->" in text
     # only positive labels are drawn, one per generator per inside vertex
     assert 'label="s1^-1"' not in text
+
+
+# -- oracles: the loaders as they were before they checked list lengths first --
+
+
+def oracle_space_from_doc(doc: dict) -> FiniteSpace:
+    _require(doc, "space", ints=("n_atoms",), int_lists=("classes",))
+    n, classes = doc["n_atoms"], doc["classes"]
+    flat = list(chain.from_iterable(classes))
+    # bounds on Python ints first, so an atom beyond int64 is out of range, not an overflow
+    if flat and not 0 <= min(flat) <= max(flat) < n:
+        raise ValueError("classes must partition the atoms")
+    atoms = np.array(flat, dtype=np.int64)
+    hits = np.bincount(atoms, minlength=n)
+    if (hits > 1).any():
+        raise ValueError("classes must partition the atoms")
+    if (hits == 0).any():
+        raise ValueError("classes must cover every atom")
+    class_of = np.empty(n, dtype=np.int64)
+    class_of[atoms] = np.repeat(np.arange(len(classes)), [len(c) for c in classes])
+    levels = doc.get("filtration_log2_levels")
+    if levels is not None and type(levels) is not int:
+        raise ValueError("space document key 'filtration_log2_levels' must be an integer")
+    return FiniteSpace(n, class_of, levels)
+
+
+def oracle_hom_from_doc(doc: dict, space: FiniteSpace | None = None) -> Homomorphism:
+    _require(doc, "hom", ints=("n_atoms", "rank"), int_lists=("gens",))
+    n = doc["n_atoms"]
+    if space is None:
+        space = FiniteSpace.single_class(n)
+    elif space.n_atoms != n:
+        raise ValueError("space size does not match the document")
+    gens = doc["gens"]
+    if len(gens) != doc["rank"]:
+        raise ValueError("rank does not match the generator count")
+    return Homomorphism(space, tuple(FullGroupElement.from_forward(space, g) for g in gens))
+
+
+def _outcome(load, *args):
+    """What a loader returns, or the message of the ValueError it raises."""
+    try:
+        return load(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.lists(st.lists(st.integers(-1, 8), max_size=5), max_size=5),
+       st.sampled_from([None, 0, 1, "1"]), st.data())
+def test_space_loader_matches_the_bincount_oracle(n, classes, levels, data):
+    if data.draw(st.booleans()):  # a valid partition, shuffled into classes
+        atoms = data.draw(st.permutations(range(n)))
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+        classes = [list(atoms[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+    doc = {"n_atoms": n, "classes": classes, "filtration_log2_levels": levels}
+    assert _outcome(space_from_doc, doc) == _outcome(oracle_space_from_doc, doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 3), st.data())
+def test_hom_loader_matches_the_oracle(n, rank, data):
+    gens = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        if data.draw(st.booleans()):
+            gens.append(list(data.draw(st.permutations(range(n)))))
+        else:
+            gens.append(data.draw(st.lists(st.integers(-1, n), max_size=n + 1)))
+    doc = {"n_atoms": data.draw(st.sampled_from([n, n + 1])), "rank": rank, "gens": gens}
+    space = data.draw(st.sampled_from([None, FiniteSpace.single_class(n),
+                                       FiniteSpace.from_class_sizes([1] * n)]))
+    got, want = _outcome(hom_from_doc, doc, space), _outcome(oracle_hom_from_doc, doc, space)
+    if got != want:
+        # table lengths are checked before any table's content: a document with
+        # a short table and a bad one may now name the short one
+        assert got == "forward table must list one image per atom" and isinstance(want, str)
+        assert any(len(g) != doc["n_atoms"] for g in gens)

@@ -114,7 +114,6 @@ def test_ball_parent_structure():
         word = b.words[idx]
         parent = b.words[int(b.parent[idx])]
         assert word.letters == (int(b.first_letter[idx]),) + parent.letters
-        assert b.words[int(b.inverse_index[idx])] == word.inverse()
         assert b.word_index(word) == idx
 
 
@@ -208,8 +207,6 @@ class OracleFreeBall:
         self.first_letter = np.array(first_letter, dtype=np.int64)
         self.parent = np.array(parent, dtype=np.int64)
         self.index = {w: i for i, w in enumerate(words)}
-        inv = [self.index[tuple(-l for l in reversed(w))] for w in words]
-        self.inverse_index = np.array(inv, dtype=np.int64)
 
     def __len__(self):
         return len(self.words)
@@ -224,7 +221,7 @@ class OracleFreeBall:
 def test_ball_arrays_match_the_oracle(rank, radius):
     got, want = FreeBall(rank, radius), OracleFreeBall(rank, radius)
     assert len(got) == len(want) == ball_size(rank, radius)
-    for name in ("first_letter", "parent", "inverse_index"):
+    for name in ("first_letter", "parent"):
         assert getattr(got, name).dtype == np.int64
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.words == want.words
@@ -238,4 +235,4 @@ def test_ball_kernels_build_no_words():
     ball_codes(hom, 3)
     for radius in (3, 4):
         built = vars(ball(2, radius))
-        assert "words" not in built and "inverse_index" not in built
+        assert "words" not in built
