@@ -25,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import space
 from .fullgroup import FullGroupElement, cycle_structure, uniform_metric
 from .labels import component_labels
 from .setops import row_ids, row_keys, sorted_unique
@@ -162,11 +163,18 @@ class StabilizerTrace:
 
 
 _CHUNK_BYTES = 4 << 20  # bytes of int64 ball-word images per chunk of atoms
-_TRACE_ROW_BUDGET = 1 << 28  # bytes of packed trace rows, one row per atom
 
 
 class TraceBudgetError(ValueError):
-    """The packed trace rows of every atom would exceed `_TRACE_ROW_BUDGET` bytes."""
+    """Trace rows or ball codes, one row per atom, would exceed `space._BYTE_BUDGET` bytes."""
+
+
+def _check_rows(what: str, radius: int, atoms: int, row_bytes: int) -> None:
+    """Raise `TraceBudgetError` when atoms rows of row_bytes pass the byte budget."""
+    need = atoms * row_bytes
+    if need > space._BYTE_BUDGET:
+        raise TraceBudgetError(f"{what} at radius {radius} need {need} bytes for {atoms} "
+                               f"atom{'s' * (atoms != 1)}, over the budget of {space._BYTE_BUDGET}")
 
 
 def _ball_images(hom: Homomorphism, radius: int, atoms=None):
@@ -194,15 +202,9 @@ def stabilizer_trace(hom: Homomorphism, atom: int, radius: int) -> StabilizerTra
 def trace_code_matrix(hom: Homomorphism, radius: int) -> np.ndarray:
     """Packed trace bitsets for every atom, one row per atom.
 
-    Raises `TraceBudgetError`, before the ball is built, when the rows
-    would exceed `_TRACE_ROW_BUDGET` bytes.
+    Raises `TraceBudgetError` before the ball is built when the rows pass the byte budget.
     """
-    need = hom.space.n_atoms * -(-ball_size(hom.rank, radius) // 8)
-    if need > _TRACE_ROW_BUDGET:
-        raise TraceBudgetError(
-            f"trace rows at radius {radius} need {need} bytes for {hom.space.n_atoms} atoms, "
-            f"over the budget of {_TRACE_ROW_BUDGET}"
-        )
+    _check_rows("trace rows", radius, hom.space.n_atoms, -(-ball_size(hom.rank, radius) // 8))
     return np.concatenate([np.packbits(images == chunk[:, None], axis=1)
                            for chunk, images in _ball_images(hom, radius)])
 
@@ -216,8 +218,10 @@ def ball_codes(hom: Homomorphism, radius: int, atoms=None) -> np.ndarray:
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    n, inner = hom.space.n_atoms, ball_size(hom.rank, radius)
-    words = np.arange(ball_size(hom.rank, radius + 1))
+    n, inner, outer = hom.space.n_atoms, ball_size(hom.rank, radius), ball_size(hom.rank, radius + 1)
+    count = n if atoms is None else len(atoms)
+    _check_rows("ball codes", radius, count, outer * np.min_scalar_type(inner).itemsize)
+    words = np.arange(outer)
     rows = []
     for chunk, images in _ball_images(hom, radius + 1, atoms):
         # sorted (row, atom, word) keys: each run of one (row, atom) starts at its least word

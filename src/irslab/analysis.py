@@ -1,7 +1,7 @@
 """Diagnostics that certify properties of actions by exact computation.
 
 Everything here returns exact rationals or booleans backed by full
-enumeration at the scales the guards allow: Foelner-set search with
+enumeration within the byte budget: Foelner-set search with
 honest boundary ratios, transitivity degree by tuple-orbit closure,
 realization of a prescribed tower permutation by bidirectional word
 search, triviality of a word per orbit, the ball-stability bound, and
@@ -20,6 +20,7 @@ from math import factorial, perm
 
 import numpy as np
 
+from . import space
 from .actions import (
     Homomorphism,
     ball_atoms,
@@ -34,7 +35,7 @@ from .words import ReducedWord, ball_size, format_word, parse_word
 
 
 class AnalysisError(ValueError):
-    """A diagnostic's brute-force guard or precondition failed."""
+    """A diagnostic's key width, byte budget or precondition failed."""
 
 
 # -- Foelner search ----------------------------------------------------------
@@ -111,7 +112,6 @@ def folner_search(hom: Homomorphism, root: int, l: int, radius: int) -> FolnerRe
     inside[root] = True
     current = [root]
     out_count = np.array([[g.forward[root] != root] for g in hom.gens], dtype=np.int64)
-    in_count = np.array([[g.inverse[root] != root] for g in hom.gens], dtype=np.int64)
 
     def neighbors(x):
         return (int(t[x]) for t in hom.tables.values())
@@ -125,16 +125,16 @@ def folner_search(hom: Homomorphism, root: int, l: int, radius: int) -> FolnerRe
         ys = np.sort(np.fromiter(frontier, np.int64))
         fy = np.stack([g.forward[ys] for g in hom.gens])
         by = np.stack([g.inverse[ys] for g in hom.gens])
-        # adding y: g^-1 y stops escaping if inside, y escapes unless g y is in F + {y}
+        # adding y: g^-1 y stops escaping if inside, y escapes unless g y is in F + {y};
+        # |gF - F| = |F - gF| as |gF| = |F|, so the symmetric difference is twice the escapes
         out = out_count - inside[by] + ((fy != ys) & ~inside[fy])
-        inc = in_count - inside[fy] + ((by != ys) & ~inside[by])
-        worst = (out + inc).max(axis=0)
+        worst = 2 * out.max(axis=0)
         pick = int(np.argmin(worst))  # ys ascend, so ties go to the least atom
         y = int(ys[pick])
         ratio = Fraction(int(worst[pick]), len(current) + 1)
         inside[y] = True
         current.append(y)
-        out_count, in_count = out[:, pick:pick + 1], inc[:, pick:pick + 1]
+        out_count = out[:, pick:pick + 1]
         frontier.discard(y)
         frontier.update(z for z in neighbors(y) if in_pool[z] and not inside[z])
         if ratio < best_ratio or (ratio == best_ratio and len(current) < len(best_set)):
@@ -145,11 +145,10 @@ def folner_search(hom: Homomorphism, root: int, l: int, radius: int) -> FolnerRe
 
 # -- tuple orbits and transitivity degree ------------------------------------
 
-_TUPLE_SPACE_LIMIT = 5_000_000
-
-
 def _pack(coords, tags, n: int) -> np.ndarray:
     """Base-n keys of (tuple, tag) states; coords[i] holds coordinate i of every tuple."""
+    if n ** (len(coords) + 1) >= 2 ** 63:
+        raise AnalysisError(f"packed state space n^(m+1) = {n}^{len(coords) + 1} overflows 64-bit keys")
     out = 0
     for coord in coords:
         out = out * n + coord
@@ -169,7 +168,13 @@ def _diagonal_images(keys: np.ndarray, tables, n: int, m: int) -> np.ndarray:
 
 
 def _grow(frontier: np.ndarray, visited: np.ndarray, tables, n: int, m: int):
-    """One breadth-first step on ascending keys: (images not yet visited, new visited)."""
+    """One breadth-first step on ascending keys: (images not yet visited, new visited).
+    Refused first if its keys, 8 bytes per visited key and image, pass the byte budget;
+    sort temporaries are not counted, so peak memory runs to 2-3 times the budget."""
+    need = 8 * (visited.size + frontier.size * len(tables))
+    if need > space._BYTE_BUDGET:
+        raise AnalysisError(f"tuple orbit step needs {need} bytes of keys, "
+                            f"over the budget of {space._BYTE_BUDGET}")
     fresh = sorted_unique(_diagonal_images(frontier, tables, n, m))
     fresh = fresh[~member(visited, fresh)]
     return fresh, merge_disjoint(visited, fresh)
@@ -188,13 +193,11 @@ def transitivity_degree(hom: Homomorphism, root: int, k_max: int) -> int:
     """Largest k <= k_max with a transitive action on distinct k-tuples.
 
     Restricted to the orbit of the root; for each k the orbit of the
-    tuple (0, ..., k-1) (`_orbit_size`) is compared with perm(n, k), with an
-    orbit-size guard of 12.  Singleton orbits are vacuously 1-transitive.
+    tuple (0, ..., k-1) (`_orbit_size`, within its key width and byte budget)
+    is compared with perm(n, k).  Singleton orbits are vacuously 1-transitive.
     """
     orb = np.array(sorted(orbit(hom, root)), dtype=np.int64)
     n = orb.size
-    if n > 12:
-        raise AnalysisError(f"orbit of size {n} exceeds the brute-force guard of 12")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     k_cap = min(k_max, n)
@@ -202,10 +205,7 @@ def transitivity_degree(hom: Homomorphism, root: int, k_max: int) -> int:
 
     degree = 1
     for k in range(2, k_cap + 1):
-        total = perm(n, k)
-        if total > _TUPLE_SPACE_LIMIT:
-            raise AnalysisError(f"{total} ordered {k}-tuples exceed the enumeration limit")
-        if _orbit_size(range(k), tables, k) != total:
+        if _orbit_size(range(k), tables, k) != perm(n, k):
             break
         degree = k
     return degree
@@ -239,9 +239,6 @@ def realizes_tau_fraction(hom: Homomorphism, m: int, tau, radius: int) -> Fracti
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     n = hom.space.n_atoms
-    if n ** (m + 1) >= 2 ** 63:
-        raise AnalysisError(f"packed state space n^(m+1) = {n}^{m + 1} overflows 64-bit keys")
-
     powers = hom.gens[0].levels(np.arange(n), m)
     start = _pack(powers, np.arange(n), n)
     target = _pack(powers[list(tau)], np.arange(n), n)
@@ -332,15 +329,11 @@ def generates_classwise_symmetric(hom: Homomorphism) -> bool:
     """Whether the generators restricted to each class generate its full Sym.
 
     Sym(c) on a class of c atoms is generated iff the orbit of the tuple
-    of its atoms (`_orbit_size`) has c! members; guarded to orbit sizes
-    at most 8.  When the answer is true, every orbit equals its class
-    and the transitivity degree reaches the orbit size; that consequence
-    is re-checked here.
+    of its atoms (`_orbit_size`, within its key width and byte budget) has
+    c! members.  When true, every orbit equals its class and the transitivity
+    degree reaches the orbit size; that consequence is re-checked here.
     """
     sizes = np.bincount(hom.orbit_labels)
-    too_big = np.flatnonzero(sizes > 8)
-    if too_big.size:
-        raise AnalysisError(f"orbit of size {sizes[too_big[0]]} exceeds the brute-force guard of 8")
     # orbits refine the classes, so every class is an orbit iff the counts agree
     if np.count_nonzero(sizes) != hom.space.class_count:
         return False

@@ -74,6 +74,13 @@ def _root(hom: Homomorphism, root: int) -> int:
     return _index("--root", root, hom.space.n_atoms, "an atom")
 
 
+def _log2_atoms(log2: int) -> int:
+    """The atom count 2^log2 of a --log2 option, which must be nonnegative."""
+    if log2 < 0:
+        raise ValueError("--log2 must be nonnegative")
+    return 2 ** log2
+
+
 def _write_artifact(path: str | None, text: str) -> None:
     if path:
         Path(path).write_text(text)
@@ -86,10 +93,10 @@ def _cmd_gen_space(args):
     if args.classes:
         sizes = _ints(args.classes)
         space = FiniteSpace.from_class_sizes(sizes)
-        if args.log2 is not None and space.n_atoms != 2 ** args.log2:
+        if args.log2 is not None and space.n_atoms != _log2_atoms(args.log2):
             raise ValueError("--log2 contradicts the class layout total")
     elif args.log2 is not None:
-        space = FiniteSpace.single_class(2 ** args.log2)
+        space = FiniteSpace.single_class(_log2_atoms(args.log2))
     else:
         raise ValueError("need --log2 or --classes")
     doc = space_to_doc(space)
@@ -107,7 +114,7 @@ def _cmd_gen_space(args):
 
 
 def _cmd_gen_hom(args):
-    space = _load_space(args.space) if args.space else FiniteSpace.single_class(2 ** args.log2)
+    space = _load_space(args.space) if args.space else FiniteSpace.single_class(_log2_atoms(args.log2))
     rng = derive_rng(args.seed, STREAM_GEN_HOM, 0)
     if args.model == "lean-aperiodic":
         hom = lean_aperiodic_homomorphism(space, args.rank, rng)

@@ -19,6 +19,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+_BYTE_BUDGET = 1 << 28  # the one size guard: every kernel reads it here at call time
+
+
+def _atom_count(n_atoms: int) -> int:
+    """n_atoms, checked before one int64 class id per atom is allocated."""
+    if n_atoms < 1:
+        raise ValueError("space needs at least one atom")
+    if 8 * n_atoms > _BYTE_BUDGET:
+        raise ValueError(f"{n_atoms} atoms need {8 * n_atoms} bytes, over the budget of {_BYTE_BUDGET}")
+    return n_atoms
+
 
 def _frozen_array(values, dtype=np.int64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -72,6 +83,7 @@ class FiniteSpace:
     @staticmethod
     def single_class(n_atoms: int, levels: int | None | str = "auto") -> "FiniteSpace":
         """Space whose relation has one class covering every atom."""
+        _atom_count(n_atoms)
         if levels == "auto":
             levels = _max_dyadic_levels([n_atoms])
         return FiniteSpace(n_atoms, np.zeros(n_atoms, dtype=np.int64), levels)
@@ -81,10 +93,11 @@ class FiniteSpace:
         """Space with classes given by consecutive runs of the stated sizes."""
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError("class sizes must be positive")
+        n_atoms = _atom_count(int(sum(sizes)))
         ids = np.repeat(np.arange(len(sizes), dtype=np.int64), list(sizes))
         if levels == "auto":
             levels = _max_dyadic_levels(list(sizes))
-        return FiniteSpace(int(sum(sizes)), ids, levels)
+        return FiniteSpace(n_atoms, ids, levels)
 
     # -- queries -----------------------------------------------------
 

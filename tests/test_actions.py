@@ -37,6 +37,7 @@ from irslab import (
     stabilizer_trace,
     trace_code_matrix,
 )
+import irslab.space
 from irslab import TraceBudgetError, actions
 from irslab.actions import EmpiricalIRS, _ball_images, _conjugate_gaps, _conjugate_rows
 from irslab.rng import STREAM_TEST
@@ -524,7 +525,29 @@ def test_trace_rows_over_the_byte_budget_fail_before_the_ball_is_built(monkeypat
             call(hom, 20)
     assert issubclass(TraceBudgetError, ValueError)
     # the budget holds every radius the benchmark runs: R = 4 on 2^16 atoms
-    assert (1 << 16) * -(-ball_size(2, 4) // 8) <= actions._TRACE_ROW_BUDGET
+    assert (1 << 16) * -(-ball_size(2, 4) // 8) <= irslab.space._BYTE_BUDGET
+
+
+def test_ball_codes_over_the_byte_budget_fail_before_the_ball_is_built(monkeypatch):
+    hom = random_homomorphism(FiniteSpace.single_class(16), 2, derive_rng(12, STREAM_TEST, 12))
+    other = random_homomorphism(FiniteSpace.single_class(16), 2, derive_rng(13, STREAM_TEST, 13))
+
+    def no_ball(*args):
+        raise AssertionError("the ball was built")
+
+    monkeypatch.setattr(actions, "ball", no_ball)
+    # |B(20)| = 6973568801 codes of 4 bytes (|B(19)| > 2^16) per atom checked
+    need = "^ball codes at radius 19 need {} bytes for {}, over the budget of 268435456$"
+    with pytest.raises(TraceBudgetError, match=need.format(446308403264, "16 atoms")):
+        ball_codes(hom, 19)
+    with pytest.raises(TraceBudgetError, match=need.format(446308403264, "16 atoms")):
+        ball_stability_check(hom, other, 19)
+    with pytest.raises(TraceBudgetError, match=need.format(27894275204, "1 atom")):
+        schreier_ball(hom, 0, 19)
+    with pytest.raises(TraceBudgetError, match=need.format(55788550408, "2 atoms")):
+        ball_codes(hom, 19, [0, 1])
+    # the budget holds every radius the benchmark runs: R = 3 (one-byte codes) on 2^14 atoms
+    assert (1 << 14) * ball_size(2, 4) <= irslab.space._BYTE_BUDGET
 
 
 @pytest.mark.parametrize("radius", [-1, -3])

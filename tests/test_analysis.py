@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import irslab.space
 from irslab import (
     AnalysisError,
     FiniteSpace,
@@ -159,9 +160,14 @@ def test_transitivity_degree_singleton_orbit():
     assert transitivity_degree(hom, 2, 3) == 1
 
 
-def test_transitivity_degree_guard():
-    hom = odometer_hom(16)
-    with pytest.raises(AnalysisError):
+BUDGET_ERROR = r"^tuple orbit step needs \d+ bytes of keys, over the budget of "
+
+
+def test_transitivity_degree_guard(monkeypatch):
+    hom = odometer_hom(16)  # over the old orbit-size guard of 12
+    assert transitivity_degree(hom, 0, 2) == 1
+    monkeypatch.setattr(irslab.space, "_BYTE_BUDGET", 8 * 16)
+    with pytest.raises(AnalysisError, match=BUDGET_ERROR + "128$"):
         transitivity_degree(hom, 0, 2)
     small = odometer_hom(8)
     with pytest.raises(ValueError):
@@ -299,9 +305,15 @@ def test_generates_classwise_symmetric_size_one_classes_are_vacuous():
     assert generates_classwise_symmetric(Homomorphism(sp, (ident,)))
 
 
-def test_generates_classwise_symmetric_guard():
-    hom = odometer_hom(16)
-    with pytest.raises(AnalysisError):
+def test_generates_classwise_symmetric_guard(monkeypatch):
+    # 16^17 >= 2^63: the tuple of a 16-atom class has no 64-bit key
+    overflow = r"^packed state space n\^\(m\+1\) = 16\^17 overflows 64-bit keys$"
+    with pytest.raises(AnalysisError, match=overflow):
+        generates_classwise_symmetric(odometer_hom(16))
+    hom = odometer_hom(8)
+    assert not generates_classwise_symmetric(hom)
+    monkeypatch.setattr(irslab.space, "_BYTE_BUDGET", 8 * 8)
+    with pytest.raises(AnalysisError, match=BUDGET_ERROR + "64$"):
         generates_classwise_symmetric(hom)
 
 

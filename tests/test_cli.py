@@ -316,6 +316,40 @@ def test_trace_rows_over_the_byte_budget_exit_2(tmp_path, monkeypatch, capsys, c
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command, message", [
+    (("export", "--format", "dot", "--root", "0", "--radius", "19", "--out", "x.dot"),
+     "ball codes at radius 19 need 27894275204 bytes for 1 atom, over the budget of 268435456"),
+    (("analyze", "stability", "--other", "h.json", "--radius", "12"),
+     "ball codes at radius 12 need 3265172480 bytes for 256 atoms, over the budget of 268435456"),
+], ids=["dot", "stability"])
+def test_ball_codes_over_the_byte_budget_exit_2(tmp_path, monkeypatch, capsys, command, message):
+    hom = gen_hom(tmp_path, log2=8)
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--hom", str(hom)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.dot").exists()
+
+
+@pytest.mark.parametrize("sub", ["hom", "space"])
+@pytest.mark.parametrize("log2, message", [
+    ("40", "1099511627776 atoms need 8796093022208 bytes, over the budget of 268435456"),
+    ("-1", "--log2 must be nonnegative"),
+], ids=["huge", "negative"])
+def test_gen_log2_out_of_range_exits_2(tmp_path, capsys, sub, log2, message):
+    seeded = ("--rank", "2", "--seed", "1") if sub == "hom" else ()
+    assert main(["gen", sub, *seeded, "--log2", log2]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_hom_document_without_atoms_exits_2(tmp_path, capsys):
+    doc = tmp_path / "empty.json"
+    doc.write_text(json.dumps({"n_atoms": 0, "rank": 1, "gens": [[]]}))
+    assert main(["analyze", "index", "--hom", str(doc)]) == 2
+    assert capsys.readouterr().err == "error: space needs at least one atom\n"
+
+
 @pytest.mark.parametrize("missing", ["gens", "n_atoms", "rank"])
 def test_hom_document_missing_key_exits_2(tmp_path, missing):
     doc = {"n_atoms": 4, "rank": 1, "gens": [[1, 2, 3, 0]]}

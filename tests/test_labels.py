@@ -1,7 +1,8 @@
 """Orbit and cycle labelling kernel, and every caller rebuilt on it, checked
 against the per-atom Python walks this package used before, kept here
-verbatim as oracles."""
+verbatim as oracles (the Sym walk without its orbit-size guard)."""
 
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import irslab.space
 from irslab import (
     AnalysisError,
     FiniteSpace,
@@ -268,9 +270,6 @@ def _walk_closure(perms, limit):
 
 
 def walk_generates_classwise_symmetric(hom):
-    for orb in walk_orbits(hom):
-        if len(orb) > 8:
-            raise AnalysisError(f"orbit of size {len(orb)} exceeds the brute-force guard of 8")
     for cls in hom.space.classes():
         if len(cls) == 1:
             continue
@@ -451,14 +450,30 @@ def test_folner_search_matches_the_walk(hom, data):
     assert (result.subset, result.ratio, result.success) == walk_folner_search(hom, root, l, radius)
 
 
-def _outcome(fn, hom):
-    try:
-        return fn(hom)
-    except AnalysisError as exc:
-        return str(exc)
+REFUSED = "refused"
+_BOUNDARY = re.compile(r"^tuple orbit step needs \d+ bytes of keys, over the budget of \d+$"
+                       r"|^packed state space n\^\(m\+1\) = \d+\^\d+ overflows 64-bit keys$")
+
+
+def within_budget(fn, hom, budget):
+    """fn(hom) with the byte budget lowered to budget, or REFUSED when the
+    tuple kernel refuses at its size boundary: the budget or the key width."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(irslab.space, "_BYTE_BUDGET", budget)
+        try:
+            return fn(hom)
+        except AnalysisError as exc:
+            assert _BOUNDARY.match(str(exc)), str(exc)
+            return REFUSED
+
+
+# keeps the oracles fast: at most 20k visited keys, as the old tuple limit did
+budgets = st.integers(8, 8 * 20_000)
 
 
 @settings(max_examples=100, deadline=None)
-@given(homs())
-def test_generates_classwise_symmetric_matches_the_walk(hom):
-    assert _outcome(generates_classwise_symmetric, hom) == _outcome(walk_generates_classwise_symmetric, hom)
+@given(homs(), budgets)
+def test_generates_classwise_symmetric_matches_the_walk(hom, budget):
+    got = within_budget(generates_classwise_symmetric, hom, budget)
+    if got is not REFUSED:
+        assert got == walk_generates_classwise_symmetric(hom)

@@ -1,18 +1,16 @@
 """Tuple-orbit kernel behind `transitivity_degree` and
 `generates_classwise_symmetric`, checked against the Python set closure
-this package used before, kept here verbatim as an oracle, and against
-groups of known transitivity."""
+this package used before, kept here as an oracle without its size
+guards, and against groups of known transitivity."""
 
-from contextlib import contextmanager
 from math import factorial, perm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_labels import _outcome, _sparse_element, homs
+from test_labels import REFUSED, _sparse_element, budgets, homs, within_budget
 
-import irslab.analysis
 from irslab import (
     AnalysisError,
     FiniteSpace,
@@ -49,9 +47,6 @@ def test_orbit_size_of_the_identity_and_a_transposition():
 
 # -- oracle: the closure the kernel replaced -----------------------------------------
 
-_TUPLE_SPACE_LIMIT = 5_000_000
-
-
 def _closure(start: tuple[int, ...], tables, limit: int) -> set[tuple[int, ...]]:
     """Orbit of a tuple under the tables applied coordinatewise (a group from the identity)."""
     seen = {start}
@@ -71,14 +66,11 @@ def _closure(start: tuple[int, ...], tables, limit: int) -> set[tuple[int, ...]]
 def oracle_transitivity_degree(hom: Homomorphism, root: int, k_max: int) -> int:
     """Largest k <= k_max with a transitive action on distinct k-tuples.
 
-    Restricted to the orbit of the root; brute-force tuple closure with
-    an orbit-size guard of 12.  Singleton orbits are vacuously
-    1-transitive.
+    Restricted to the orbit of the root; brute-force tuple closure.
+    Singleton orbits are vacuously 1-transitive.
     """
     orb = sorted(orbit(hom, root))
     n = len(orb)
-    if n > 12:
-        raise AnalysisError(f"orbit of size {n} exceeds the brute-force guard of 12")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     k_cap = min(k_max, n)
@@ -91,25 +83,18 @@ def oracle_transitivity_degree(hom: Homomorphism, root: int, k_max: int) -> int:
     degree = 1
     for k in range(2, k_cap + 1):
         total = perm(n, k)
-        if total > _TUPLE_SPACE_LIMIT:
-            raise AnalysisError(f"{total} ordered {k}-tuples exceed the enumeration limit")
         if len(_closure(tuple(range(k)), tables, total)) != total:
             break
         degree = k
     return degree
 
 
-@contextmanager
-def _tuple_space_limit(limit):
-    """Lower the enumeration limit of the kernel and the oracle alike, so the
-    oracle stays fast and the limit's message is reached on small orbits."""
-    global _TUPLE_SPACE_LIMIT
-    saved = _TUPLE_SPACE_LIMIT, irslab.analysis._TUPLE_SPACE_LIMIT
-    _TUPLE_SPACE_LIMIT = irslab.analysis._TUPLE_SPACE_LIMIT = limit
-    try:
-        yield
-    finally:
-        _TUPLE_SPACE_LIMIT, irslab.analysis._TUPLE_SPACE_LIMIT = saved
+def _check_degree(hom, root, k_max, budget):
+    """Under the budget the kernel either refuses at its boundary or agrees
+    with the closure, which runs only when the kernel has finished."""
+    got = within_budget(lambda h: transitivity_degree(h, root, k_max), hom, budget)
+    if got is not REFUSED:
+        assert got == oracle_transitivity_degree(hom, root, k_max)
 
 
 @settings(max_examples=150, deadline=None)
@@ -117,15 +102,13 @@ def _tuple_space_limit(limit):
 def test_transitivity_degree_matches_the_closure(hom, data):
     root = data.draw(st.integers(0, hom.space.n_atoms - 1))
     k_max = data.draw(st.integers(1, len(orbit(hom, root))))
-    with _tuple_space_limit(data.draw(st.integers(1, 20_000))):
-        assert _outcome(lambda h: transitivity_degree(h, root, k_max), hom) == \
-            _outcome(lambda h: oracle_transitivity_degree(h, root, k_max), hom)
+    _check_degree(hom, root, k_max, data.draw(budgets))
 
 
 @st.composite
 def small_orbit_homs(draw):
-    """Random and sparse homs of rank 1-3 on classes of 3 to 12 atoms, so every
-    orbit fits the guard and many are more than 1-transitive."""
+    """Random and sparse homs of rank 1-3 on classes of 3 to 12 atoms, so many
+    orbits are more than 1-transitive."""
     rng = derive_rng(draw(st.integers(0, 2**16)), STREAM_TEST, 4)
     space = FiniteSpace.from_class_sizes(draw(st.lists(st.integers(3, 12), min_size=1, max_size=3)))
     rank = draw(st.integers(1, 3))
@@ -141,9 +124,7 @@ def test_transitivity_degree_on_small_orbits_matches_the_closure(hom, data):
     sizes = np.bincount(hom.orbit_labels)[hom.orbit_labels]
     root = data.draw(st.sampled_from(np.flatnonzero(sizes == sizes.max()).tolist()))
     k_max = data.draw(st.integers(2, max(2, int(sizes.max()))))
-    with _tuple_space_limit(data.draw(st.integers(1, 20_000))):
-        assert _outcome(lambda h: transitivity_degree(h, root, k_max), hom) == \
-            _outcome(lambda h: oracle_transitivity_degree(h, root, k_max), hom)
+    _check_degree(hom, root, k_max, data.draw(budgets))
 
 
 def test_transitivity_degree_at_the_default_limit_matches_the_closure():
@@ -199,8 +180,9 @@ def test_alternating_groups_are_n_minus_2_transitive(n):
     assert not generates_classwise_symmetric(hom)
 
 
-@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("n", [2, 4, 8, 9])
 def test_symmetric_groups_are_fully_transitive(n):
+    # n = 9 is over the orbit-size guard of 8 that the byte budget replaced
     hom = _hom(n, _from_cycles(n, [tuple(range(1, n + 1))]), _from_cycles(n, [(1, 2)]))
     assert transitivity_degree(hom, n - 1, n) == n
     assert generates_classwise_symmetric(hom)
@@ -215,3 +197,10 @@ def test_orbit_on_a_class_that_is_not_the_first():
     assert transitivity_degree(hom, 6, 4) == 4
     assert transitivity_degree(hom, 0, 1) == 1
     assert not generates_classwise_symmetric(hom)
+
+
+def test_degree_3_on_a_16_atom_symmetric_orbit():
+    # over the orbit-size guard of 12 that the byte budget replaced
+    hom = _hom(16, _from_cycles(16, [tuple(range(1, 17))]), _from_cycles(16, [(1, 2)]))
+    assert transitivity_degree(hom, 5, 3) == oracle_transitivity_degree(hom, 5, 3) == 3
+
