@@ -30,7 +30,7 @@ from .fullgroup import FullGroupElement, cycle_structure, uniform_metric
 from .labels import component_labels
 from .setops import row_ids, row_keys, sorted_unique
 from .space import FiniteSpace, _frozen_array
-from .words import ReducedWord, ball, ball_size
+from .words import ReducedWord, TraceBudgetError, ball, ball_size
 
 
 @dataclass(frozen=True)
@@ -163,10 +163,6 @@ class StabilizerTrace:
 
 
 _CHUNK_BYTES = 4 << 20  # bytes of int64 ball-word images per chunk of atoms
-
-
-class TraceBudgetError(ValueError):
-    """Trace rows or ball codes, one row per atom, would exceed `space._BYTE_BUDGET` bytes."""
 
 
 def _check_rows(what: str, radius: int, atoms: int, row_bytes: int) -> None:

@@ -2,9 +2,11 @@
 
 Every subcommand writes one JSON report (stdout by default, --report
 for a file) containing its inputs, exact rational outputs, and a list
-of named checks; the exit status is 0 exactly when every check passed,
-1 when one failed, 2 on bad input and 3 on a broken internal invariant.
-Rationals cross the boundary as "p/q" text, never as floats.
+of named checks.  The inputs are every parsed option but --report,
+--space included, so no handler can leave one out.  The exit status is
+0 exactly when every check passed, 1 when one failed, 2 on bad input
+and 3 on a broken internal invariant.  Rationals cross the boundary as
+"p/q" text, never as floats.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ def _load_space(path: str) -> FiniteSpace:
 def _load_hom(args, path: str | None = None) -> Homomorphism:
     """The hom document at path (default --hom), on the --space space if given."""
     doc = json.loads(Path(path or args.hom).read_text())
-    space = _load_space(args.space) if getattr(args, "space", None) else None
-    return hom_from_doc(doc, space)
+    return hom_from_doc(doc, _load_space(args.space) if args.space else None)
 
 
 def _index(flag: str, value: int, size: int, what: str) -> int:
@@ -109,8 +110,7 @@ def _cmd_gen_space(args):
             f"levels={space.filtration_levels}",
         ),
     ]
-    inputs = {"log2": args.log2, "classes": args.classes, "out": args.out}
-    return inputs, {"space": doc}, checks
+    return {"space": doc}, checks
 
 
 def _cmd_gen_hom(args):
@@ -125,22 +125,12 @@ def _cmd_gen_hom(args):
     checks = [_check("generator images are class-preserving bijections", True)]
     if args.model == "lean-aperiodic":
         checks.append(_check("first generator is a single full cycle", hom.is_lean_aperiodic))
-    inputs = {
-        "model": args.model,
-        "rank": args.rank,
-        "seed": args.seed,
-        "log2": args.log2,
-        "space": args.space,
-        "out": args.out,
-    }
-    return inputs, {"hom": doc}, checks
+    return {"hom": doc}, checks
 
 
 def _cmd_construct_splice(args):
     hom = _load_hom(args)
-    other = hom
-    if args.tau:
-        other = _load_hom(args, args.tau)
+    other = _load_hom(args, args.tau) if args.tau else hom
     gen_index = _index("--gen-index", args.gen_index, hom.rank, "a generator")
     sigma = hom.gens[gen_index]
     tau = other.gens[_index("--tau-index", args.tau_index, other.rank, "a generator")]
@@ -160,16 +150,8 @@ def _cmd_construct_splice(args):
             f"{fraction_to_text(distance)} <= {fraction_to_text(bound)}",
         ),
     ]
-    inputs = {
-        "hom": args.hom,
-        "gen_index": args.gen_index,
-        "atoms": args.atoms,
-        "tau": args.tau,
-        "tau_index": args.tau_index,
-        "out": args.out,
-    }
     outputs = {"hom": doc, "distance": fraction_to_text(distance)}
-    return inputs, outputs, checks
+    return outputs, checks
 
 
 def _cmd_construct_periodic(args):
@@ -190,8 +172,7 @@ def _cmd_construct_periodic(args):
         _check("every orbit stays inside one block", trapped),
         _check("per-generator distance equals the escaping-set measure", exact),
     ]
-    inputs = {"hom": args.hom, "level": args.level, "out": args.out}
-    return inputs, {"hom": doc, "distances": distances}, checks
+    return {"hom": doc, "distances": distances}, checks
 
 
 def _cmd_construct_folner(args):
@@ -221,9 +202,8 @@ def _cmd_construct_folner(args):
                 f"{fraction_to_text(ratio)} <= {fraction_to_text(bound)}",
             )
         )
-    inputs = {"hom": args.hom, "epsilon": args.epsilon, "sizes": args.sizes, "out": args.out}
     outputs = {"hom": doc, "distance": fraction_to_text(distance), "class_ratios": ratios}
-    return inputs, outputs, checks
+    return outputs, checks
 
 
 def _cmd_construct_ht(args):
@@ -244,19 +224,12 @@ def _cmd_construct_ht(args):
         ),
         _check("second generator permutes every tower fiber by tau", fibered),
     ]
-    inputs = {
-        "hom": args.hom,
-        "m": args.m,
-        "tau": args.tau,
-        "epsilon": args.epsilon,
-        "out": args.out,
-    }
     outputs = {
         "hom": doc,
         "distance": fraction_to_text(distance),
         "base": levels[0].tolist(),
     }
-    return inputs, outputs, checks
+    return outputs, checks
 
 
 def _cmd_construct_corefree(args):
@@ -281,14 +254,13 @@ def _cmd_construct_corefree(args):
         ),
         _check("word carries the first tower level onto the last", displaced),
     ]
-    inputs = {"hom": args.hom, "word": args.word, "epsilon": args.epsilon, "out": args.out}
     outputs = {
         "hom": doc,
         "distance": fraction_to_text(distance),
         "tau": [int(i) for i in tau],
         "base": levels[0].tolist(),
     }
-    return inputs, outputs, checks
+    return outputs, checks
 
 
 def _cmd_analyze_index(args):
@@ -297,7 +269,7 @@ def _cmd_analyze_index(args):
     total = sum(dist.values(), Fraction(0))
     checks = [_check("weights sum to one", total == 1, fraction_to_text(total))]
     outputs = {"distribution": {str(k): fraction_to_text(v) for k, v in dist.items()}}
-    return {"hom": args.hom}, outputs, checks
+    return outputs, checks
 
 
 def _cmd_analyze_irs(args):
@@ -312,26 +284,16 @@ def _cmd_analyze_irs(args):
         "trace_count": len(irs.weights),
         "csv": args.csv,
     }
-    return {"hom": args.hom, "radius": args.radius}, outputs, checks
+    return outputs, checks
 
 
 def _cmd_analyze_folner(args):
     hom = _load_hom(args)
     result = analysis.folner_search(hom, _root(hom, args.root), args.l, args.radius)
-    checks = [
-        _check(
-            "found a set with boundary ratio below 1/l",
-            result.success,
-            fraction_to_text(result.ratio),
-        )
-    ]
-    outputs = {
-        "subset": [int(v) for v in sorted(result.subset)],
-        "ratio": fraction_to_text(result.ratio),
-        "success": result.success,
-    }
-    inputs = {"hom": args.hom, "root": args.root, "l": args.l, "radius": args.radius}
-    return inputs, outputs, checks
+    ratio = fraction_to_text(result.ratio)
+    checks = [_check("found a set with boundary ratio below 1/l", result.success, ratio)]
+    outputs = {"subset": sorted(map(int, result.subset)), "ratio": ratio, "success": result.success}
+    return outputs, checks
 
 
 def _cmd_analyze_core(args):
@@ -341,30 +303,22 @@ def _cmd_analyze_core(args):
     checks = [
         _check("word acts nontrivially on every orbit", fraction == 0, fraction_to_text(fraction))
     ]
-    return (
-        {"hom": args.hom, "word": args.word},
-        {"trivial_fraction": fraction_to_text(fraction)},
-        checks,
-    )
+    return {"trivial_fraction": fraction_to_text(fraction)}, checks
 
 
 def _cmd_analyze_realize(args):
     hom = _load_hom(args)
     tau = tuple(_ints(args.tau))
     fraction = analysis.realizes_tau_fraction(hom, args.m, tau, args.radius)
-    checks = [
-        _check("every atom realizes tau", fraction == 1, fraction_to_text(fraction))
-    ]
-    inputs = {"hom": args.hom, "m": args.m, "tau": args.tau, "radius": args.radius}
-    return inputs, {"fraction": fraction_to_text(fraction)}, checks
+    checks = [_check("every atom realizes tau", fraction == 1, fraction_to_text(fraction))]
+    return {"fraction": fraction_to_text(fraction)}, checks
 
 
 def _cmd_analyze_degree(args):
     hom = _load_hom(args)
     degree = analysis.transitivity_degree(hom, _root(hom, args.root), args.k_max)
-    checks = [_check("degree computed within the brute-force guard", True, str(degree))]
-    inputs = {"hom": args.hom, "root": args.root, "k_max": args.k_max}
-    return inputs, {"degree": degree}, checks
+    checks = [_check("degree computed within the byte budget", True, str(degree))]
+    return {"degree": degree}, checks
 
 
 def _cmd_analyze_stability(args):
@@ -378,28 +332,21 @@ def _cmd_analyze_stability(args):
             f"{fraction_to_text(result.observed)} <= {fraction_to_text(result.bound)}",
         )
     ]
-    inputs = {"hom": args.hom, "other": args.other, "radius": args.radius}
     outputs = {
         "observed": fraction_to_text(result.observed),
         "bound": fraction_to_text(result.bound),
     }
-    return inputs, outputs, checks
+    return outputs, checks
 
 
 def _cmd_sweep(args):
     hom = _load_hom(args)
     epsilon = parse_fraction(args.epsilon)
     prop = analysis.parse_property(args.property, hom.rank)
+    args.property = prop.text  # the report records the canonical form
     fraction = analysis.genericity_sweep(hom, epsilon, args.samples, prop, args.seed)
     checks = [_check("sweep completed", True, fraction_to_text(fraction))]
-    inputs = {
-        "hom": args.hom,
-        "epsilon": args.epsilon,
-        "samples": args.samples,
-        "property": prop.text,
-        "seed": args.seed,
-    }
-    return inputs, {"fraction": fraction_to_text(fraction)}, checks
+    return {"fraction": fraction_to_text(fraction)}, checks
 
 
 def _cmd_export(args):
@@ -423,14 +370,7 @@ def _cmd_export(args):
         degree_ok = len(ball.edges) >= 2 * hom.rank * len(ball.vertices)
         checks = [_check("every vertex carries all generator edges", degree_ok)]
     Path(args.out).write_text(text)
-    inputs = {
-        "hom": args.hom,
-        "format": args.format,
-        "radius": args.radius,
-        "root": getattr(args, "root", None),
-        "out": args.out,
-    }
-    return inputs, {"bytes": len(text)}, checks
+    return {"bytes": len(text)}, checks
 
 
 # -- wiring ------------------------------------------------------------------
@@ -559,12 +499,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NOT_INPUTS = {"command", "sub", "handler", "report"}  # parser bookkeeping and --report
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     command = args.command + (f" {args.sub}" if getattr(args, "sub", None) else "")
     try:
-        inputs, outputs, checks = args.handler(args)
+        outputs, checks = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -574,7 +517,7 @@ def main(argv=None) -> int:
     passed = all(c["passed"] for c in checks)
     report = {
         "command": command,
-        "inputs": inputs,
+        "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
         "outputs": outputs,
         "checks": checks,
         "passed": passed,

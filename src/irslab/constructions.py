@@ -19,7 +19,6 @@ import numpy as np
 
 from .actions import Homomorphism
 from .fullgroup import FullGroupElement
-from .labels import cycle_positions
 from .setops import sorted_unique
 from .words import ReducedWord, cyclic_reduce
 
@@ -125,7 +124,7 @@ def rokhlin_base(sigma: FullGroupElement, height: int, bound: Fraction) -> tuple
     disjoint.  Deterministic: O starts at atom 0 and uses stride
     n_atoms // |O| >= height.
     """
-    labels, pos = cycle_positions(sigma.forward)
+    labels, pos = sigma.cycle_positions
     if labels.any():
         raise ConstructionError("tower base needs a single full cycle")
     if height < 1:
@@ -167,7 +166,7 @@ def first_return(sigma: FullGroupElement, subset) -> FullGroupElement:
     space = sigma.space
     in_y = np.zeros(space.n_atoms, dtype=bool)
     in_y[np.asarray(sorted(subset), dtype=np.int64)] = True
-    labels, pos = cycle_positions(sigma.forward)
+    labels, pos = sigma.cycle_positions
     ys = np.flatnonzero(in_y)
     ys = ys[np.lexsort((pos[ys], labels[ys]))]
     # each member maps to the next one of its cycle; the last wraps to the first

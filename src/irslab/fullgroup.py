@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -91,12 +92,18 @@ class FullGroupElement:
         """Atoms moved by the element, ascending."""
         return np.nonzero(self.forward != np.arange(self.space.n_atoms))[0]
 
+    @cached_property
+    def cycle_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only `labels.cycle_positions` of the forward table, labelled once."""
+        labels, pos = cycle_positions(self.forward)
+        return _frozen_array(labels), _frozen_array(pos)
+
     def cycles(self) -> list[tuple[int, ...]]:
         """All cycles (fixed points included), each starting at its least atom.
 
         Atoms sorted by `cycle_positions` label, then position, split per label.
         """
-        labels, pos = cycle_positions(self.forward)
+        labels, pos = self.cycle_positions
         order = np.lexsort((pos, labels))
         cuts = np.flatnonzero(np.diff(labels[order])) + 1
         return [tuple(part.tolist()) for part in np.split(order, cuts)]
@@ -157,5 +164,5 @@ def conjugate_to_standard_cycle(element: FullGroupElement) -> FullGroupElement:
         raise ValueError("conjugation to the standard cycle needs a single class")
     if not cycle_structure(element).is_single_cycle:
         raise ValueError("element is not a single cycle")
-    _, pos = cycle_positions(element.forward)
+    _, pos = element.cycle_positions
     return FullGroupElement.from_forward(element.space, pos)

@@ -13,6 +13,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import space
+
 
 @dataclass(frozen=True)
 class ReducedWord:
@@ -113,10 +115,26 @@ class FreeBall:
         return self._index[word.letters]
 
 
-@lru_cache(maxsize=32)
+class TraceBudgetError(ValueError):
+    """A ball's two arrays, or trace rows or ball codes one row per atom,
+    would exceed `space._BYTE_BUDGET` bytes."""
+
+
 def ball(rank: int, radius: int) -> FreeBall:
-    """Cached ball of reduced words of length <= radius."""
-    return FreeBall(rank, radius)
+    """Cached ball of reduced words of length <= radius.
+
+    Its two int64 arrays are checked against the byte budget on every
+    call, before the cache is read, so a lowered budget refuses a cached ball.
+    """
+    need = 16 * ball_size(rank, radius)
+    if need > space._BYTE_BUDGET:
+        raise TraceBudgetError(f"ball of rank {rank} and radius {radius} needs {need} bytes, "
+                               f"over the budget of {space._BYTE_BUDGET}")
+    return _cached_ball(rank, radius)
+
+
+_cached_ball = lru_cache(maxsize=32)(FreeBall)
+ball.cache_clear = _cached_ball.cache_clear
 
 
 def ball_size(rank: int, radius: int) -> int:

@@ -7,17 +7,22 @@ a module that kept a private copy of the budget would run on here.
 
 import pytest
 
+import irslab.space
+
 from irslab import (
     AnalysisError,
     FiniteSpace,
     FullGroupElement,
     Homomorphism,
+    StabilizerTrace,
     TraceBudgetError,
+    ball,
     ball_codes,
     derive_rng,
     generates_classwise_symmetric,
     lean_aperiodic_homomorphism,
     realizes_tau_fraction,
+    stabilizer_trace,
     trace_code_matrix,
     transitivity_degree,
 )
@@ -49,6 +54,10 @@ ENTRY_POINTS = {
     "ball_codes": (lambda: ball_codes(LEAN64, 3), TraceBudgetError),
     # one row of |B(8)| = 13121 two-byte codes
     "ball_codes of one root": (lambda: ball_codes(LEAN64, 7, [0]), TraceBudgetError),
+    # 16 bytes for each of the |B(5)| = 485 ball words; the trace is 61 bytes
+    "stabilizer_trace": (lambda: stabilizer_trace(LEAN64, 0, 5), TraceBudgetError),
+    "ball": (lambda: ball(2, 5), TraceBudgetError),
+    "StabilizerTrace.words": (lambda: StabilizerTrace(2, 5, bytes(61)).words(), TraceBudgetError),
     # 1024 int64 class ids
     "FiniteSpace.single_class": (lambda: FiniteSpace.single_class(1024), ValueError),
 }
@@ -81,3 +90,13 @@ def test_cli_refusals_under_the_budget_exit_2_with_one_line(tmp_path, monkeypatc
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ")
     assert captured.err.endswith(f"over the budget of {small_budget}\n")
+
+
+def test_a_cached_ball_is_refused_under_a_lowered_budget(monkeypatch):
+    built = ball(2, 5)
+    assert ball(2, 5) is built
+    monkeypatch.setattr(irslab.space, "_BYTE_BUDGET", 16 * len(built) - 1)
+    with pytest.raises(TraceBudgetError, match="needs 7760 bytes, over the budget of 7759$"):
+        ball(2, 5)
+    monkeypatch.setattr(irslab.space, "_BYTE_BUDGET", 16 * len(built))
+    assert ball(2, 5) is built

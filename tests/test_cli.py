@@ -1,12 +1,13 @@
 """Command line behavior: reports, artifacts, determinism, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from irslab.cli import main
+from irslab.cli import build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -87,8 +88,10 @@ PINNED_IRS_REPORT = """{
   ],
   "command": "analyze irs",
   "inputs": {
+    "csv": "irs.csv",
     "hom": "hom.json",
-    "radius": 2
+    "radius": 2,
+    "space": "space.json"
   },
   "outputs": {
     "csv": "irs.csv",
@@ -634,3 +637,127 @@ def test_documents_claiming_huge_spaces_exit_2_before_allocating(tmp_path, doc_f
     )
     assert proc.returncode == 2
     assert proc.stderr == f"error: {message}\n"
+
+
+# one run of each subcommand; files are relative to a directory holding
+# space.json (classes 8,8,4,12), a random rank-2 hom h.json on it and a
+# lean-aperiodic rank-2 hom lean.json on 16 atoms
+EVERY_SUBCOMMAND = {
+    "gen space": ["gen", "space", "--log2", "3"],
+    "gen hom": ["gen", "hom", "--rank", "2", "--seed", "1", "--log2", "4"],
+    "construct splice": ["construct", "splice", "--hom", "h.json", "--atoms", "0,1"],
+    "construct periodic": ["construct", "periodic", "--hom", "h.json", "--level", "1"],
+    "construct folner": ["construct", "folner", "--hom", "lean.json", "--epsilon", "1/2"],
+    "construct ht": ["construct", "ht", "--hom", "lean.json", "--m", "2", "--tau", "1 0",
+                     "--epsilon", "3/5"],
+    "construct corefree": ["construct", "corefree", "--hom", "lean.json", "--word", "s2",
+                           "--epsilon", "1/2"],
+    "analyze index": ["analyze", "index", "--hom", "h.json", "--space", "space.json"],
+    "analyze irs": ["analyze", "irs", "--hom", "h.json", "--radius", "1"],
+    "analyze folner": ["analyze", "folner", "--hom", "h.json", "--root", "0", "--l", "2",
+                       "--radius", "1"],
+    "analyze core": ["analyze", "core", "--hom", "h.json", "--word", "s1"],
+    "analyze realize": ["analyze", "realize", "--hom", "lean.json", "--m", "2", "--tau", "1 0",
+                        "--radius", "4"],
+    "analyze degree": ["analyze", "degree", "--hom", "h.json", "--root", "0", "--k-max", "2"],
+    "analyze stability": ["analyze", "stability", "--hom", "h.json", "--other", "h.json",
+                          "--radius", "1"],
+    "sweep": ["sweep", "--hom", "h.json", "--space", "space.json", "--epsilon", "1/2",
+              "--samples", "2", "--property", "corefree( s2 )", "--seed", "1"],
+    "export": ["export", "--hom", "h.json", "--format", "json", "--out", "e.json"],
+}
+
+
+def subcommand_parsers():
+    """Each subcommand's own parser, keyed like a report's `command`."""
+    def children(parser):
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    found = {}
+    for name, sub in children(build_parser()).items():
+        if any(isinstance(a, argparse._SubParsersAction) for a in sub._actions):
+            found.update({f"{name} {leaf}": p for leaf, p in children(sub).items()})
+        else:
+            found[name] = sub
+    return found
+
+
+@pytest.fixture
+def documents(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "space", "--classes", "8,8,4,12", "--out", "space.json"]) == 0
+    assert main(["gen", "hom", "--model", "random", "--rank", "2", "--seed", "11",
+                 "--space", "space.json", "--out", "h.json"]) == 0
+    assert main(["gen", "hom", "--rank", "2", "--seed", "1", "--log2", "4",
+                 "--out", "lean.json"]) == 0
+    return tmp_path
+
+
+def test_every_subcommand_has_a_report_run():
+    assert set(EVERY_SUBCOMMAND) == set(subcommand_parsers())
+
+
+@pytest.mark.parametrize("command", EVERY_SUBCOMMAND)
+def test_report_inputs_are_every_option_of_the_subcommand(documents, command):
+    parser = subcommand_parsers()[command]
+    dests = {a.dest for a in parser._actions if a.dest != "help"}
+    argv = EVERY_SUBCOMMAND[command]
+    assert main(["--report", "report.json", *argv]) in (0, 1)
+    report = json.loads((documents / "report.json").read_text())
+    assert report["command"] == command
+    assert set(report["inputs"]) == dests
+    parsed = vars(build_parser().parse_args(argv))
+    if command == "sweep":
+        parsed["property"] = "corefree(s2)"  # recorded in canonical form
+    assert report["inputs"] == {k: parsed[k] for k in dests}
+
+
+def test_sweep_records_the_space_it_ran_on(documents):
+    argv = ["sweep", "--hom", "h.json", "--epsilon", "1/2", "--samples", "4",
+            "--property", "corefree(s2)", "--seed", "3"]
+    reports = {}
+    for space in (None, "space.json"):
+        extra = ["--space", space] if space else []
+        assert main(["--report", "report.json", *argv, *extra]) == 0
+        reports[space] = json.loads((documents / "report.json").read_text())
+    assert reports["space.json"]["inputs"]["space"] == "space.json"
+    assert reports[None]["inputs"]["space"] is None
+    assert reports[None]["inputs"] != reports["space.json"]["inputs"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "ht", "--m", "2", "--tau", "1 0", "--epsilon", "3/5"],
+    ["construct", "corefree", "--word", "s2 s1 s2", "--epsilon", "1/2"],
+], ids=["ht", "corefree"])
+def test_construct_labels_sigma_once(tmp_path, monkeypatch, argv):
+    import irslab.fullgroup
+
+    hom = gen_hom(tmp_path, log2=6)
+    calls = []
+    label = irslab.fullgroup.cycle_positions
+    monkeypatch.setattr(irslab.fullgroup, "cycle_positions",
+                        lambda perm: calls.append(1) or label(perm))
+    code, _ = run(tmp_path, *argv, "--hom", str(hom))
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "irs", "--radius", "16"], "ball of rank 2 and radius 16 needs 1377495056 bytes"),
+    (["export", "--format", "dot", "--root", "0", "--radius", "14", "--out", "{tmp}/x.dot"],
+     "ball of rank 2 and radius 15 needs 459165008 bytes"),
+], ids=["irs", "dot"])
+def test_balls_over_the_byte_budget_exit_2_before_allocating(tmp_path, argv, message):
+    """The trace rows or codes of 16 atoms fit the budget here, the free ball
+    does not; under a 3 GB address-space limit building it would crash."""
+    hom = gen_hom(tmp_path, log2=4, seed=1)
+    proc = subprocess.run(
+        [sys.executable, "-m", "irslab.cli", *(a.format(tmp=tmp_path) for a in argv),
+         "--hom", str(hom)],
+        capture_output=True, text=True, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}, over the budget of 268435456\n"
+    assert proc.stdout == ""
+    assert not (tmp_path / "x.dot").exists()

@@ -378,6 +378,14 @@ def test_kernel_edge_cases():
     assert pos.tolist() == [0, 2, 1, 0]
 
 
+def test_element_cycle_positions_are_labelled_once_and_read_only():
+    g = FullGroupElement.from_forward(FiniteSpace.single_class(4), [2, 0, 1, 3])
+    labels, pos = g.cycle_positions
+    assert g.cycle_positions[0] is labels and g.cycle_positions[1] is pos
+    assert (labels.tolist(), pos.tolist()) == ([0, 0, 0, 3], [0, 2, 1, 0])
+    assert not labels.flags.writeable and not pos.flags.writeable
+
+
 def test_orbit_labels_are_cached_and_read_only():
     hom = lean_aperiodic_homomorphism(FiniteSpace.single_class(16), 2, derive_rng(0, STREAM_TEST, 2))
     assert hom.orbit_labels is hom.orbit_labels
