@@ -169,8 +169,8 @@ def _check_rows(what: str, radius: int, atoms: int, row_bytes: int) -> None:
     """Raise `TraceBudgetError` when atoms rows of row_bytes pass the byte budget."""
     need = atoms * row_bytes
     if need > space._BYTE_BUDGET:
-        raise TraceBudgetError(f"{what} at radius {radius} need {need} bytes for {atoms} "
-                               f"atom{'s' * (atoms != 1)}, over the budget of {space._BYTE_BUDGET}")
+        raise TraceBudgetError(f"{what} at radius {radius} need {space._count(need)} bytes for "
+                               f"{atoms} atom{'s' * (atoms != 1)}, over the budget of {space._BYTE_BUDGET}")
 
 
 def _ball_images(hom: Homomorphism, radius: int, atoms=None):
@@ -335,9 +335,11 @@ def ball_atoms(hom: Homomorphism, root: int, radius: int) -> np.ndarray:
     inside = np.zeros(hom.space.n_atoms, dtype=bool)
     inside[root] = True
     frontier = np.array([root], dtype=np.int64)
-    for _ in range(min(radius, hom.space.n_atoms)):
+    for _ in range(radius):
         step = np.concatenate([t[frontier] for t in hom.tables.values()])
         frontier = sorted_unique(step[~inside[step]])
+        if frontier.size == 0:
+            break
         inside[frontier] = True
     return np.flatnonzero(inside)
 

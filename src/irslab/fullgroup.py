@@ -93,10 +93,14 @@ class FullGroupElement:
         return np.nonzero(self.forward != np.arange(self.space.n_atoms))[0]
 
     @cached_property
+    def cycle_labels(self) -> np.ndarray:
+        """Least atom of each atom's cycle, labelled once and read-only."""
+        return _frozen_array(component_labels([self.forward], self.space.n_atoms))
+
+    @cached_property
     def cycle_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only `labels.cycle_positions` of the forward table, labelled once."""
-        labels, pos = cycle_positions(self.forward)
-        return _frozen_array(labels), _frozen_array(pos)
+        """`cycle_labels` and the read-only `labels.cycle_positions` ranked on them."""
+        return self.cycle_labels, _frozen_array(cycle_positions(self.forward, self.cycle_labels))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """All cycles (fixed points included), each starting at its least atom.
@@ -148,7 +152,7 @@ def uniform_metric(a: FullGroupElement, b: FullGroupElement) -> Fraction:
 def cycle_structure(element: FullGroupElement) -> CycleStructure:
     """Cycle-length multiset of an element."""
     n = element.space.n_atoms
-    sizes = np.bincount(component_labels([element.forward], n), minlength=n)
+    sizes = np.bincount(element.cycle_labels, minlength=n)
     lengths = tuple(sorted(sizes[sizes > 0].tolist()))
     return CycleStructure(lengths, lengths == (n,), lengths[0])
 

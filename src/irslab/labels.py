@@ -5,7 +5,7 @@ hooks the larger of two joined roots onto the smaller, then jumps
 `parent = parent[parent]` until every tree is a star.  Parents only
 decrease, so a component's root is its least atom, and a single n-cycle
 settles in O(log n) rounds where label propagation needs n.
-`cycle_positions` adds Wyllie list ranking.  No per-atom Python loop.
+`cycle_positions` ranks given cycle labels (Wyllie).  No per-atom Python loop.
 """
 
 from __future__ import annotations
@@ -30,15 +30,14 @@ def component_labels(tables, n: int) -> np.ndarray:
             parent = grand
 
 
-def cycle_positions(perm) -> tuple[np.ndarray, np.ndarray]:
-    """Least atom of each atom's cycle, and pos[x] = k with perm^k(label) = x.
+def cycle_positions(perm, labels) -> np.ndarray:
+    """pos[x] = k with perm^k(labels[x]) = x, labels[x] being the least atom of x's cycle.
 
     Every atom but a cycle's least one points to its predecessor;
     pointer doubling sums the steps to the least atom.
     """
     perm = np.asarray(perm, dtype=np.int64)
     atoms = np.arange(perm.size, dtype=np.int64)
-    labels = component_labels([perm], perm.size)
     nxt = np.empty_like(perm)
     nxt[perm] = atoms
     nxt = np.where(labels == atoms, atoms, nxt)
@@ -46,4 +45,4 @@ def cycle_positions(perm) -> tuple[np.ndarray, np.ndarray]:
     while not np.array_equal(grand := nxt[nxt], nxt):
         pos += pos[nxt]
         nxt = grand
-    return labels, pos
+    return pos

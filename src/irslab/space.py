@@ -22,12 +22,19 @@ import numpy as np
 _BYTE_BUDGET = 1 << 28  # the one size guard: every kernel reads it here at call time
 
 
+def _count(count: int) -> str:
+    """A refused count in decimal, or past 64 bits the power of two it reaches,
+    so no refusal formats a number past Python's int-to-str limit."""
+    return str(count) if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
+
+
 def _atom_count(n_atoms: int) -> int:
     """n_atoms, checked before one int64 class id per atom is allocated."""
     if n_atoms < 1:
         raise ValueError("space needs at least one atom")
     if 8 * n_atoms > _BYTE_BUDGET:
-        raise ValueError(f"{n_atoms} atoms need {8 * n_atoms} bytes, over the budget of {_BYTE_BUDGET}")
+        raise ValueError(f"{_count(n_atoms)} atoms need {_count(8 * n_atoms)} bytes, "
+                         f"over the budget of {_BYTE_BUDGET}")
     return n_atoms
 
 

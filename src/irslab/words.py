@@ -128,8 +128,8 @@ def ball(rank: int, radius: int) -> FreeBall:
     """
     need = 16 * ball_size(rank, radius)
     if need > space._BYTE_BUDGET:
-        raise TraceBudgetError(f"ball of rank {rank} and radius {radius} needs {need} bytes, "
-                               f"over the budget of {space._BYTE_BUDGET}")
+        raise TraceBudgetError(f"ball of rank {rank} and radius {radius} needs {space._count(need)} "
+                               f"bytes, over the budget of {space._BYTE_BUDGET}")
     return _cached_ball(rank, radius)
 
 
@@ -138,8 +138,12 @@ ball.cache_clear = _cached_ball.cache_clear
 
 
 def ball_size(rank: int, radius: int) -> int:
-    """Closed-form count: 1 + sum over k of 2r(2r-1)^(k-1)."""
-    return 1 + sum(2 * rank * (2 * rank - 1) ** (k - 1) for k in range(1, radius + 1))
+    """Closed-form count 1 + sum over k <= R of 2r(2r-1)^(k-1): 1 + 2R for r = 1,
+    else 1 + 2r((2r-1)^R - 1)/(2r-2).  The sum is empty below radius 0."""
+    radius = max(radius, 0)
+    if rank == 1:
+        return 1 + 2 * radius
+    return 1 + rank * ((2 * rank - 1) ** radius - 1) // (rank - 1)
 
 
 _TOKEN_RE = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
@@ -157,6 +161,10 @@ def parse_word(text: str, rank: int) -> ReducedWord:
         if index < 1 or index > rank:
             raise ValueError(f"generator index {index} out of range for rank {rank}")
         sign = 1 if power > 0 else -1
+        total = len(letters) + abs(power)
+        if 8 * total > space._BYTE_BUDGET:
+            raise ValueError(f"word of {space._count(total)} letters needs "
+                             f"{space._count(8 * total)} bytes, over the budget of {space._BYTE_BUDGET}")
         letters.extend([sign * index] * abs(power))
     return reduce_letters(rank, letters)
 

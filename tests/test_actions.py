@@ -550,6 +550,17 @@ def test_ball_codes_over_the_byte_budget_fail_before_the_ball_is_built(monkeypat
     assert (1 << 14) * ball_size(2, 4) <= irslab.space._BYTE_BUDGET
 
 
+def test_ball_atoms_stop_once_the_ball_stops_growing(monkeypatch):
+    space = FiniteSpace.single_class(256)
+    hom = lean_aperiodic_homomorphism(space, 2, derive_rng(5, STREAM_TEST, 5))
+    diameter = next(r for r in range(257) if actions.ball_atoms(hom, 0, r).size == 256)
+    layers = []
+    unique = actions.sorted_unique
+    monkeypatch.setattr(actions, "sorted_unique", lambda a: layers.append(1) or unique(a))
+    assert np.array_equal(actions.ball_atoms(hom, 0, 10**6), np.arange(256))
+    assert len(layers) <= diameter + 1
+
+
 @pytest.mark.parametrize("radius", [-1, -3])
 def test_negative_radius_is_rejected(radius):
     hom = lean_aperiodic_homomorphism(FiniteSpace.single_class(16), 2, derive_rng(0, STREAM_TEST, 7))

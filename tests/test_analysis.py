@@ -31,6 +31,7 @@ from irslab import (
     schreier_boundary_ratio,
     transitivity_degree,
 )
+from irslab.analysis import _pack
 from irslab.rng import STREAM_TEST
 from irslab.words import ball_size
 
@@ -306,10 +307,12 @@ def test_generates_classwise_symmetric_size_one_classes_are_vacuous():
 
 
 def test_generates_classwise_symmetric_guard(monkeypatch):
-    # 16^17 >= 2^63: the tuple of a 16-atom class has no 64-bit key
+    # a 16-cycle is not 2-transitive, so no 15-tuple is ever packed
+    assert not generates_classwise_symmetric(odometer_hom(16))
+    # 16^17 >= 2^63: a 16-tuple of 16 atoms has no 64-bit key
     overflow = r"^packed state space n\^\(m\+1\) = 16\^17 overflows 64-bit keys$"
     with pytest.raises(AnalysisError, match=overflow):
-        generates_classwise_symmetric(odometer_hom(16))
+        _pack([np.zeros(1, dtype=np.int64)] * 16, 0, 16)
     hom = odometer_hom(8)
     assert not generates_classwise_symmetric(hom)
     monkeypatch.setattr(irslab.space, "_BYTE_BUDGET", 8 * 8)

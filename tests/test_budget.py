@@ -45,7 +45,7 @@ LEAN64 = lean_aperiodic_homomorphism(FiniteSpace.single_class(64), 2, derive_rng
 ENTRY_POINTS = {
     # 1680 4-tuples of 8 atoms
     "transitivity_degree": (lambda: transitivity_degree(SYM8, 0, 4), AnalysisError),
-    # 8! orbit of the class tuple
+    # 8!/1! = 40320 7-tuples of 8 atoms, for degree c - 1 = 7
     "generates_classwise_symmetric": (lambda: generates_classwise_symmetric(SYM8), AnalysisError),
     "realizes_tau_fraction": (lambda: realizes_tau_fraction(LEAN64, 2, (1, 0), 64), AnalysisError),
     # 64 rows of ceil(|B(6)| / 8) = 183 bytes

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from irslab.cli import build_parser, main
@@ -731,16 +732,24 @@ def test_sweep_records_the_space_it_ran_on(documents):
     ["construct", "corefree", "--word", "s2 s1 s2", "--epsilon", "1/2"],
 ], ids=["ht", "corefree"])
 def test_construct_labels_sigma_once(tmp_path, monkeypatch, argv):
+    import irslab.actions
     import irslab.fullgroup
+    import irslab.labels
 
     hom = gen_hom(tmp_path, log2=6)
+    sigma = json.loads(hom.read_text())["gens"][0]
     calls = []
-    label = irslab.fullgroup.cycle_positions
-    monkeypatch.setattr(irslab.fullgroup, "cycle_positions",
-                        lambda perm: calls.append(1) or label(perm))
+    label = irslab.labels.component_labels
+
+    def counted(tables, n):
+        calls.append([np.asarray(t).tolist() for t in tables] == [sigma])
+        return label(tables, n)
+
+    for module in (irslab.labels, irslab.actions, irslab.fullgroup):
+        monkeypatch.setattr(module, "component_labels", counted)
     code, _ = run(tmp_path, *argv, "--hom", str(hom))
     assert code == 0
-    assert len(calls) == 1
+    assert sum(calls) == 1
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -756,6 +765,40 @@ def test_balls_over_the_byte_budget_exit_2_before_allocating(tmp_path, argv, mes
         [sys.executable, "-m", "irslab.cli", *(a.format(tmp=tmp_path) for a in argv),
          "--hom", str(hom)],
         capture_output=True, text=True, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}, over the budget of 268435456\n"
+    assert proc.stdout == ""
+    assert not (tmp_path / "x.dot").exists()
+
+
+def test_huge_log2_is_refused_without_formatting_its_size(capsys):
+    # 2^20000 has 6021 digits, past the int-to-str limit of 4300
+    assert main(["gen", "space", "--log2", "20000"]) == 2
+    assert capsys.readouterr().err == ("error: at least 2^20000 atoms need at least 2^20003 bytes, "
+                                       "over the budget of 268435456\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "irs", "--radius", "100000"],
+     "trace rows at radius 100000 need at least 2^158498 bytes for 16 atoms"),
+    (["export", "--format", "dot", "--root", "0", "--radius", "100000", "--out", "{tmp}/x.dot"],
+     "ball codes at radius 100000 need at least 2^158501 bytes for 1 atom"),
+    (["construct", "corefree", "--word", "s2^99999999", "--epsilon", "1/2"],
+     "word of 99999999 letters needs 799999992 bytes"),
+    (["sweep", "--epsilon", "1/2", "--samples", "1", "--property", "corefree(s2^99999999)",
+      "--seed", "0"],
+     "word of 99999999 letters needs 799999992 bytes"),
+], ids=["irs", "dot", "corefree", "sweep"])
+def test_huge_radii_and_powers_exit_2_at_once(tmp_path, argv, message):
+    """Their byte counts are refused by size alone: no ball is summed term by
+    term, no byte count is printed past the int-to-str limit, and no power is
+    expanded into a list of letters."""
+    hom = gen_hom(tmp_path, log2=4, seed=1)
+    proc = subprocess.run(
+        [sys.executable, "-m", "irslab.cli", *(a.format(tmp=tmp_path) for a in argv),
+         "--hom", str(hom)],
+        capture_output=True, text=True, preexec_fn=_limit_address_space, timeout=60,
     )
     assert proc.returncode == 2
     assert proc.stderr == f"error: {message}, over the budget of 268435456\n"

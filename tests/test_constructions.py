@@ -39,7 +39,7 @@ from irslab import (
     uniform_metric,
 )
 from irslab.fullgroup import cycle_structure
-from irslab.labels import cycle_positions
+from irslab.labels import component_labels, cycle_positions
 from irslab.rng import STREAM_TEST
 from irslab.words import cyclic_reduce
 
@@ -514,7 +514,7 @@ def test_lean_aperiodic_homomorphism_needs_rank_at_least_one(rank):
 
 def _cycle_order(sigma: FullGroupElement) -> tuple[np.ndarray, np.ndarray]:
     """Cycle listing from atom 0 and each atom's position along it (single cycle)."""
-    _, pos = cycle_positions(sigma.forward)
+    pos = cycle_positions(sigma.forward, component_labels([sigma.forward], sigma.space.n_atoms))
     return np.argsort(pos), pos
 
 

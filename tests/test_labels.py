@@ -349,7 +349,8 @@ def test_component_labels_match_the_orbit_walk(hom):
 @given(homs())
 def test_cycle_positions_match_the_cycle_walk(hom):
     for g in hom.gens:
-        labels, pos = cycle_positions(g.forward)
+        labels = component_labels([g.forward], hom.space.n_atoms)
+        pos = cycle_positions(g.forward, labels)
         for cyc in walk_cycles(g):
             assert labels[list(cyc)].tolist() == [cyc[0]] * len(cyc)
             assert pos[list(cyc)].tolist() == list(range(len(cyc)))
@@ -359,9 +360,9 @@ def test_cycle_positions_match_the_cycle_walk(hom):
 def test_single_n_cycle_worst_case(n):
     hom = _single_cycle(n, derive_rng(n, STREAM_TEST, 1))
     perm = hom.gens[0].forward
-    assert not component_labels([perm], n).any()
-    labels, pos = cycle_positions(perm)
+    labels = component_labels([perm], n)
     assert not labels.any()
+    pos = cycle_positions(perm, labels)
     walk = np.empty(n, dtype=np.int64)
     x = 0
     for k in range(n):
@@ -373,7 +374,8 @@ def test_single_n_cycle_worst_case(n):
 def test_kernel_edge_cases():
     assert component_labels([np.arange(5)], 5).tolist() == [0, 1, 2, 3, 4]
     assert component_labels([np.array([1, 0, 2]), np.array([0, 2, 1])], 3).tolist() == [0, 0, 0]
-    labels, pos = cycle_positions([2, 0, 1, 3])
+    labels = component_labels([np.array([2, 0, 1, 3])], 4)
+    pos = cycle_positions([2, 0, 1, 3], labels)
     assert labels.tolist() == [0, 0, 0, 3]
     assert pos.tolist() == [0, 2, 1, 0]
 
@@ -384,6 +386,15 @@ def test_element_cycle_positions_are_labelled_once_and_read_only():
     assert g.cycle_positions[0] is labels and g.cycle_positions[1] is pos
     assert (labels.tolist(), pos.tolist()) == ([0, 0, 0, 3], [0, 2, 1, 0])
     assert not labels.flags.writeable and not pos.flags.writeable
+
+
+def test_element_cycle_labels_are_shared_by_every_cycle_reader():
+    g = FullGroupElement.from_forward(FiniteSpace.single_class(4), [2, 0, 1, 3])
+    labels = g.cycle_labels
+    assert g.cycle_labels is labels and g.cycle_positions[0] is labels
+    assert labels.tolist() == [0, 0, 0, 3] and not labels.flags.writeable
+    assert cycle_structure(g).lengths == (1, 3)
+    assert g.cycles() == [(0, 2, 1), (3,)]
 
 
 def test_orbit_labels_are_cached_and_read_only():
@@ -437,7 +448,8 @@ def test_cycle_callers_match_the_walks(hom, data):
         subset = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
         assert first_return(g, subset) == walk_first_return(g, subset)
         if hom.space.is_single_class and cycle_structure(g).is_single_cycle:
-            labels, pos = cycle_positions(g.forward)
+            labels = component_labels([g.forward], n)
+            pos = cycle_positions(g.forward, labels)
             cyc, walked_pos = walk_cycle_order(g)
             assert not labels.any() and np.array_equal(pos, walked_pos)
             assert np.array_equal(cyc[pos], np.arange(n))

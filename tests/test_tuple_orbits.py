@@ -1,7 +1,7 @@
 """Tuple-orbit kernel behind `transitivity_degree` and
 `generates_classwise_symmetric`, checked against the Python set closure
 this package used before, kept here as an oracle without its size
-guards, and against groups of known transitivity."""
+guards, against groups of known transitivity, and against sympy."""
 
 from math import factorial, perm
 
@@ -19,6 +19,7 @@ from irslab import (
     derive_rng,
     generates_classwise_symmetric,
     orbit,
+    orbits,
     random_homomorphism,
     transitivity_degree,
 )
@@ -204,3 +205,40 @@ def test_degree_3_on_a_16_atom_symmetric_orbit():
     hom = _hom(16, _from_cycles(16, [tuple(range(1, 17))]), _from_cycles(16, [(1, 2)]))
     assert transitivity_degree(hom, 5, 3) == oracle_transitivity_degree(hom, 5, 3) == 3
 
+
+
+# -- oracle: sympy's Schreier-Sims -----------------------------------------------------
+
+
+def _sympy_group(combinatorics, hom, atoms):
+    """The generators restricted to sorted atoms they preserve, relabelled 0..len-1."""
+    return combinatorics.PermutationGroup([
+        combinatorics.Permutation(np.searchsorted(atoms, g.forward[atoms]).tolist()) for g in hom.gens])
+
+
+def _seeded_hom(seed):
+    """A rank-2 hom on 3 to 9 atoms: random on one class, or sparse swaps on up
+    to three classes, so orbits range from fixed points to Sym and Alt."""
+    rng = derive_rng(seed, STREAM_TEST, 12)
+    n = 3 + seed % 7
+    if seed % 2:
+        return random_homomorphism(FiniteSpace.single_class(n, levels=None), 2, rng)
+    cuts = sorted(rng.choice(np.arange(1, n), size=min(2, n - 1), replace=False).tolist())
+    space = FiniteSpace.from_class_sizes(np.diff([0, *cuts, n]).tolist(), levels=None)
+    return Homomorphism(space, tuple(_sparse_element(space, rng, n) for _ in range(2)))
+
+
+@pytest.mark.parametrize("seed", range(42))
+def test_degrees_match_sympy(seed):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    hom = _seeded_hom(seed)
+    for orb in orbits(hom):
+        group = _sympy_group(combinatorics, hom, np.array(orb, dtype=np.int64))
+        assert transitivity_degree(hom, orb[0], len(orb)) == group.transitivity_degree
+    classes = [np.array(cls, dtype=np.int64) for cls in hom.space.classes()]
+    expected = all(_sympy_group(combinatorics, hom, atoms).order() == factorial(atoms.size)
+                   for atoms in classes)
+    assert generates_classwise_symmetric(hom) == expected
+    if expected:
+        # full symmetric generation forces full transitivity on every class
+        assert all(transitivity_degree(hom, int(a[0]), a.size) == a.size for a in classes)

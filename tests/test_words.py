@@ -16,7 +16,7 @@ from irslab import (
     random_reduced_word,
     reduce_letters,
 )
-from irslab import FiniteSpace, ball_codes, random_homomorphism, trace_code_matrix
+from irslab import FiniteSpace, TraceBudgetError, ball_codes, random_homomorphism, trace_code_matrix
 from irslab.rng import STREAM_TEST
 from irslab.words import FreeBall
 
@@ -91,6 +91,20 @@ def test_ball_sizes():
             assert len(ball(rank, radius)) == ball_size(rank, radius)
 
 
+def test_ball_size_closed_form_matches_the_sum():
+    for rank in range(1, 6):
+        for radius in range(-2, 30):
+            assert ball_size(rank, radius) == 1 + sum(
+                2 * rank * (2 * rank - 1) ** (k - 1) for k in range(1, radius + 1))
+
+
+def test_huge_balls_are_refused_without_formatting_their_size():
+    # 16 |B(100000)| has 47714 digits, past the int-to-str limit of 4300
+    with pytest.raises(TraceBudgetError, match=r"^ball of rank 2 and radius 100000 needs at least "
+                       r"2\^158501 bytes, over the budget of 268435456$"):
+        ball(2, 100000)
+
+
 def test_ball_is_length_lex_ordered():
     words = [format_word(u) for u in ball(2, 2).words]
     assert words[:9] == [
@@ -143,6 +157,17 @@ def test_parse_word():
         w("s3")
     with pytest.raises(ValueError):
         w("s1^")
+
+
+def test_word_powers_are_bounded_before_they_are_expanded(small_budget):
+    assert len(w("s1^256 s2^256")) == 512  # 4096 bytes of letters
+    for text, letters in (("s2^99999999", 99999999), ("s1^256 s2^-257", 513)):
+        with pytest.raises(ValueError, match=f"^word of {letters} letters needs {8 * letters} "
+                           f"bytes, over the budget of {small_budget}$"):
+            w(text)
+    with pytest.raises(ValueError, match="^word of at least 2\\^13287 letters needs at least "
+                       "2\\^13290 bytes, over the budget of 4096$"):
+        w("s1^" + "9" * 4000)
 
 
 def test_format_round_trip_on_random_words():
