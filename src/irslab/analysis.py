@@ -4,10 +4,12 @@ Everything here returns exact rationals or booleans backed by full
 enumeration within the byte budget: Foelner-set search with
 honest boundary ratios, transitivity degree by tuple-orbit closure,
 realization of a prescribed tower permutation by bidirectional word
-search, triviality of a word per orbit, the ball-stability bound, and
-seeded genericity sweeps over perturbation balls.  Degree and classwise
-Sym generation share one per-orbit routine, `_degree`; it and realization
-grow tuple orbits with one kernel: (tuple, tag) keys stepped by `_grow`.
+search spread along sigma's cycle by conjugation, triviality of a word
+per orbit, the ball-stability bound, and seeded genericity sweeps over
+perturbation balls.  Degree and classwise Sym generation share one
+per-orbit routine, `_degree`; it and realization grow tuple orbits with
+one kernel, packed keys stepped by `_grow`: untagged tuples for degree,
+(tuple, source atom) for realization.
 """
 
 from __future__ import annotations
@@ -145,28 +147,29 @@ def folner_search(hom: Homomorphism, root: int, l: int, radius: int) -> FolnerRe
 # -- tuple orbits and transitivity degree ------------------------------------
 
 def _pack(coords, tags, n: int) -> np.ndarray:
-    """Base-n keys of (tuple, tag) states; coords[i] holds coordinate i of every tuple."""
-    if n ** (len(coords) + 1) >= 2 ** 63:
-        raise AnalysisError(f"packed state space n^(m+1) = {n}^{len(coords) + 1} overflows 64-bit keys")
+    """Base-n keys of tuples, coords[i] holding coordinate i of every tuple, with
+    the tags as one more, last digit; tags None packs untagged n^k keys, k = len(coords)."""
+    digits, width = (len(coords), "k") if tags is None else (len(coords) + 1, "(m+1)")
+    if n ** digits >= 2 ** 63:
+        raise AnalysisError(f"packed state space n^{width} = {n}^{digits} overflows 64-bit keys")
     out = 0
     for coord in coords:
         out = out * n + coord
-    return out * n + tags
+    return out if tags is None else out * n + tags
 
 
-def _diagonal_images(keys: np.ndarray, tables, n: int, m: int) -> np.ndarray:
-    """Images of packed (tuple, tag) keys under each table applied coordinatewise.
+def _diagonal_images(keys: np.ndarray, tables, n: int, m: int, tagged: bool) -> np.ndarray:
+    """Images of packed keys under each table applied coordinatewise; a tag digit stays.
 
     The m tuple coordinates are decoded once and reused for every table;
     the images for all tables are returned concatenated.
     """
-    tags = keys % n
-    code = keys // n
+    tags, code = (keys % n, keys // n) if tagged else (None, keys)
     coords = [(code // n ** (m - 1 - i)) % n for i in range(m)]
     return np.concatenate([_pack([table[c] for c in coords], tags, n) for table in tables])
 
 
-def _grow(frontier: np.ndarray, visited: np.ndarray, tables, n: int, m: int):
+def _grow(frontier: np.ndarray, visited: np.ndarray, tables, n: int, m: int, tagged: bool = True):
     """One breadth-first step on ascending keys: (images not yet visited, new visited).
     Refused first if its keys, 8 bytes per visited key and image, pass the byte budget;
     sort temporaries are not counted, so peak memory runs to 2-3 times the budget."""
@@ -174,17 +177,18 @@ def _grow(frontier: np.ndarray, visited: np.ndarray, tables, n: int, m: int):
     if need > space._BYTE_BUDGET:
         raise AnalysisError(f"tuple orbit step needs {need} bytes of keys, "
                             f"over the budget of {space._BYTE_BUDGET}")
-    fresh = sorted_unique(_diagonal_images(frontier, tables, n, m))
+    fresh = sorted_unique(_diagonal_images(frontier, tables, n, m, tagged))
     fresh = fresh[~member(visited, fresh)]
     return fresh, merge_disjoint(visited, fresh)
 
 
 def _orbit_size(start, tables, k: int) -> int:
-    """Size of the orbit of the k-tuple start under the permutation tables."""
+    """Size of the orbit of the k-tuple start under the permutation tables;
+    its keys carry no tag digit, so n^k must fit 64 bits."""
     n = len(tables[0])
-    frontier = visited = _pack(np.array(start, dtype=np.int64)[:, None], 0, n)
+    frontier = visited = _pack(np.array(start, dtype=np.int64)[:, None], None, n)
     while frontier.size:
-        frontier, visited = _grow(frontier, visited, tables, n, k)
+        frontier, visited = _grow(frontier, visited, tables, n, k, tagged=False)
     return visited.size
 
 
@@ -222,13 +226,21 @@ def realizes_tau_fraction(hom: Homomorphism, m: int, tau, radius: int) -> Fracti
     (x, sigma x, ..., sigma^(m-1) x) coordinatewise to
     (sigma^(tau(0)) x, ..., sigma^(tau(m-1)) x), sigma being the first
     generator.  Exact: bidirectional breadth-first closure over packed
-    (tuple, source atom) states, expanding the smaller side; an atom is
-    settled positively on the first meet and negatively when one of its
-    frontiers dies or the combined depth reaches the radius.  Each depth
-    is one step of the tuple-orbit kernel (`_grow`) on ascending key
-    arrays, so it costs O(states * log states) in the states it touches.
-    Cost grows with the diagonal orbit of the fiber tuple; sized for
-    small spaces.
+    (tuple, source atom) states, expanding the smaller side one step of
+    the tuple-orbit kernel (`_grow`) at a time; an atom's two sides first
+    meet at combined depth D(x), its shortest realizing length.
+
+    The conjugation lemma does the rest.  If w realizes tau at x, then
+    s1^j w s1^-j realizes it at sigma^j x with reduced length at most
+    |w| + 2|j|, and sigma^j = sigma^(j-n) as sigma is one n-cycle, so
+    D(sigma^j x) <= D(x) + 2 min(j mod n, n - j mod n).  Atoms meeting at
+    combined depth d therefore settle as realized every atom within cycle
+    distance (radius - d) // 2 (one `searchsorted` of the met cycle
+    positions), and only atoms not yet covered keep searching.  On one
+    cycle realizability is all-or-none: once an atom's closure ends
+    without a meet, no atom realizes tau and the search stops at 0.  Each
+    step costs O(states * log states) in the states of unsettled atoms;
+    when radius >= D_min + 2 (n // 2), the first meet settles every atom.
     """
     if not hom.is_lean_aperiodic:
         raise AnalysisError("needs a single-cycle first generator")
@@ -240,42 +252,37 @@ def realizes_tau_fraction(hom: Homomorphism, m: int, tau, radius: int) -> Fracti
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     n = hom.space.n_atoms
+    pos = hom.gens[0].cycle_positions[1]
     powers = hom.gens[0].levels(np.arange(n), m)
-    start = _pack(powers, np.arange(n), n)
-    target = _pack(powers[list(tau)], np.arange(n), n)
-
+    visited = [np.sort(_pack(powers, np.arange(n), n)), np.sort(_pack(powers[list(tau)], np.arange(n), n))]
+    frontier = list(visited)
     realized = np.zeros(n, dtype=bool)
-    dead = np.zeros(n, dtype=bool)
 
-    visited = [np.sort(start), np.sort(target)]
-    frontier = [visited[0].copy(), visited[1].copy()]
-    met = visited[0][member(visited[1], visited[0])]
-    realized[met % n] = True
+    def settle(met, depth):
+        """Realize every atom within cycle distance (radius - depth) // 2 of a met
+        atom, then drop the realized atoms' states from both sides."""
+        if met.size:
+            at = np.sort(pos[met])
+            i = np.searchsorted(at, pos)
+            gap = np.minimum((at[i % at.size] - pos) % n, (pos - at[i - 1]) % n)
+            realized[gap <= (radius - depth) // 2] = True
+            for keys in (visited, frontier):
+                keys[:] = [k[~realized[k % n]] for k in keys]
+
+    settle(visited[0][member(visited[1], visited[0])] % n, 0)
     depth = [0, 0]
-
-    def purge(side):
-        keep = ~(realized | dead)
-        visited[side] = visited[side][keep[visited[side] % n]]
-        frontier[side] = frontier[side][keep[frontier[side] % n]]
-
-    purge(0)
-    purge(1)
-    while not (realized | dead).all() and depth[0] + depth[1] < radius:
+    while not realized.all() and depth[0] + depth[1] < radius:
         side = 0 if frontier[0].size <= frontier[1].size else 1
-        if frontier[side].size == 0:
-            # closure complete on this side: the rest can never meet
-            dead[~(realized | dead)] = True
-            break
         fresh, visited[side] = _grow(frontier[side], visited[side], hom.tables.values(), n, m)
         depth[side] += 1
         frontier[side] = fresh
-        fresh_atoms = fresh % n
-        realized[fresh_atoms[member(visited[1 - side], fresh)]] = True
-        stuck = ~(realized | dead)
-        stuck[fresh_atoms] = False
-        dead |= stuck
-        purge(0)
-        purge(1)
+        settle(fresh[member(visited[1 - side], fresh)] % n, depth[0] + depth[1])
+        alive = realized.copy()
+        alive[frontier[side] % n] = True
+        if not alive.all():  # an atom's closure ended without a meet
+            if realized.any():
+                raise AssertionError("tau realized at some atoms of one sigma cycle, not at another")
+            return Fraction(0)
     return Fraction(int(np.count_nonzero(realized)), n)
 
 
@@ -358,6 +365,15 @@ class SweepProperty:
         return f"{self.name}({inner})"
 
 
+def _integer(text: str) -> int:
+    """A property's integer argument, refused in one line past 18 digits,
+    before Python's int-to-str limit is met."""
+    digits = sum(c.isdigit() for c in text)
+    if digits > 18:
+        raise ValueError(f"property integers take at most 18 digits, got {digits}")
+    return int(text)
+
+
 def parse_property(text: str, rank: int) -> SweepProperty:
     """Parse folner(l,R), realizes(m,tau,R), corefree(word), periodic(j)."""
     match = re.fullmatch(r"\s*(\w+)\s*\((.*)\)\s*", text)
@@ -368,12 +384,12 @@ def parse_property(text: str, rank: int) -> SweepProperty:
     if name == "folner":
         if len(parts) != 2:
             raise ValueError("folner takes (l, radius)")
-        return SweepProperty("folner", (int(parts[0]), int(parts[1])))
+        return SweepProperty("folner", (_integer(parts[0]), _integer(parts[1])))
     if name == "realizes":
         if len(parts) != 3:
             raise ValueError("realizes takes (m, tau, radius)")
-        tau = tuple(int(t) for t in parts[1].split())
-        return SweepProperty("realizes", (int(parts[0]), " ".join(map(str, tau)), int(parts[2])))
+        tau = tuple(_integer(t) for t in parts[1].split())
+        return SweepProperty("realizes", (_integer(parts[0]), " ".join(map(str, tau)), _integer(parts[2])))
     if name == "corefree":
         if len(parts) != 1:
             raise ValueError("corefree takes (word)")
@@ -381,7 +397,7 @@ def parse_property(text: str, rank: int) -> SweepProperty:
     if name == "periodic":
         if len(parts) != 1:
             raise ValueError("periodic takes (level)")
-        return SweepProperty("periodic", (int(parts[0]),))
+        return SweepProperty("periodic", (_integer(parts[0]),))
     raise ValueError(f"unknown property {name!r}")
 
 

@@ -149,6 +149,15 @@ def ball_size(rank: int, radius: int) -> int:
 _TOKEN_RE = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
 
 
+def _decimal(text: str) -> int:
+    """A signed decimal, exact up to 20 digits.  Longer, its 20 leading digits
+    times the power of ten of the rest: a lower bound past 2^64, which refusals
+    show as `space._count` does, and no conversion meets Python's int-to-str limit."""
+    sign = -1 if text.startswith("-") else 1
+    digits = text.lstrip("-").lstrip("0") or "0"
+    return sign * int(digits[:20]) * 10 ** max(len(digits) - 20, 0)
+
+
 def parse_word(text: str, rank: int) -> ReducedWord:
     """Parse the text form, e.g. 's1 s2^-1 s1'; empty text is the identity."""
     letters: list[int] = []
@@ -156,10 +165,10 @@ def parse_word(text: str, rank: int) -> ReducedWord:
         match = _TOKEN_RE.match(token)
         if not match:
             raise ValueError(f"bad letter token {token!r}")
-        index = int(match.group(1))
-        power = int(match.group(2)) if match.group(2) else 1
+        index = _decimal(match.group(1))
+        power = _decimal(match.group(2)) if match.group(2) else 1
         if index < 1 or index > rank:
-            raise ValueError(f"generator index {index} out of range for rank {rank}")
+            raise ValueError(f"generator index {space._count(index)} out of range for rank {rank}")
         sign = 1 if power > 0 else -1
         total = len(letters) + abs(power)
         if 8 * total > space._BYTE_BUDGET:

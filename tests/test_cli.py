@@ -804,3 +804,31 @@ def test_huge_radii_and_powers_exit_2_at_once(tmp_path, argv, message):
     assert proc.stderr == f"error: {message}, over the budget of 268435456\n"
     assert proc.stdout == ""
     assert not (tmp_path / "x.dot").exists()
+
+
+NINES = "9" * 5000  # past Python's int-to-str limit of 4300 digits
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "corefree", "--word", f"s2^{NINES}", "--epsilon", "1/2"],
+     "word of at least 2^16609 letters needs at least 2^16612 bytes, over the budget of 268435456"),
+    (["construct", "corefree", "--word", f"s2^-{NINES}", "--epsilon", "1/2"],
+     "word of at least 2^16609 letters needs at least 2^16612 bytes, over the budget of 268435456"),
+    (["construct", "corefree", "--word", f"s{NINES}", "--epsilon", "1/2"],
+     "generator index at least 2^16609 out of range for rank 2"),
+    (["sweep", "--epsilon", "1/2", "--samples", "1", "--property", f"realizes(2, 1 0, {NINES})",
+      "--seed", "0"],
+     "property integers take at most 18 digits, got 5000"),
+    (["sweep", "--epsilon", "1/2", "--samples", "1", "--property", f"folner({NINES}, 2)",
+      "--seed", "0"],
+     "property integers take at most 18 digits, got 5000"),
+    (["sweep", "--epsilon", "1/2", "--samples", "1", "--property", f"corefree(s1 s2^{NINES})",
+      "--seed", "0"],
+     "word of at least 2^16609 letters needs at least 2^16612 bytes, over the budget of 268435456"),
+], ids=["power", "negative power", "index", "realizes radius", "folner l", "sweep word"])
+def test_huge_integers_in_words_and_properties_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    hom = gen_hom(tmp_path, log2=4, seed=1)
+    assert main([*argv, "--hom", str(hom)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""

@@ -1,21 +1,30 @@
 """Sorted-array set kernel, and the realization kernel built on it checked
-against the earlier numpy set-op implementation kept here as an oracle."""
+against two earlier implementations kept here as oracles: the numpy set-op
+closure, and the bidirectional `_grow` closure that settled every atom by
+its own search.  The conjugation lemma the kernel spreads by is checked on
+the set-op oracle's realized masks."""
 
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import irslab.analysis
 from irslab import (
+    AnalysisError,
     FiniteSpace,
+    FullGroupElement,
+    Homomorphism,
     build_ht_perturbation,
     derive_rng,
     lean_aperiodic_homomorphism,
     realizes_tau_fraction,
 )
+from irslab.analysis import _grow, _pack
 from irslab.rng import STREAM_TEST
 from irslab.setops import member, merge_disjoint, row_ids, row_keys, sorted_unique
 
@@ -127,6 +136,11 @@ def _oracle_apply_diagonal(keys, table, n, m):
 
 
 def oracle_realizes_tau_fraction(hom, m, tau, radius):
+    return Fraction(int(np.count_nonzero(oracle_realized_mask(hom, m, tau, radius))), hom.space.n_atoms)
+
+
+def oracle_realized_mask(hom, m, tau, radius):
+    """The atoms the set-op closure realizes tau at, within the radius."""
     n = hom.space.n_atoms
     sigma = hom.gens[0]
     powers = np.empty((m, n), dtype=np.int64)
@@ -180,7 +194,67 @@ def oracle_realizes_tau_fraction(hom, m, tau, radius):
         dead |= stuck
         purge(0)
         purge(1)
+    return realized
+
+
+# -- oracle: the bidirectional _grow kernel before the conjugation lemma ------------
+
+
+def oracle_bidirectional_realizes_tau_fraction(hom, m, tau, radius):
+    if not hom.is_lean_aperiodic:
+        raise AnalysisError("needs a single-cycle first generator")
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    tau = tuple(int(t) for t in tau)
+    if sorted(tau) != list(range(m)):
+        raise ValueError(f"tau must be a permutation of 0..{m - 1}")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    n = hom.space.n_atoms
+    powers = hom.gens[0].levels(np.arange(n), m)
+    start = _pack(powers, np.arange(n), n)
+    target = _pack(powers[list(tau)], np.arange(n), n)
+
+    realized = np.zeros(n, dtype=bool)
+    dead = np.zeros(n, dtype=bool)
+
+    visited = [np.sort(start), np.sort(target)]
+    frontier = [visited[0].copy(), visited[1].copy()]
+    met = visited[0][member(visited[1], visited[0])]
+    realized[met % n] = True
+    depth = [0, 0]
+
+    def purge(side):
+        keep = ~(realized | dead)
+        visited[side] = visited[side][keep[visited[side] % n]]
+        frontier[side] = frontier[side][keep[frontier[side] % n]]
+
+    purge(0)
+    purge(1)
+    while not (realized | dead).all() and depth[0] + depth[1] < radius:
+        side = 0 if frontier[0].size <= frontier[1].size else 1
+        if frontier[side].size == 0:
+            # closure complete on this side: the rest can never meet
+            dead[~(realized | dead)] = True
+            break
+        fresh, visited[side] = _grow(frontier[side], visited[side], hom.tables.values(), n, m)
+        depth[side] += 1
+        frontier[side] = fresh
+        fresh_atoms = fresh % n
+        realized[fresh_atoms[member(visited[1 - side], fresh)]] = True
+        stuck = ~(realized | dead)
+        stuck[fresh_atoms] = False
+        dead |= stuck
+        purge(0)
+        purge(1)
     return Fraction(int(np.count_nonzero(realized)), n)
+
+
+def _check_against_oracles(hom, m, tau, radius):
+    fraction = realizes_tau_fraction(hom, m, tau, radius)
+    assert fraction == oracle_realizes_tau_fraction(hom, m, tau, radius)
+    assert fraction == oracle_bidirectional_realizes_tau_fraction(hom, m, tau, radius)
+    return fraction
 
 
 def _case_hom(n, rank, seed, m, tau, perturbed):
@@ -219,7 +293,7 @@ PARTIAL_CASES = [
 def test_realizes_tau_fraction_matches_set_op_oracle(case):
     n, rank, seed, m, tau, radius, perturbed = case
     hom = _case_hom(n, rank, seed, m, tau, perturbed)
-    assert realizes_tau_fraction(hom, m, tau, radius) == oracle_realizes_tau_fraction(hom, m, tau, radius)
+    _check_against_oracles(hom, m, tau, radius)
 
 
 @pytest.mark.parametrize("case", PARTIAL_CASES)
@@ -229,3 +303,78 @@ def test_oracle_cases_include_partial_fractions(case):
     fraction = realizes_tau_fraction(hom, m, tau, radius)
     assert 0 < fraction < 1
     assert fraction == oracle_realizes_tau_fraction(hom, m, tau, radius)
+
+
+# the benchmark's shape (2^7 atoms, m = 4, tau = 1 0 3 2 after the ht surgery) at
+# radii that leave the fraction strictly between 0 and 1
+BENCH_TAU = (1, 0, 3, 2)
+
+
+@pytest.mark.parametrize("seed, radius, expected", [
+    (0, 1, Fraction(15, 128)),
+    (0, 4, Fraction(45, 128)),
+    (0, 9, Fraction(121, 128)),
+    (2, 8, Fraction(53, 64)),
+])
+def test_benchmark_shape_partial_fractions_match_both_oracles(seed, radius, expected):
+    hom = _case_hom(128, 2, seed, 4, BENCH_TAU, True)
+    assert _check_against_oracles(hom, 4, BENCH_TAU, radius) == expected
+
+
+@pytest.mark.parametrize("power", [0, 1, 2])
+@pytest.mark.parametrize("radius", [0, 3, 32])
+def test_unrealizable_odometers_give_zero(monkeypatch, power, radius):
+    """s2 = sigma^power keeps every fiber tuple on sigma's own diagonal orbit,
+    so no word swaps two levels.  At radius 2n = 32 the kernel stops as soon
+    as the first closure ends, at combined depth 10 (6 for sigma^2, whose
+    letters jump two levels), long before the radius runs out."""
+    sp = FiniteSpace.single_class(16)
+    sigma = FullGroupElement.odometer(sp)
+    hom = Homomorphism(sp, (sigma, sigma ** power))
+    assert _check_against_oracles(hom, 2, (1, 0), radius) == 0
+    steps = []
+    monkeypatch.setattr(irslab.analysis, "_grow", lambda *args: steps.append(args) or _grow(*args))
+    assert realizes_tau_fraction(hom, 2, (1, 0), radius) == 0
+    assert len(steps) == min(radius, 6 if power == 2 else 10)
+
+
+# -- the conjugation lemma ----------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(realize_cases())
+def test_realized_atoms_spread_one_cycle_step_per_two_radius(case):
+    """s1^±1 w s1^∓1 realizes tau at sigma^±1 x when w does at x."""
+    n, rank, seed, m, tau, radius, perturbed = case
+    hom = _case_hom(n, rank, seed, m, tau, perturbed)
+    sigma = hom.gens[0]
+    at = np.flatnonzero(oracle_realized_mask(hom, m, tau, radius))
+    wider = oracle_realized_mask(hom, m, tau, radius + 2)
+    assert wider[sigma.forward[at]].all() and wider[sigma.inverse[at]].all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(realize_cases())
+def test_realization_is_all_or_none_by_the_lemma_radius(case):
+    """On one n-cycle the fraction is 0 at every radius, or it is 1 by
+    D_min + 2 (n // 2), D_min being the least radius realizing any atom."""
+    n, rank, seed, m, tau, _, perturbed = case
+    hom = _case_hom(n, rank, seed, m, tau, perturbed)
+    closed = oracle_realized_mask(hom, m, tau, 10 ** 9)  # every closure ends first
+    assert closed.all() or not closed.any()
+    if not closed.any():
+        assert all(realizes_tau_fraction(hom, m, tau, r) == 0 for r in (0, 1, n, 2 * n))
+        return
+    d_min = next(r for r in range(n * n) if oracle_realized_mask(hom, m, tau, r).any())
+    assert oracle_realized_mask(hom, m, tau, d_min + 2 * (n // 2)).all()
+    assert realizes_tau_fraction(hom, m, tau, d_min + 2 * (n // 2)) == 1
+
+
+def test_ht_perturbation_realizes_every_permutation_of_five_levels():
+    """The surgery's s2 swaps the levels over its base, one letter; the lemma
+    spreads that to all 2^8 atoms at radius 2n from the first meet."""
+    n = 2 ** 8
+    hom = lean_aperiodic_homomorphism(FiniteSpace.single_class(n), 2, derive_rng(5, STREAM_TEST, n))
+    for tau in permutations(range(5)):
+        built = build_ht_perturbation(hom, 5, tau, Fraction(1, 2))
+        assert realizes_tau_fraction(built, 5, tau, 2 * n) == 1

@@ -23,7 +23,7 @@ from irslab import (
     random_homomorphism,
     transitivity_degree,
 )
-from irslab.analysis import _grow, _orbit_size, _pack
+from irslab.analysis import _degree, _grow, _orbit_size, _pack
 from irslab.rng import STREAM_TEST
 
 # -- kernel steps ------------------------------------------------------------------
@@ -44,6 +44,23 @@ def test_orbit_size_of_the_identity_and_a_transposition():
     assert _orbit_size([0], [np.arange(1)], 1) == 1
     assert _orbit_size(range(3), [np.arange(3)], 3) == 1
     assert _orbit_size([2, 0], [np.array([1, 0, 2])], 2) == 2
+
+
+def test_degree_keys_carry_no_tag_digit():
+    """Degree orbits are untagged n^k keys: at n = 2^21 and k = 2 a tag digit
+    would need 2^63 keys, past 64 bits, while realization keeps its tag digit
+    and width check.  The tables are the Klein group on blocks of four, so
+    the orbit of (0, 1) has four pairs and the degree is 1, from the atoms
+    alone (no hom of 2^21 atoms is labelled)."""
+    n = 2 ** 21
+    atoms = np.arange(n)
+    assert _degree(atoms, [atoms ^ 1, atoms ^ 2], 2) == 1
+    assert _orbit_size([0, 1], [atoms ^ 1, atoms ^ 2], 2) == 4
+    one = [atoms[:1]]
+    with pytest.raises(AnalysisError, match=r"^packed state space n\^\(m\+1\) = 2097152\^3 overflows 64-bit keys$"):
+        _pack(one * 2, 0, n)
+    with pytest.raises(AnalysisError, match=r"^packed state space n\^k = 2097152\^3 overflows 64-bit keys$"):
+        _pack(one * 3, None, n)
 
 
 # -- oracle: the closure the kernel replaced -----------------------------------------
