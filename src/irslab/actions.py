@@ -165,6 +165,15 @@ class StabilizerTrace:
 _CHUNK_BYTES = 4 << 20  # bytes of int64 ball-word images per chunk of atoms
 
 
+def _atoms(hom: Homomorphism, atoms) -> np.ndarray:
+    """The atoms (one or an array) as an int64 array, refusing any outside [0, n)."""
+    atoms, n = np.asarray(atoms).reshape(-1), hom.space.n_atoms
+    bad = (atoms < 0) | (atoms >= n)
+    if bad.any():
+        raise ValueError(f"atom {int(atoms[bad][0])} is not in [0, {n})")
+    return atoms.astype(np.int64, copy=False)
+
+
 def _check_rows(what: str, radius: int, atoms: int, row_bytes: int) -> None:
     """Raise `TraceBudgetError` when atoms rows of row_bytes pass the byte budget."""
     need = atoms * row_bytes
@@ -173,12 +182,22 @@ def _check_rows(what: str, radius: int, atoms: int, row_bytes: int) -> None:
                                f"{atoms} atom{'s' * (atoms != 1)}, over the budget of {space._BYTE_BUDGET}")
 
 
+def _code_sizes(hom: Homomorphism, radius: int, atoms: int) -> tuple[int, int]:
+    """|B(R)| and |B(R+1)|, after refusing a negative radius, or ball codes
+    for that many atoms past the byte budget."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    inner, outer = ball_size(hom.rank, radius), ball_size(hom.rank, radius + 1)
+    _check_rows("ball codes", radius, atoms, outer * np.min_scalar_type(inner).itemsize)
+    return inner, outer
+
+
 def _ball_images(hom: Homomorphism, radius: int, atoms=None):
-    """Yield (chunk, images) over chunks of the atoms (default all), where
+    """Yield (chunk, images) over chunks of the int64 atoms (default all), where
     images[j, i] is length-lex ball word i applied to atom chunk[j]."""
     fb = ball(hom.rank, radius)
     cuts = [*(np.flatnonzero(np.diff(fb.first_letter)) + 1).tolist(), len(fb)]
-    atoms = np.arange(hom.space.n_atoms) if atoms is None else np.asarray(atoms, dtype=np.int64)
+    atoms = np.arange(hom.space.n_atoms) if atoms is None else atoms
     size = max(1, _CHUNK_BYTES // (8 * len(fb)))
     for start in range(0, atoms.size, size):
         chunk = atoms[start:start + size]
@@ -191,7 +210,7 @@ def _ball_images(hom: Homomorphism, radius: int, atoms=None):
 
 def stabilizer_trace(hom: Homomorphism, atom: int, radius: int) -> StabilizerTrace:
     """Trace of one atom: the ball words fixing it."""
-    ((_, images),) = _ball_images(hom, radius, [atom])
+    ((_, images),) = _ball_images(hom, radius, _atoms(hom, atom))
     return StabilizerTrace(hom.rank, radius, np.packbits(images[0] == atom).tobytes())
 
 
@@ -211,23 +230,23 @@ def ball_codes(hom: Homomorphism, radius: int, atoms=None) -> np.ndarray:
     Entry w is the least B(R) word reaching the atom the B(R+1) word w
     reaches, or |B(R)| if none does.  A row fixes which word pairs collide
     at the root, so two rooted balls are label-isomorphic iff their rows agree.
+    The atoms default to all; an empty list gives an empty code matrix.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    n, inner, outer = hom.space.n_atoms, ball_size(hom.rank, radius), ball_size(hom.rank, radius + 1)
-    count = n if atoms is None else len(atoms)
-    _check_rows("ball codes", radius, count, outer * np.min_scalar_type(inner).itemsize)
+    n = hom.space.n_atoms
+    atoms = np.arange(n) if atoms is None else _atoms(hom, atoms)
+    inner, outer = _code_sizes(hom, radius, atoms.size)
     words = np.arange(outer)
-    rows = []
+    codes = np.empty((atoms.size, outer), dtype=np.min_scalar_type(inner))
+    start = 0
     for chunk, images in _ball_images(hom, radius + 1, atoms):
         # sorted (row, atom, word) keys: each run of one (row, atom) starts at its least word
         keys = np.sort((images + n * np.arange(chunk.size)[:, None]) * words.size + words, None)
         slot, word = np.divmod(keys, words.size)  # slot = row * n + atom
         head = np.maximum.accumulate(np.where(np.diff(slot, prepend=-1), np.arange(slot.size), 0))
-        codes = np.empty(images.shape, dtype=np.min_scalar_type(inner))
-        codes[slot // n, word] = np.minimum(word[head], inner)
-        rows.append(codes)
-    return np.concatenate(rows)
+        block = codes[start:start + chunk.size]
+        block[slot // n, word] = np.minimum(word[head], inner)
+        start += chunk.size
+    return codes
 
 
 def _trace_table(hom: Homomorphism, radius: int) -> tuple[np.ndarray, np.ndarray]:
@@ -328,13 +347,14 @@ def invariance_defect(hom: Homomorphism, radius: int) -> Fraction:
 # -- Schreier balls --------------------------------------------------------
 
 
-def ball_atoms(hom: Homomorphism, root: int, radius: int) -> np.ndarray:
-    """Atoms at word distance <= radius from the root, ascending."""
+def ball_atoms(hom: Homomorphism, root, radius: int) -> np.ndarray:
+    """Atoms at word distance <= radius from the root, ascending.  The root
+    may be one atom or an array of atoms, whose balls are united."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    frontier = _atoms(hom, root)
     inside = np.zeros(hom.space.n_atoms, dtype=bool)
-    inside[root] = True
-    frontier = np.array([root], dtype=np.int64)
+    inside[frontier] = True
     for _ in range(radius):
         step = np.concatenate([t[frontier] for t in hom.tables.values()])
         frontier = sorted_unique(step[~inside[step]])

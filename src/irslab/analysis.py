@@ -25,6 +25,7 @@ import numpy as np
 from . import space
 from .actions import (
     Homomorphism,
+    _code_sizes,
     ball_atoms,
     ball_codes,
     hom_metric,
@@ -318,11 +319,24 @@ def ball_stability_check(a: Homomorphism, b: Homomorphism, radius: int) -> BallS
     bound = delta * (2R+1) * |B(2R+1)| with delta the metric between the
     actions.  The inequality observed <= bound always holds; a violation
     means a broken invariant and raises.
+
+    Codes are built only on N_R(D), the atoms within distance R under a
+    of D, the atoms where some signed-letter table of a differs from b's.
+    A word of B(R+1) read at x applies each letter at an atom within
+    distance R of x; if that ball misses D, both actions take the same
+    steps and the codes agree.  The byte budget is checked for every atom,
+    before D is read, so refusals do not depend on how far a and b differ.
     """
     if a.space != b.space or a.rank != b.rank:
         raise ValueError("actions must share space and rank")
-    differ = int(np.count_nonzero((ball_codes(a, radius) != ball_codes(b, radius)).any(axis=1)))
-    observed = Fraction(differ, a.space.n_atoms)
+    n = a.space.n_atoms
+    _code_sizes(a, radius, n)
+    moved = np.zeros(n, dtype=bool)
+    for letter, table in a.tables.items():
+        moved |= table != b.tables[letter]
+    near = ball_atoms(a, np.flatnonzero(moved), radius)
+    differ = int(np.count_nonzero((ball_codes(a, radius, near) != ball_codes(b, radius, near)).any(axis=1)))
+    observed = Fraction(differ, n)
     word_radius = 2 * radius + 1
     bound = hom_metric(a, b) * word_radius * ball_size(a.rank, word_radius)
     if observed > bound:

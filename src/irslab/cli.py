@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -43,7 +44,9 @@ from .serialize import (
     space_to_doc,
 )
 from .space import FiniteSpace
-from .words import cyclic_reduce, parse_word
+from .words import _decimal, cyclic_reduce, parse_word
+
+_INT_RE = re.compile(r"-?\d+")
 
 
 def _check(name: str, passed: bool, detail: str = "") -> dict:
@@ -51,7 +54,13 @@ def _check(name: str, passed: bool, detail: str = "") -> dict:
 
 
 def _ints(text: str) -> list[int]:
-    return [int(t) for t in text.replace(",", " ").split()]
+    """Decimal tokens split at commas and spaces, read by `words._decimal`, so a
+    token past Python's int-to-str limit meets the option's own refusal."""
+    tokens = text.replace(",", " ").split()
+    bad = next((t for t in tokens if not _INT_RE.fullmatch(t)), None)
+    if bad is not None:
+        raise ValueError(f"bad integer token {bad!r}")
+    return [_decimal(t) for t in tokens]
 
 
 def _load_space(path: str) -> FiniteSpace:

@@ -20,6 +20,7 @@ import numpy as np
 from .actions import Homomorphism
 from .fullgroup import FullGroupElement
 from .setops import sorted_unique
+from .space import _count
 from .words import ReducedWord, cyclic_reduce
 
 
@@ -43,11 +44,12 @@ def splice(sigma: FullGroupElement, atoms, tau: FullGroupElement) -> FullGroupEl
     space = sigma.space
     if tau.space != space:
         raise ValueError("splice needs elements on the same space")
-    subset = sorted_unique(np.asarray(list(atoms), dtype=np.int64))
+    subset = np.asarray(list(atoms))  # checked before the int64 cast, which huge atoms overflow
     if subset.size == 0:
         return sigma
     if subset.min() < 0 or subset.max() >= space.n_atoms:
         raise ValueError("splice set contains atoms out of range")
+    subset = sorted_unique(subset.astype(np.int64))
 
     in_a = np.zeros(space.n_atoms, dtype=bool)
     in_a[subset] = True
@@ -241,13 +243,14 @@ def build_folner_perturbation(hom: Homomorphism, epsilon, sizes) -> Homomorphism
         raise ConstructionError("first generator must be a single full cycle")
     n = hom.space.n_atoms
     total = sum(sizes)
+    if total > n:  # first, so a huge total is shown by `_count`, never as a fraction
+        raise ConstructionError(f"requested classes need {_count(total)} atoms, "
+                                f"more than the {n} in the space")
     if total and Fraction(total, n) >= epsilon / (2 * hom.rank):
         raise ConstructionError(
             f"requested classes need measure {Fraction(total, n)}, "
             f"not below epsilon/2r = {epsilon / (2 * hom.rank)}"
         )
-    if total > n:
-        raise ConstructionError(f"requested classes need {total} atoms, more than the {n} in the space")
     runs = folner_planted_classes(sizes)
     subset = list(range(total))
     target = np.arange(n, dtype=np.int64)

@@ -550,6 +550,46 @@ def test_ball_codes_over_the_byte_budget_fail_before_the_ball_is_built(monkeypat
     assert (1 << 14) * ball_size(2, 4) <= irslab.space._BYTE_BUDGET
 
 
+def test_ball_atoms_of_many_roots_unite_their_balls():
+    hom = random_homomorphism(FiniteSpace.single_class(64), 2, derive_rng(14, STREAM_TEST, 14))
+    rng = derive_rng(15, STREAM_TEST, 15)
+    for radius in range(4):
+        assert actions.ball_atoms(hom, [], radius).size == 0
+        one = actions.ball_atoms(hom, 5, radius)
+        assert np.array_equal(actions.ball_atoms(hom, np.array([5]), radius), one)
+        for size in (1, 3, 10):
+            roots = rng.choice(64, size=size)  # repeats allowed
+            union = np.unique(np.concatenate([actions.ball_atoms(hom, int(r), radius) for r in roots]))
+            assert np.array_equal(actions.ball_atoms(hom, roots, radius), union)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 3])
+def test_ball_codes_of_no_atoms_are_an_empty_matrix(radius):
+    hom = random_homomorphism(FiniteSpace.single_class(16), 2, derive_rng(16, STREAM_TEST, 16))
+    for atoms in ([], np.empty(0, dtype=np.int64)):
+        codes = ball_codes(hom, radius, atoms)
+        assert codes.shape == (0, ball_size(2, radius + 1))
+        assert codes.dtype == ball_codes(hom, radius, [0]).dtype
+
+
+@pytest.mark.parametrize("atom", [-1, -16, 16, 99])
+def test_atoms_outside_the_space_are_refused(atom):
+    hom = random_homomorphism(FiniteSpace.single_class(16), 2, derive_rng(17, STREAM_TEST, 17))
+    calls = [
+        lambda: actions.ball_atoms(hom, atom, 1),
+        lambda: actions.ball_atoms(hom, [0, atom], 1),
+        lambda: ball_codes(hom, 1, [atom]),
+        lambda: ball_codes(hom, 1, [3, atom, 2]),
+        lambda: stabilizer_trace(hom, atom, 1),
+        lambda: schreier_ball(hom, atom, 1),
+        lambda: balls_isomorphic(hom, atom, hom, 0, 1),
+        lambda: balls_isomorphic(hom, 0, hom, atom, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^atom {atom} is not in \[0, 16\)$"):
+            call()
+
+
 def test_ball_atoms_stop_once_the_ball_stops_growing(monkeypatch):
     space = FiniteSpace.single_class(256)
     hom = lean_aperiodic_homomorphism(space, 2, derive_rng(5, STREAM_TEST, 5))

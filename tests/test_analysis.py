@@ -31,6 +31,8 @@ from irslab import (
     schreier_boundary_ratio,
     transitivity_degree,
 )
+import irslab.analysis as analysis
+from irslab.actions import ball_atoms, ball_codes
 from irslab.analysis import _pack
 from irslab.rng import STREAM_TEST
 from irslab.words import ball_size
@@ -269,6 +271,92 @@ def test_ball_stability_random_trials():
         b = sample_perturbation(a, Fraction(1, 16), rng)
         result = ball_stability_check(a, b, 1)
         assert result.observed <= result.bound
+
+
+def oracle_observed(a, b, radius):
+    """The global kernel: ball codes of every atom under both actions."""
+    differ = (ball_codes(a, radius) != ball_codes(b, radius)).any(axis=1)
+    return Fraction(int(np.count_nonzero(differ)), a.space.n_atoms)
+
+
+def moved_atoms(a, b):
+    """D: the atoms where some signed-letter table of a differs from b's."""
+    return np.flatnonzero(np.any([t != b.tables[l] for l, t in a.tables.items()], axis=0))
+
+
+def _swap_pair():
+    hom = odometer_hom(256)
+    swap = FullGroupElement.from_forward(hom.space, [1, 0] + list(range(2, 256)))
+    return hom, hom.replace_generator(1, swap)
+
+
+def _perturbed_pairs(make, delta, count, seed):
+    rng = derive_rng(seed, STREAM_TEST, seed)
+    pairs = []
+    for _ in range(count):
+        a = make(rng)
+        pairs.append((a, sample_perturbation(a, delta, rng)))
+    return pairs
+
+
+def _every_atom_pair():
+    a = odometer_hom(64)
+    return a, a.replace_generator(0, a.gens[0] * a.gens[0])  # sigma^2 x != sigma x everywhere
+
+
+STABILITY_CASES = {
+    "identical": (lambda: [(odometer_hom(64), odometer_hom(64))], range(4)),
+    "single swap": (lambda: [_swap_pair()], range(4)),
+    "criterion 08": (lambda: _perturbed_pairs(
+        lambda rng: random_homomorphism(single(2 ** 14), 2, rng), Fraction(1, 2 ** 8), 3, 8), (1, 2)),
+    "lean aperiodic": (lambda: _perturbed_pairs(
+        lambda rng: lean_aperiodic_homomorphism(single(2 ** 10), 2, rng), Fraction(1, 32), 3, 9), range(4)),
+    "classes": (lambda: _perturbed_pairs(
+        lambda rng: random_homomorphism(FiniteSpace.from_class_sizes([8] * 64), 3, rng),
+        Fraction(1, 8), 3, 10), range(3)),
+    "every atom": (lambda: [_every_atom_pair()], range(3)),
+}
+
+
+@pytest.mark.parametrize("case", list(STABILITY_CASES))
+def test_ball_stability_matches_the_global_kernel(case):
+    make, radii = STABILITY_CASES[case]
+    for a, b in make():
+        for radius in radii:
+            result = ball_stability_check(a, b, radius)
+            assert result.observed == oracle_observed(a, b, radius)
+            assert result.bound == hom_metric(a, b) * (2 * radius + 1) * ball_size(a.rank, 2 * radius + 1)
+
+
+def test_ball_stability_pairs_cover_empty_and_full_differences():
+    assert moved_atoms(odometer_hom(64), odometer_hom(64)).size == 0
+    assert moved_atoms(*_swap_pair()).tolist() == [0, 1]
+    assert moved_atoms(*_every_atom_pair()).size == 64
+
+
+def test_ball_stability_codes_only_the_neighbourhood_of_the_moved_atoms(monkeypatch):
+    coded = []
+
+    def spy(hom, radius, atoms=None):
+        coded.append(atoms)
+        return ball_codes(hom, radius, atoms)
+
+    monkeypatch.setattr(analysis, "ball_codes", spy)
+    pairs = [_swap_pair(), _every_atom_pair(), (odometer_hom(64), odometer_hom(64)),
+             *_perturbed_pairs(lambda rng: lean_aperiodic_homomorphism(single(2 ** 10), 2, rng),
+                               Fraction(1, 64), 2, 11)]
+    for a, b in pairs:
+        for radius in range(3):
+            coded.clear()
+            ball_stability_check(a, b, radius)
+            near = ball_atoms(a, moved_atoms(a, b), radius)
+            assert len(coded) == 2
+            assert all(atoms is not None and np.array_equal(atoms, near) for atoms in coded)
+    # a single swap at radius 1 codes the swapped pair and their neighbours only
+    a, b = _swap_pair()
+    coded.clear()
+    ball_stability_check(a, b, 1)
+    assert coded[0].tolist() == [0, 1, 2, 255]
 
 
 def test_ball_stability_validation():

@@ -832,3 +832,32 @@ def test_huge_integers_in_words_and_properties_exit_2_with_one_line(tmp_path, ca
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_huge_class_size_exits_2_with_the_atom_count_refusal(tmp_path, capsys):
+    assert main(["gen", "space", "--classes", f"4 {NINES}", "--out", str(tmp_path / "s.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: at least 2^16609 atoms need at least 2^16612 bytes, "
+                            "over the budget of 268435456\n")
+    assert captured.out == ""
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "realize", "--m", "2", "--radius", "3", "--tau", f"1 {NINES}"],
+     "tau must be a permutation of 0..1"),
+    (["construct", "ht", "--m", "2", "--epsilon", "1/2", "--tau", f"1 {NINES}", "--out", "{tmp}/o.json"],
+     "tau must be a permutation of 0..1"),
+    (["construct", "splice", "--atoms", f"1 {NINES}", "--tau", "{hom}", "--out", "{tmp}/o.json"],
+     "splice set contains atoms out of range"),
+    (["construct", "folner", "--epsilon", "1/2", "--sizes", f"1 {NINES}", "--out", "{tmp}/o.json"],
+     "requested classes need at least 2^16609 atoms, more than the 16 in the space"),
+    (["analyze", "realize", "--m", "2", "--radius", "3", "--tau", "1 -"], "bad integer token '-'"),
+], ids=["realize tau", "ht tau", "splice atoms", "folner sizes", "bare sign"])
+def test_huge_integer_lists_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    hom = gen_hom(tmp_path, log2=4, seed=1)
+    assert main([*(a.format(tmp=tmp_path, hom=hom) for a in argv), "--hom", str(hom)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o.json").exists()
