@@ -2,8 +2,10 @@
 
 A homomorphism assigns one full-group element per generator.  Words act
 on the left: the rightmost letter is applied first.  Orbits are read off
-one labelling of the atoms by `labels.component_labels`, cached on the
-homomorphism, never walked atom by atom.  Stabilizer traces
+one labelling of the atoms, cached on the homomorphism, never walked atom
+by atom: the first generator's cycle labels (`labels.cycle_labels`, cached
+on the element, which perturbation samples keep) are joined along the
+other generators' edges by `labels.component_labels`.  Stabilizer traces
 record which ball words fix an atom, stored as bitsets over the
 canonical length-lex ball enumeration so trace equality is a byte
 comparison.  Ball codes record, for each word of B(R+1), the least
@@ -59,8 +61,12 @@ class Homomorphism:
 
     @cached_property
     def orbit_labels(self) -> np.ndarray:
-        """Least atom of each atom's orbit, computed once per homomorphism."""
-        return _frozen_array(component_labels([g.forward for g in self.gens], self.space.n_atoms))
+        """Least atom of each atom's orbit, computed once per homomorphism: the
+        first generator's cached `cycle_labels` hooked along the other generators'
+        edges, so a sample that keeps the first generator relabels no cycle of it."""
+        first, *rest = self.gens
+        return _frozen_array(component_labels([g.forward for g in rest], self.space.n_atoms,
+                                              first.cycle_labels))
 
     @cached_property
     def tables(self) -> dict[int, np.ndarray]:
@@ -82,7 +88,7 @@ class Homomorphism:
     def letter_image(self, letter: int, atom: int) -> int:
         if letter not in self.tables:
             raise ValueError(f"letter {letter} out of range")
-        return int(self.tables[letter][atom])
+        return int(self.tables[letter][_atom(self, atom)])
 
     def element_of(self, word: ReducedWord) -> FullGroupElement:
         """The image permutation of a word."""
@@ -106,8 +112,9 @@ def evaluate(hom: Homomorphism, word: ReducedWord, atom: int) -> int:
     """Apply a word to an atom, rightmost letter first."""
     if word.rank != hom.rank:
         raise ValueError("word rank does not match the homomorphism")
+    atom = _atom(hom, atom)
     for letter in reversed(word.letters):
-        atom = hom.letter_image(letter, atom)
+        atom = int(hom.tables[letter][atom])
     return atom
 
 
@@ -121,7 +128,7 @@ def hom_metric(a: Homomorphism, b: Homomorphism) -> Fraction:
 def orbit(hom: Homomorphism, atom: int) -> frozenset[int]:
     """Atoms sharing the root's orbit label (see `Homomorphism.orbit_labels`)."""
     labels = hom.orbit_labels
-    return frozenset(np.flatnonzero(labels == labels[atom]).tolist())
+    return frozenset(np.flatnonzero(labels == labels[_atom(hom, atom)]).tolist())
 
 
 def orbits(hom: Homomorphism) -> list[tuple[int, ...]]:
@@ -172,6 +179,12 @@ def _atoms(hom: Homomorphism, atoms) -> np.ndarray:
     if bad.any():
         raise ValueError(f"atom {int(atoms[bad][0])} is not in [0, {n})")
     return atoms.astype(np.int64, copy=False)
+
+
+def _atom(hom: Homomorphism, atom) -> int:
+    """One atom as an int, refused as by `_atoms` outside [0, n)."""
+    (atom,) = _atoms(hom, atom)
+    return int(atom)
 
 
 def _check_rows(what: str, radius: int, atoms: int, row_bytes: int) -> None:

@@ -25,6 +25,8 @@ import numpy as np
 from . import space
 from .actions import (
     Homomorphism,
+    _atom,
+    _atoms,
     _code_sizes,
     ball_atoms,
     ball_codes,
@@ -45,7 +47,9 @@ class AnalysisError(ValueError):
 
 def schreier_boundary_ratio(hom: Homomorphism, subset) -> Fraction:
     """max over generators g of |gF symm-diff F| / |F| for F = subset."""
-    atoms = sorted_unique(subset if isinstance(subset, np.ndarray) else np.fromiter(subset, np.int64))
+    if not isinstance(subset, np.ndarray):
+        subset = np.fromiter(subset, np.int64)
+    atoms = sorted_unique(_atoms(hom, subset))
     if atoms.size == 0:
         raise ValueError("boundary ratio needs a nonempty set")
     inside = np.zeros(hom.space.n_atoms, dtype=bool)
@@ -76,34 +80,42 @@ def folner_search(hom: Homomorphism, root: int, l: int, radius: int) -> FolnerRe
     radius-`radius` Schreier ball of the root, and every prefix of a
     greedy growth that starts at the root and repeatedly adds the
     adjacent pool atom minimizing the boundary ratio.  The pool is the
-    union of those cycles, which covers the ball.  Orbit size and cycles
-    are read off `Homomorphism.orbit_labels` and `cycle_labels`, and
-    greedy steps compare integer escape counts; a Fraction is built only
-    for each step's pick.  Returns the best candidate's exact ratio;
-    success means ratio < 1/l.  An orbit of size one has no valid
-    candidate and reports failure with ratio 1.
+    union of those cycles, which covers the ball.  The root is refused
+    outside [0, n) before anything is labelled.  The orbit size is read
+    off `Homomorphism.orbit_labels`, which hooks the other generators
+    onto the first one's cached cycle labels, and the cycles off the
+    last generator's `cycle_labels` (one min-label doubling pass per
+    element); greedy steps compare integer escape counts, and a Fraction
+    is built only for each step's pick.  Returns the best candidate's
+    exact ratio; success means ratio < 1/l.  An orbit of size one has no
+    valid candidate and reports failure with ratio 1.
     """
     if l < 1:
         raise ValueError("l must be at least 1")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    root = _atom(hom, root)
     cap = int(np.count_nonzero(hom.orbit_labels == hom.orbit_labels[root])) // 2
     if cap == 0:
         return FolnerResult(frozenset(), Fraction(1), False)
 
-    # the pool: every cycle of the last generator that meets the ball
+    # the pool: every cycle of the last generator that meets the ball; the
+    # candidates: its cycles of at most cap atoms, each ascending
     n = hom.space.n_atoms
     cycle_of = hom.gens[-1].cycle_labels
     hit = np.zeros(n, dtype=bool)
     hit[cycle_of[ball_atoms(hom, root, radius)]] = True
     in_pool = hit[cycle_of]
-    pool = np.flatnonzero(in_pool)
-    pool = pool[np.argsort(cycle_of[pool], kind="stable")]
-    cycles = np.split(pool, np.flatnonzero(np.diff(cycle_of[pool])) + 1)
+    pool_size = int(np.count_nonzero(in_pool))
+    hit &= np.bincount(cycle_of, minlength=n) <= cap
+    small = np.flatnonzero(hit[cycle_of])
+    small = small[np.argsort(cycle_of[small], kind="stable")]
+    cycles = np.split(small, np.flatnonzero(np.diff(cycle_of[small])) + 1) if small.size else []
 
     best_set: frozenset[int] = frozenset([root])
     best_ratio = schreier_boundary_ratio(hom, best_set)
-    for cand in sorted((c for c in cycles if c.size <= cap), key=lambda c: (c.size, c.tolist())):
+    # disjoint cycles differ at their least atoms: (size, least atom) orders them as (size, atoms)
+    for cand in sorted(cycles, key=lambda c: (c.size, int(c[0]))):
         ratio = schreier_boundary_ratio(hom, cand)
         if ratio < best_ratio or (ratio == best_ratio and cand.size < len(best_set)):
             best_set, best_ratio = frozenset(cand.tolist()), ratio
@@ -120,7 +132,7 @@ def folner_search(hom: Homomorphism, root: int, l: int, radius: int) -> FolnerRe
 
     frontier = {y for y in neighbors(root) if in_pool[y] and y != root}
     evaluations = 0
-    while len(current) < min(cap, pool.size):
+    while len(current) < min(cap, pool_size):
         if not frontier or evaluations > _GREEDY_STEP_BUDGET:
             break
         evaluations += len(frontier)
@@ -214,7 +226,7 @@ def transitivity_degree(hom: Homomorphism, root: int, k_max: int) -> int:
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     labels = hom.orbit_labels
-    return _degree(np.flatnonzero(labels == labels[root]), hom.tables.values(), k_max)
+    return _degree(np.flatnonzero(labels == labels[_atom(hom, root)]), hom.tables.values(), k_max)
 
 
 # -- tower-permutation realization -------------------------------------------

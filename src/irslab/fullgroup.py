@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .labels import component_labels, cycle_positions
+from .labels import cycle_labels, cycle_positions
 from .space import FiniteSpace, _frozen_array
 
 
@@ -94,8 +94,8 @@ class FullGroupElement:
 
     @cached_property
     def cycle_labels(self) -> np.ndarray:
-        """Least atom of each atom's cycle, labelled once and read-only."""
-        return _frozen_array(component_labels([self.forward], self.space.n_atoms))
+        """Least atom of each atom's cycle (`labels.cycle_labels`), labelled once and read-only."""
+        return _frozen_array(cycle_labels(self.forward))
 
     @cached_property
     def cycle_positions(self) -> tuple[np.ndarray, np.ndarray]:

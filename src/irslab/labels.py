@@ -1,10 +1,15 @@
-"""Orbit and cycle labelling by hooking and pointer jumping.
+"""Orbit and cycle labelling by pointer jumping.
 
-`component_labels` is Shiloach-Vishkin style connectivity: each round
-hooks the larger of two joined roots onto the smaller, then jumps
-`parent = parent[parent]` until every tree is a star.  Parents only
-decrease, so a component's root is its least atom, and a single n-cycle
-settles in O(log n) rounds where label propagation needs n.
+`cycle_labels` labels one permutation's cycles by min-label pointer
+doubling: after k rounds each atom holds the least atom of the window of
+2^k atoms from it along its cycle.  It stops at the first round where
+every window has the same least atom as the window after it, which holds
+exactly when every window covers its cycle: O(log n) rounds for an n-cycle.
+`component_labels` labels orbits, Shiloach-Vishkin style: starting from
+a star forest (each atom its own root, or the cycles of one generator),
+each round hooks the larger of two joined roots onto the smaller, then
+jumps `parent = parent[parent]` until every tree is a star.  Parents
+only decrease, so a component's root is its least atom.
 `cycle_positions` ranks given cycle labels (Wyllie).  No per-atom Python loop.
 """
 
@@ -13,10 +18,32 @@ from __future__ import annotations
 import numpy as np
 
 
-def component_labels(tables, n: int) -> np.ndarray:
-    """Least atom of each atom's component in the graph x -- t[x], t in tables."""
-    parent = np.arange(n, dtype=np.int64)
-    src = np.tile(parent, len(tables))
+def cycle_labels(perm) -> np.ndarray:
+    """Least atom of each atom's cycle under perm, a permutation of 0..n-1.
+
+    The gathers skip the bounds check (`mode="clip"`): a permutation's
+    entries are all in range, and so are its powers'.
+    """
+    step = np.asarray(perm, dtype=np.intp)
+    # int32 labels, where they fit, halve the bytes each round gathers
+    label = np.arange(step.size, dtype=np.int32 if step.size <= 2**31 else np.int64)
+    # label[x] is the least atom of the window from x up to step[x], exclusive; once
+    # each window shares its least atom with the next one, the windows from x tile
+    # x's cycle with one least atom, the cycle's
+    while not np.array_equal(ahead := np.take(label, step, mode="clip"), label):
+        np.minimum(label, ahead, out=label)
+        step = np.take(step, step, mode="clip")
+    return label.astype(np.int64)
+
+
+def component_labels(tables, n: int, start=None) -> np.ndarray:
+    """Least atom of each atom's component in the graph x -- t[x], t in tables,
+    joined with the classes of start: a labelling by least class atoms (the
+    cycle labels of a generator), or by default each atom alone."""
+    parent = np.arange(n, dtype=np.int64) if start is None else np.array(start, dtype=np.int64)
+    if not tables:
+        return parent
+    src = np.tile(np.arange(n, dtype=np.int64), len(tables))
     dst = np.concatenate([np.asarray(t, dtype=np.int64) for t in tables])
     while True:
         a, b = parent[src], parent[dst]

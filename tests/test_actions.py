@@ -584,6 +584,11 @@ def test_atoms_outside_the_space_are_refused(atom):
         lambda: schreier_ball(hom, atom, 1),
         lambda: balls_isomorphic(hom, atom, hom, 0, 1),
         lambda: balls_isomorphic(hom, 0, hom, atom, 1),
+        lambda: hom.letter_image(1, atom),
+        lambda: hom.letter_image(-2, atom),
+        lambda: evaluate(hom, parse_word("s1 s2", 2), atom),
+        lambda: evaluate(hom, parse_word("", 2), atom),
+        lambda: orbit(hom, atom),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=rf"^atom {atom} is not in \[0, 16\)$"):

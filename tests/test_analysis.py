@@ -52,6 +52,22 @@ def odometer_hom(n, rank=2):
 # -- boundary ratio and search -------------------------------------------------
 
 
+@pytest.mark.parametrize("atom", [-1, -16, 16, 99])
+def test_roots_outside_the_space_are_refused(atom):
+    hom = random_homomorphism(single(16), 2, derive_rng(17, STREAM_TEST, 17))
+    calls = [
+        lambda: folner_search(hom, atom, 2, 1),
+        lambda: transitivity_degree(hom, atom, 2),
+        lambda: schreier_boundary_ratio(hom, [atom]),
+        lambda: schreier_boundary_ratio(hom, np.array([0, atom])),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^atom {atom} is not in \[0, 16\)$"):
+            call()
+        if call is calls[0]:  # the root is refused before the orbits are labelled
+            assert "orbit_labels" not in hom.__dict__
+
+
 def test_schreier_boundary_ratio():
     hom = odometer_hom(8)
     assert schreier_boundary_ratio(hom, [0, 1, 2, 3]) == Fraction(1, 2)

@@ -732,21 +732,20 @@ def test_sweep_records_the_space_it_ran_on(documents):
     ["construct", "corefree", "--word", "s2 s1 s2", "--epsilon", "1/2"],
 ], ids=["ht", "corefree"])
 def test_construct_labels_sigma_once(tmp_path, monkeypatch, argv):
-    import irslab.actions
     import irslab.fullgroup
     import irslab.labels
 
     hom = gen_hom(tmp_path, log2=6)
     sigma = json.loads(hom.read_text())["gens"][0]
     calls = []
-    label = irslab.labels.component_labels
+    label = irslab.labels.cycle_labels
 
-    def counted(tables, n):
-        calls.append([np.asarray(t).tolist() for t in tables] == [sigma])
-        return label(tables, n)
+    def counted(perm):
+        calls.append(np.asarray(perm).tolist() == sigma)
+        return label(perm)
 
-    for module in (irslab.labels, irslab.actions, irslab.fullgroup):
-        monkeypatch.setattr(module, "component_labels", counted)
+    for module in (irslab.labels, irslab.fullgroup):
+        monkeypatch.setattr(module, "cycle_labels", counted)
     code, _ = run(tmp_path, *argv, "--hom", str(hom))
     assert code == 0
     assert sum(calls) == 1

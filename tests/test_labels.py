@@ -1,6 +1,8 @@
-"""Orbit and cycle labelling kernel, and every caller rebuilt on it, checked
+"""Orbit and cycle labelling kernels, and every caller rebuilt on them, checked
 against the per-atom Python walks this package used before, kept here
-verbatim as oracles (the Sym walk without its orbit-size guard)."""
+verbatim as oracles (the Sym walk without its orbit-size guard).  Hooking
+from scratch is the independent oracle of the doubling cycle kernel and of
+orbit labels hooked onto the first generator's cycles."""
 
 import re
 from fractions import Fraction
@@ -11,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import irslab.fullgroup
+import irslab.labels
 import irslab.space
 from irslab import (
     AnalysisError,
@@ -23,6 +27,7 @@ from irslab import (
     first_return,
     folner_search,
     generates_classwise_symmetric,
+    genericity_sweep,
     index_distribution,
     lean_aperiodic_homomorphism,
     orbit,
@@ -30,11 +35,12 @@ from irslab import (
     periodic_truncate,
     random_homomorphism,
     random_reduced_word,
+    sample_perturbation,
 )
 from irslab.actions import ball_atoms
 from irslab.analysis import schreier_boundary_ratio
 from irslab.fullgroup import cycle_structure
-from irslab.labels import component_labels, cycle_positions
+from irslab.labels import component_labels, cycle_labels, cycle_positions
 from irslab.rng import STREAM_TEST
 
 # -- oracles: the walks the labelling kernel replaced ----------------------------
@@ -356,7 +362,111 @@ def test_cycle_positions_match_the_cycle_walk(hom):
             assert pos[list(cyc)].tolist() == list(range(len(cyc)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 1000, 4096, 2**14 + 3])
+def _cycle_oracle(g):
+    labels = np.empty(g.space.n_atoms, dtype=np.int64)
+    for cyc in walk_cycles(g):
+        labels[list(cyc)] = cyc[0]
+    return labels
+
+
+def assert_cycle_labels(g):
+    """The doubling kernel against the cycle walk and single-table hooking."""
+    got = cycle_labels(g.forward)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _cycle_oracle(g))
+    assert np.array_equal(got, component_labels([g.forward], g.space.n_atoms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(homs())
+def test_cycle_labels_match_the_cycle_walk_and_hooking(hom):
+    for g in hom.gens:
+        assert_cycle_labels(g)
+
+
+N_CYCLE_SIZES = [1, 2, 3, 1000, 4096, 2**14 + 3]
+
+
+@pytest.mark.parametrize("n", N_CYCLE_SIZES)
+def test_cycle_labels_of_one_n_cycle(n):
+    assert_cycle_labels(_single_cycle(n, derive_rng(n, STREAM_TEST, 1)).gens[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 64])
+def test_cycle_labels_of_the_identity(n):
+    assert_cycle_labels(FullGroupElement.identity(FiniteSpace.single_class(n)))
+
+
+def test_cycle_labels_of_no_atom_and_of_one():
+    empty = cycle_labels(np.arange(0))
+    assert empty.dtype == np.int64 and empty.size == 0
+    assert cycle_labels([0]).tolist() == [0]
+
+
+def _component_oracle(hom):
+    """Least atom of each networkx component of the graph of every generator."""
+    nx = pytest.importorskip("networkx")
+    n = hom.space.n_atoms
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    for g in hom.gens:
+        graph.add_edges_from(zip(range(n), g.forward.tolist()))
+    expected = np.empty(n, dtype=np.int64)
+    for comp in nx.connected_components(graph):
+        expected[list(comp)] = min(comp)
+    return expected
+
+
+def assert_orbit_labels(hom):
+    """Orbit labels hooked onto the first generator's cycles, against hooking
+    every generator from scratch and against networkx."""
+    unseeded = component_labels([g.forward for g in hom.gens], hom.space.n_atoms)
+    assert np.array_equal(hom.orbit_labels, unseeded)
+    assert np.array_equal(unseeded, _component_oracle(hom))
+
+
+@settings(max_examples=100, deadline=None)
+@given(homs())
+def test_seeded_orbit_labels_match_unseeded_hooking_and_networkx(hom):
+    assert_orbit_labels(hom)
+    if hom.rank > 1:  # rank 1: no table left to hook, the cycles are the orbits
+        assert_orbit_labels(Homomorphism(hom.space, hom.gens[:1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(homs(), st.integers(0, 2**16), st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(2)]))
+def test_seeded_orbit_labels_of_perturbation_samples(hom, seed, epsilon):
+    sample = sample_perturbation(hom, epsilon, derive_rng(seed, STREAM_TEST, 4))
+    assert sample.gens[0] is hom.gens[0]
+    assert_orbit_labels(sample)
+
+
+def test_component_labels_start_from_a_star_forest():
+    start = np.array([0, 0, 2, 2, 4])
+    assert component_labels([], 5, start).tolist() == [0, 0, 2, 2, 4]
+    assert component_labels([np.array([0, 1, 4, 3, 2])], 5, start).tolist() == [0, 0, 2, 2, 2]
+    assert start.tolist() == [0, 0, 2, 2, 4]
+
+
+def test_sweep_labels_the_kept_generator_once(monkeypatch):
+    hom = lean_aperiodic_homomorphism(FiniteSpace.single_class(256), 2, derive_rng(6, STREAM_TEST, 6))
+    sigma = hom.gens[0].forward.tolist()
+    calls = []
+    label = irslab.labels.cycle_labels
+
+    def counted(perm):
+        calls.append(np.asarray(perm).tolist() == sigma)
+        return label(perm)
+
+    for module in (irslab.labels, irslab.fullgroup):
+        monkeypatch.setattr(module, "cycle_labels", counted)
+    monkeypatch.setenv("IRSLAB_WORKERS", "1")
+    for prop in ("corefree(s2)", "folner(3, 2)"):
+        genericity_sweep(hom, Fraction(1, 16), 10, prop, 7)
+    assert sum(calls) == 1
+
+
+@pytest.mark.parametrize("n", N_CYCLE_SIZES)
 def test_single_n_cycle_worst_case(n):
     hom = _single_cycle(n, derive_rng(n, STREAM_TEST, 1))
     perm = hom.gens[0].forward
@@ -407,16 +517,8 @@ def test_orbit_labels_are_cached_and_read_only():
 @settings(max_examples=60, deadline=None)
 @given(homs())
 def test_component_labels_match_networkx(hom):
-    nx = pytest.importorskip("networkx")
-    n = hom.space.n_atoms
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    for g in hom.gens:
-        graph.add_edges_from(zip(range(n), g.forward.tolist()))
-    expected = np.empty(n, dtype=np.int64)
-    for comp in nx.connected_components(graph):
-        expected[list(comp)] = min(comp)
-    assert np.array_equal(component_labels([g.forward for g in hom.gens], n), expected)
+    tables = [g.forward for g in hom.gens]
+    assert np.array_equal(component_labels(tables, hom.space.n_atoms), _component_oracle(hom))
 
 
 # -- rebuilt callers --------------------------------------------------------------------
