@@ -173,12 +173,8 @@ _CHUNK_BYTES = 4 << 20  # bytes of int64 ball-word images per chunk of atoms
 
 
 def _atoms(hom: Homomorphism, atoms) -> np.ndarray:
-    """The atoms (one or an array) as an int64 array, refusing any outside [0, n)."""
-    atoms, n = np.asarray(atoms).reshape(-1), hom.space.n_atoms
-    bad = (atoms < 0) | (atoms >= n)
-    if bad.any():
-        raise ValueError(f"atom {int(atoms[bad][0])} is not in [0, {n})")
-    return atoms.astype(np.int64, copy=False)
+    """The atoms (one or an array) as int64, refused as by `FiniteSpace.checked_atoms`."""
+    return hom.space.checked_atoms(atoms)
 
 
 def _atom(hom: Homomorphism, atom) -> int:

@@ -62,6 +62,7 @@ class FullGroupElement:
     # -- group operations ---------------------------------------------
 
     def __call__(self, atom: int) -> int:
+        (atom,) = self.space.checked_atoms(atom)
         return int(self.forward[atom])
 
     def __mul__(self, other: "FullGroupElement") -> "FullGroupElement":

@@ -22,6 +22,8 @@ STREAM_TEST = 3
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
     """Generator for the given seed and derivation path."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     seq = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
     return np.random.Generator(np.random.Philox(seq))
 

@@ -2,7 +2,10 @@
 
 All serialization is deterministic: sorted keys, two-space indent, one
 trailing newline, rationals as "p/q" text.  Import of an exported
-document re-exports byte-identically.
+document re-exports byte-identically.  `dumps_canonical` writes exactly
+the bytes of `json.dumps(doc, sort_keys=True, indent=2)` plus a newline;
+it walks dicts and lists itself and hands each list of scalars, and each
+list of scalar lists, to json's C encoder in one call.
 """
 
 from __future__ import annotations
@@ -57,8 +60,82 @@ def _require(doc, what: str, ints=(), int_lists=()) -> None:
             raise ValueError(f"{what} document key {key!r} must be a list of integer lists")
 
 
+def _encoder(separator: str = ", "):
+    """json's C encoder, writing one line with the given item separator."""
+    return json.JSONEncoder(sort_keys=True, separators=(separator, ": ")).encode
+
+
+_encode_scalar = _encoder()
+
+
 def dumps_canonical(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The bytes of `json.dumps(doc, sort_keys=True, indent=2)` plus a newline."""
+    parts: list[str] = []
+    _indented(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _indented(value, newline: str, parts: list[str]) -> None:
+    """Append value's indented text to parts; newline is a line break plus value's indent.
+
+    Dicts and lists are walked here.  A list of scalars, or of scalar lists, is
+    written by the C encoder in one call, its items already separated by a line
+    break and their indent, once its text shows no string (`"`), no dict (`{`)
+    and one `[` per list.
+    """
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        opener = "{"
+        for key, item in sorted(value.items()):  # json sorts the items, then converts the keys
+            parts += (opener, inner, _encode_scalar(_key_text(key)), ": ")
+            _indented(item, inner, parts)
+            opener = ","
+        parts += (newline, "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        if not isinstance(value[0], (list, tuple)):
+            text = _encoder("," + inner)(value)
+            if '"' not in text and "{" not in text and text.find("[", 1) < 0:
+                parts += ("[", inner, text[1:-1], newline, "]")
+                return
+        elif all(isinstance(row, (list, tuple)) for row in value):
+            deep = inner + "  "
+            text = _encoder("," + deep)(value)
+            # the rows are flat exactly when the text holds one "]" per row
+            pieces = [] if '"' in text or "{" in text else text[1:-1].split("]")
+            if len(pieces) == len(value) + 1:
+                # the first row opens with "[", each later one with "," deep "["
+                rows = [pieces[0][1:], *(piece[len(deep) + 2:] for piece in pieces[1:-1])]
+                opener = "["
+                for row in rows:
+                    parts += (opener, inner)
+                    parts += ("[", deep, row, inner, "]") if row else ("[]",)
+                    opener = ","
+                parts += (newline, "]")
+                return
+        opener = "["
+        for item in value:
+            parts += (opener, inner)
+            _indented(item, inner, parts)
+            opener = ","
+        parts += (newline, "]")
+    else:
+        parts.append(_encode_scalar(value))
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: a string as it is, a number, bool or None in its JSON form."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _encode_scalar(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 # -- spaces -----------------------------------------------------------------

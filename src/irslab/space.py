@@ -139,6 +139,14 @@ class FiniteSpace:
         """Atoms of each class, sorted, indexed by class id."""
         return self._classes
 
+    def checked_atoms(self, atoms) -> np.ndarray:
+        """The atoms (one or an array) as an int64 array, refusing any outside [0, n)."""
+        atoms = np.asarray(atoms).reshape(-1)
+        bad = (atoms < 0) | (atoms >= self.n_atoms)
+        if bad.any():
+            raise ValueError(f"atom {int(atoms[bad][0])} is not in [0, {self.n_atoms})")
+        return atoms.astype(np.int64, copy=False)
+
     def block_index(self, level: int) -> np.ndarray:
         """Filtration block id of every atom at the given level."""
         if self.filtration_levels is None:

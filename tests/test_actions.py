@@ -589,6 +589,7 @@ def test_atoms_outside_the_space_are_refused(atom):
         lambda: evaluate(hom, parse_word("s1 s2", 2), atom),
         lambda: evaluate(hom, parse_word("", 2), atom),
         lambda: orbit(hom, atom),
+        lambda: hom.gens[1](atom),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=rf"^atom {atom} is not in \[0, 16\)$"):

@@ -458,6 +458,18 @@ def test_gen_hom_rank_below_one_exits_2(tmp_path, capsys, rank, model, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "hom", "--rank", "2", "--log2", "3", "--out", "{tmp}/neg.json"],
+    ["sweep", "--hom", "{hom}", "--epsilon", "1/2", "--samples", "2", "--property", "corefree(s2)"],
+], ids=["gen-hom", "sweep"])
+def test_negative_seed_exits_2_naming_the_seed(tmp_path, capsys, argv):
+    hom = gen_hom(tmp_path, log2=3)
+    argv = [a.format(tmp=tmp_path, hom=hom) for a in argv]
+    assert main(["--report", str(tmp_path / "r.json"), *argv, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.strip() == "error: seed must be nonnegative, got -1"
+    assert not (tmp_path / "neg.json").exists() and not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--gen-index", "2"), ("--gen-index", "5"), ("--gen-index", "-1"),
     ("--tau-index", "7"), ("--tau-index", "-2"),

@@ -130,6 +130,19 @@ def test_identity_and_odometer():
         FullGroupElement.odometer(FiniteSpace.from_class_sizes([2, 2]))
 
 
+@pytest.mark.parametrize("atom", [-1, 16, np.int64(-1), np.int64(16)])
+def test_element_refuses_atoms_outside_the_space(atom):
+    odo = FullGroupElement.odometer(FiniteSpace.single_class(16))
+    with pytest.raises(ValueError, match=rf"^atom {atom} is not in \[0, 16\)$"):
+        odo(atom)
+
+
+def test_element_maps_the_last_atom_and_numpy_integers():
+    odo = FullGroupElement.odometer(FiniteSpace.single_class(16))
+    assert odo(15) == 0
+    assert odo(np.int64(15)) == 0 and type(odo(np.int32(3))) is int and odo(np.int32(3)) == 4
+
+
 def test_composition_applies_right_factor_first():
     sp = FiniteSpace.single_class(3)
     a = FullGroupElement.from_forward(sp, [1, 0, 2])

@@ -6,7 +6,7 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irslab import (
@@ -27,6 +27,7 @@ from irslab import (
     space_from_doc,
     space_to_doc,
 )
+import irslab.cli
 from irslab.rng import STREAM_TEST
 from irslab.serialize import _require
 
@@ -49,6 +50,73 @@ def test_dumps_canonical_is_stable():
     assert a == b
     assert a.endswith("\n")
     assert json.loads(a) == {"a": [2, 3], "b": 1}
+
+
+def oracle_dumps(doc) -> str:
+    """The canonical text as json's own indenting encoder writes it."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_tricky = st.sampled_from([", ", "], [", '"', "{", "}", "[", "]", "a,\n  b", "\u00e9\u4e2d", "\x00"])
+_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80) | st.floats()
+            | st.text(max_size=4) | _tricky)
+_numbers = st.integers(-2**70, 2**70) | st.booleans() | st.floats(allow_nan=False)
+_values = st.recursive(
+    _scalars | st.lists(st.lists(_numbers, max_size=4), max_size=4),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=3) | _tricky, inner, max_size=4)
+                   | st.dictionaries(st.integers(-2**70, 2**70), inner, max_size=4)
+                   | st.dictionaries(st.floats(allow_nan=False), inner, max_size=3)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+@example([])
+@example({})
+@example([[], [1]])
+@example([[1], "a"])
+@example([[1], [[2]]])
+@example({10: [1], 9: {"b": [], "a": ()}, -1: [[1, 2], [], [-3]]})
+@example([(1, 2), (), [True, None, 1.5, -2**65]])
+def test_dumps_canonical_matches_the_json_oracle(value):
+    assert dumps_canonical(value) == oracle_dumps(value)
+
+
+def test_every_cli_document_matches_the_json_oracle(tmp_path, monkeypatch):
+    """Each document and report the CLI writes, compared with the oracle on the
+    very object it encoded."""
+    seen = []
+
+    def checked(doc):
+        text = dumps_canonical(doc)
+        assert text == oracle_dumps(doc)
+        seen.append(json.loads(text).get("command"))
+        return text
+
+    monkeypatch.setattr(irslab.cli, "dumps_canonical", checked)
+    monkeypatch.chdir(tmp_path)
+    runs = [
+        ["gen", "space", "--classes", "2,2,4", "--out", "space.json"],
+        ["gen", "hom", "--model", "random", "--rank", "2", "--seed", "3", "--space", "space.json",
+         "--out", "h.json"],
+        ["gen", "hom", "--rank", "2", "--seed", "1", "--log2", "4", "--out", "lean.json"],
+        ["construct", "splice", "--hom", "h.json", "--atoms", "0,1", "--out", "c.json"],
+        ["construct", "periodic", "--hom", "lean.json", "--level", "2", "--out", "c.json"],
+        ["construct", "folner", "--hom", "lean.json", "--epsilon", "3/4", "--sizes", "2",
+         "--out", "c.json"],
+        ["construct", "ht", "--hom", "lean.json", "--m", "2", "--tau", "1 0", "--epsilon", "1/2",
+         "--out", "c.json"],
+        ["construct", "corefree", "--hom", "lean.json", "--word", "s2", "--epsilon", "1/2",
+         "--out", "c.json"],
+        ["export", "--hom", "h.json", "--space", "space.json", "--format", "json", "--out", "e.json"],
+    ]
+    for argv in runs:
+        assert irslab.cli.main(["--report", "report.json", *argv]) == 0, argv
+    # one report per run; one document per gen or construct run, two from export's round trip
+    assert len(seen) - seen.count(None) == len(runs)
+    assert seen.count(None) == len(runs) + 1
 
 
 def test_space_doc_round_trip():
