@@ -9,6 +9,15 @@ and an analysis suite that certifies their quantitative contracts in
 exact rational arithmetic.
 """
 
+import os
+import sys
+
+# irslab calls no BLAS routine, yet numpy's OpenBLAS starts a spinning thread per CPU when
+# numpy loads; ask for one unless the user chose a count or numpy is already loaded.
+_BLAS_THREAD_VARIABLES = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
+if "numpy" not in sys.modules and not _BLAS_THREAD_VARIABLES & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .space import FiniteSpace
 from .fullgroup import CycleStructure, FullGroupElement, conjugate_to_standard_cycle, uniform_metric
 from .words import (

@@ -33,6 +33,7 @@ from .actions import (
 from .fullgroup import uniform_metric
 from .rng import STREAM_GEN_HOM, derive_rng, lean_aperiodic_homomorphism, random_homomorphism
 from .serialize import (
+    Encoded,
     dumps_canonical,
     fraction_to_text,
     hom_from_doc,
@@ -91,9 +92,12 @@ def _log2_atoms(log2: int) -> int:
     return 2 ** log2
 
 
-def _write_artifact(path: str | None, text: str) -> None:
+def _write_doc(path: str | None, doc: dict) -> Encoded:
+    """Write doc to path, if given, and return it with its text for the report, encoded once."""
+    text = dumps_canonical(doc)
     if path:
         Path(path).write_text(text)
+    return Encoded(doc, text)
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -109,8 +113,7 @@ def _cmd_gen_space(args):
         space = FiniteSpace.single_class(_log2_atoms(args.log2))
     else:
         raise ValueError("need --log2 or --classes")
-    doc = space_to_doc(space)
-    _write_artifact(args.out, dumps_canonical(doc))
+    doc = _write_doc(args.out, space_to_doc(space))
     checks = [
         _check("classes partition the atoms", True, f"{space.class_count} classes"),
         _check(
@@ -129,8 +132,7 @@ def _cmd_gen_hom(args):
         hom = lean_aperiodic_homomorphism(space, args.rank, rng)
     else:
         hom = random_homomorphism(space, args.rank, rng)
-    doc = hom_to_doc(hom)
-    _write_artifact(args.out, dumps_canonical(doc))
+    doc = _write_doc(args.out, hom_to_doc(hom))
     checks = [_check("generator images are class-preserving bijections", True)]
     if args.model == "lean-aperiodic":
         checks.append(_check("first generator is a single full cycle", hom.is_lean_aperiodic))
@@ -146,8 +148,7 @@ def _cmd_construct_splice(args):
     atoms = _ints(args.atoms) if args.atoms else []
     spliced = constructions.splice(sigma, atoms, tau)
     result = hom.replace_generator(gen_index, spliced)
-    doc = hom_to_doc(result)
-    _write_artifact(args.out, dumps_canonical(doc))
+    doc = _write_doc(args.out, hom_to_doc(result))
     agrees = all(spliced(x) == tau(x) for x in atoms)
     distance = uniform_metric(sigma, spliced)
     bound = Fraction(2 * len(set(atoms)), hom.space.n_atoms)
@@ -166,8 +167,7 @@ def _cmd_construct_splice(args):
 def _cmd_construct_periodic(args):
     hom = _load_hom(args)
     result = constructions.periodic_truncate(hom, args.level)
-    doc = hom_to_doc(result)
-    _write_artifact(args.out, dumps_canonical(doc))
+    doc = _write_doc(args.out, hom_to_doc(result))
     blocks = hom.space.block_index(args.level)
     trapped = all((blocks[g.forward] == blocks).all() for g in result.gens)
     distances = []
@@ -189,8 +189,7 @@ def _cmd_construct_folner(args):
     epsilon = parse_fraction(args.epsilon)
     sizes = _ints(args.sizes) if args.sizes else []
     result = constructions.build_folner_perturbation(hom, epsilon, sizes)
-    doc = hom_to_doc(result)
-    _write_artifact(args.out, dumps_canonical(doc))
+    doc = _write_doc(args.out, hom_to_doc(result))
     distance = hom_metric(hom, result)
     checks = [
         _check(
@@ -220,8 +219,7 @@ def _cmd_construct_ht(args):
     epsilon = parse_fraction(args.epsilon)
     tau = tuple(_ints(args.tau))
     result = constructions.build_ht_perturbation(hom, args.m, tau, epsilon)
-    doc = hom_to_doc(result)
-    _write_artifact(args.out, dumps_canonical(doc))
+    doc = _write_doc(args.out, hom_to_doc(result))
     distance = hom_metric(hom, result)
     levels = constructions.perturbation_tower(hom.gens[0], args.m, epsilon)
     fibered = np.array_equal(result.gens[1].forward[levels], levels[list(tau)])
@@ -246,8 +244,7 @@ def _cmd_construct_corefree(args):
     epsilon = parse_fraction(args.epsilon)
     word = parse_word(args.word, hom.rank)
     result = constructions.build_corefree_perturbation(hom, word, epsilon)
-    doc = hom_to_doc(result)
-    _write_artifact(args.out, dumps_canonical(doc))
+    doc = _write_doc(args.out, hom_to_doc(result))
     distance = hom_metric(hom, result)
     _, core = cyclic_reduce(word)
     tau = constructions.tau_for_word(core)

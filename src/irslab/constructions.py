@@ -20,7 +20,7 @@ import numpy as np
 from .actions import Homomorphism
 from .fullgroup import FullGroupElement
 from .setops import sorted_unique
-from .space import _count
+from .space import _count, _integer_atoms
 from .words import ReducedWord, cyclic_reduce
 
 
@@ -44,7 +44,7 @@ def splice(sigma: FullGroupElement, atoms, tau: FullGroupElement) -> FullGroupEl
     space = sigma.space
     if tau.space != space:
         raise ValueError("splice needs elements on the same space")
-    subset = np.asarray(list(atoms))  # checked before the int64 cast, which huge atoms overflow
+    subset = _integer_atoms(list(atoms))  # checked before the int64 cast, which huge atoms overflow
     if subset.size == 0:
         return sigma
     if subset.min() < 0 or subset.max() >= space.n_atoms:

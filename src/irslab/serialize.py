@@ -5,7 +5,8 @@ trailing newline, rationals as "p/q" text.  Import of an exported
 document re-exports byte-identically.  `dumps_canonical` writes exactly
 the bytes of `json.dumps(doc, sort_keys=True, indent=2)` plus a newline;
 it walks dicts and lists itself and hands each list of scalars, and each
-list of scalar lists, to json's C encoder in one call.
+list of scalar lists, to json's C encoder in one call.  A document already
+written is embedded in another as `Encoded`, so it is encoded once.
 """
 
 from __future__ import annotations
@@ -68,6 +69,15 @@ def _encoder(separator: str = ", "):
 _encode_scalar = _encoder()
 
 
+class Encoded(dict):
+    """A document with its `dumps_canonical` text, which `dumps_canonical`
+    embeds wherever the document appears instead of encoding it again."""
+
+    def __init__(self, doc: dict, text: str):
+        super().__init__(doc)
+        self.text = text
+
+
 def dumps_canonical(doc) -> str:
     """The bytes of `json.dumps(doc, sort_keys=True, indent=2)` plus a newline."""
     parts: list[str] = []
@@ -82,10 +92,13 @@ def _indented(value, newline: str, parts: list[str]) -> None:
     Dicts and lists are walked here.  A list of scalars, or of scalar lists, is
     written by the C encoder in one call, its items already separated by a line
     break and their indent, once its text shows no string (`"`), no dict (`{`)
-    and one `[` per list.
+    and one `[` per list.  `Encoded` text is re-indented as it is: json escapes
+    every line break inside a string, so each one left in the text is layout.
     """
     inner = newline + "  "
-    if isinstance(value, dict):
+    if isinstance(value, Encoded):
+        parts.append(value.text[:-1].replace("\n", newline))
+    elif isinstance(value, dict):
         if not value:
             parts.append("{}")
             return

@@ -28,6 +28,27 @@ def _count(count: int) -> str:
     return str(count) if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
 
 
+def _integer_atoms(atoms) -> np.ndarray:
+    """The atoms (one or a collection) as a flat array, refusing any that is not an integer.
+
+    An empty list, which numpy reads as float64, is no atoms; integers beyond
+    int64 stay Python ints in an object array, for the caller's range check.
+    """
+    array = np.asarray(atoms).reshape(-1)
+    listed = isinstance(atoms, (list, tuple))  # scanned as given, so a refusal names the item
+    if array.dtype.kind not in "iu":
+        suspects = atoms if listed else array.tolist()
+    elif listed and not {bool, np.bool_}.isdisjoint(map(type, atoms)):
+        suspects = atoms  # numpy reads a bool among ints as an int
+    else:
+        suspects = ()
+    for atom in suspects:
+        if type(atom) is bool or not isinstance(atom, (int, np.integer)):
+            value = atom.item() if isinstance(atom, np.generic) else atom
+            raise ValueError(f"atom {value!r} is not an integer")
+    return array
+
+
 def _atom_count(n_atoms: int) -> int:
     """n_atoms, checked before one int64 class id per atom is allocated."""
     if n_atoms < 1:
@@ -140,8 +161,8 @@ class FiniteSpace:
         return self._classes
 
     def checked_atoms(self, atoms) -> np.ndarray:
-        """The atoms (one or an array) as an int64 array, refusing any outside [0, n)."""
-        atoms = np.asarray(atoms).reshape(-1)
+        """The atoms (one or an array) as int64, refusing a non-integer or any outside [0, n)."""
+        atoms = _integer_atoms(atoms)
         bad = (atoms < 0) | (atoms >= self.n_atoms)
         if bad.any():
             raise ValueError(f"atom {int(atoms[bad][0])} is not in [0, {self.n_atoms})")

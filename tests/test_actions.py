@@ -1,5 +1,6 @@
 """Free-group actions: evaluation, orbits, traces, and Schreier balls."""
 
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -594,6 +595,39 @@ def test_atoms_outside_the_space_are_refused(atom):
     for call in calls:
         with pytest.raises(ValueError, match=rf"^atom {atom} is not in \[0, 16\)$"):
             call()
+
+
+@pytest.mark.parametrize("atom, named", [
+    (1.5, "1.5"), (2.7, "2.7"), (np.float64(2.0), "2.0"), (True, "True"), (np.bool_(False), "False"),
+    ("3", "'3'"), (None, "None"),
+])
+def test_non_integer_atoms_are_refused(atom, named):
+    """A float, bool or other non-integer is refused, not truncated to an atom."""
+    hom = random_homomorphism(FiniteSpace.single_class(16), 2, derive_rng(17, STREAM_TEST, 17))
+    calls = [
+        lambda: actions.ball_atoms(hom, atom, 1),
+        lambda: actions.ball_atoms(hom, [0, atom], 1),
+        lambda: ball_codes(hom, 1, [3, atom, 2]),
+        lambda: stabilizer_trace(hom, atom, 1),
+        lambda: hom.letter_image(1, atom),
+        lambda: orbit(hom, atom),
+        lambda: hom.gens[0](atom),
+        lambda: hom.space.checked_atoms(np.array([atom])),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^atom {re.escape(named)} is not an integer$"):
+            call()
+
+
+def test_atom_checks_keep_empty_lists_and_huge_integer_messages():
+    space = FiniteSpace.single_class(16)
+    # numpy reads an empty list as float64; it is still no atoms
+    assert space.checked_atoms([]).dtype == np.int64 and space.checked_atoms([]).size == 0
+    assert space.checked_atoms([np.int32(3), 2**3]).tolist() == [3, 8]
+    with pytest.raises(ValueError, match=rf"^atom {2**70} is not in \[0, 16\)$"):
+        space.checked_atoms([1, 2**70])
+    with pytest.raises(ValueError, match=r"^atom 0.5 is not an integer$"):
+        space.checked_atoms([1, 2**70, 0.5])
 
 
 def test_ball_atoms_stop_once_the_ball_stops_growing(monkeypatch):

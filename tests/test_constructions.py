@@ -102,6 +102,18 @@ def test_splice_validation():
         splice(ident, [0], other)
 
 
+@pytest.mark.parametrize("atoms, named", [
+    ([1.5], "1.5"), ([0, 2.0], "2.0"), ([True], "True"), ({True, 3}, "True"),
+    (np.array([0.5, 1.0]), "0.5"),
+])
+def test_splice_refuses_non_integer_atoms(atoms, named):
+    ident = FullGroupElement.identity(single(4))
+    with pytest.raises(ValueError, match=rf"^atom {named} is not an integer$"):
+        splice(ident, atoms, ident)
+    with pytest.raises(ValueError, match="^splice set contains atoms out of range$"):
+        splice(ident, [1, 2**70], ident)
+
+
 def test_splice_contract_random():
     rng = derive_rng(13, STREAM_TEST, 13)
     spaces = [single(16), single(64), FiniteSpace.from_class_sizes([8, 24, 32])]

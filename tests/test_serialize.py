@@ -28,8 +28,9 @@ from irslab import (
     space_to_doc,
 )
 import irslab.cli
+import irslab.serialize
 from irslab.rng import STREAM_TEST
-from irslab.serialize import _require
+from irslab.serialize import Encoded, _require
 
 
 def test_fraction_text_round_trip():
@@ -82,6 +83,49 @@ _values = st.recursive(
 @example([(1, 2), (), [True, None, 1.5, -2**65]])
 def test_dumps_canonical_matches_the_json_oracle(value):
     assert dumps_canonical(value) == oracle_dumps(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=3) | _tricky, _values, max_size=4), _values)
+@example({"gens": [[1, 0], [0, 1]], "n_atoms": 2, "rank": 2}, [])
+@example({"a,\n  b": ["x\ny", {"": [[]]}]}, {})
+def test_an_encoded_document_embeds_as_the_json_oracle(doc, other):
+    encoded = Encoded(doc, dumps_canonical(doc))
+    report = {"outputs": {"hom": encoded, "other": other}, "all": [encoded, [encoded]]}
+    assert dumps_canonical(encoded) == oracle_dumps(doc)
+    assert dumps_canonical(report) == oracle_dumps(report)
+
+
+def test_an_encoded_document_is_written_from_its_text():
+    assert dumps_canonical([Encoded({"a": 1}, '{\n  "b": 2\n}\n')]) == '[\n  {\n    "b": 2\n  }\n]\n'
+
+
+def test_gen_and_construct_encode_their_hom_once(tmp_path, monkeypatch):
+    """The report embeds the --out document's text; the rows meet json's C encoder once."""
+    tables = []
+    real = irslab.serialize._encoder
+
+    def counted(separator=", "):
+        encode = real(separator)
+
+        def wrapped(value):
+            if isinstance(value, list) and value and isinstance(value[0], list) and len(value[0]) == 16:
+                tables.append(value)
+            return encode(value)
+
+        return wrapped
+
+    monkeypatch.setattr(irslab.serialize, "_encoder", counted)
+    monkeypatch.chdir(tmp_path)
+    assert irslab.cli.main(["--report", "r.json", "gen", "hom", "--rank", "2", "--seed", "1",
+                            "--log2", "4", "--out", "h.json"]) == 0
+    assert irslab.cli.main(["--report", "c.json", "construct", "corefree", "--hom", "h.json",
+                            "--word", "s2", "--epsilon", "1/2", "--out", "c.json.hom"]) == 0
+    assert len(tables) == 2
+    for report, out in (("r.json", "h.json"), ("c.json", "c.json.hom")):
+        text = (tmp_path / report).read_text()
+        assert text == oracle_dumps(json.loads(text))
+        assert json.loads(text)["outputs"]["hom"] == json.loads((tmp_path / out).read_text())
 
 
 def test_every_cli_document_matches_the_json_oracle(tmp_path, monkeypatch):
