@@ -91,13 +91,10 @@ class Homomorphism:
         return int(self.tables[letter][_atom(self, atom)])
 
     def element_of(self, word: ReducedWord) -> FullGroupElement:
-        """The image permutation of a word."""
-        if word.rank != self.rank:
-            raise ValueError("word rank does not match the homomorphism")
-        result = FullGroupElement.identity(self.space)
-        for letter in word.letters:
-            result = result * self.generator(letter)
-        return result
+        """The image permutation of a word: the word and its inverse evaluated on every atom."""
+        atoms = np.arange(self.space.n_atoms)
+        forward, inverse = (_frozen_array(evaluate(self, w, atoms)) for w in (word, word.inverse()))
+        return FullGroupElement(self.space, forward, inverse)
 
     def replace_generator(self, index: int, element: FullGroupElement) -> "Homomorphism":
         """Copy with the 0-based generator at index swapped out."""
@@ -108,14 +105,16 @@ class Homomorphism:
         return Homomorphism(self.space, tuple(gens))
 
 
-def evaluate(hom: Homomorphism, word: ReducedWord, atom: int) -> int:
-    """Apply a word to an atom, rightmost letter first."""
+def evaluate(hom: Homomorphism, word: ReducedWord, atom):
+    """Apply a word to one atom or an array of atoms, gathering one letter
+    table at a time, rightmost letter first.  One atom gives an int; an
+    array gives a new flat int64 array of the images, in the atoms' order."""
     if word.rank != hom.rank:
         raise ValueError("word rank does not match the homomorphism")
-    atom = _atom(hom, atom)
+    images = _atoms(hom, atom).copy()  # a new array, even for the empty word
     for letter in reversed(word.letters):
-        atom = int(hom.tables[letter][atom])
-    return atom
+        images = hom.tables[letter][images]
+    return int(images[0]) if np.ndim(atom) == 0 else images
 
 
 def hom_metric(a: Homomorphism, b: Homomorphism) -> Fraction:

@@ -33,6 +33,7 @@ from .actions import (
     hom_metric,
     orbit,  # unused here; the perfbench tracer self-test checks this binding is patched
 )
+from .constructions import splice
 from .rng import STREAM_SWEEP, derive_rng, random_full_group_element
 from .setops import member, merge_disjoint, sorted_unique
 from .words import ReducedWord, ball_size, format_word, parse_word
@@ -452,8 +453,6 @@ def sample_perturbation(hom: Homomorphism, epsilon: Fraction, rng) -> Homomorphi
     an independent random full-group element on a random set of measure
     at most epsilon/2, so the result stays within epsilon of hom.
     """
-    from .constructions import splice
-
     n = hom.space.n_atoms
     size = (epsilon.numerator * n) // (2 * epsilon.denominator)
     gens = [hom.gens[0]]

@@ -250,8 +250,7 @@ def _cmd_construct_corefree(args):
     tau = constructions.tau_for_word(core)
     s = len(core)
     levels = constructions.perturbation_tower(hom.gens[0], s + 1, epsilon)
-    images = [evaluate(result, core, x) for x in levels[tau[0]].tolist()]
-    displaced = images == levels[tau[s]].tolist()
+    displaced = np.array_equal(evaluate(result, core, levels[tau[0]]), levels[tau[s]])
     checks = [
         _check(
             "distance below epsilon",

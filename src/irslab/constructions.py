@@ -44,7 +44,8 @@ def splice(sigma: FullGroupElement, atoms, tau: FullGroupElement) -> FullGroupEl
     space = sigma.space
     if tau.space != space:
         raise ValueError("splice needs elements on the same space")
-    subset = _integer_atoms(list(atoms))  # checked before the int64 cast, which huge atoms overflow
+    # checked before the int64 cast, which huge atoms overflow
+    subset = _integer_atoms(atoms if isinstance(atoms, np.ndarray) else list(atoms))
     if subset.size == 0:
         return sigma
     if subset.min() < 0 or subset.max() >= space.n_atoms:
@@ -141,8 +142,7 @@ def rokhlin_base(sigma: FullGroupElement, height: int, bound: Fraction) -> tuple
             f"no feasible base: need some m >= 1 with m/{n} < {bound} and stride >= {height}"
         )
     stride = n // m
-    occupied = {(j * stride + i) % n for j in range(m) for i in range(height)}
-    if len(occupied) != m * height:
+    if stride < height or m * stride > n:  # level i is {j * stride + i : j < m}
         raise AssertionError("tower levels overlap")
     return tuple(np.flatnonzero((pos % stride == 0) & (pos < m * stride)).tolist())
 
@@ -252,11 +252,10 @@ def build_folner_perturbation(hom: Homomorphism, epsilon, sizes) -> Homomorphism
             f"not below epsilon/2r = {epsilon / (2 * hom.rank)}"
         )
     runs = folner_planted_classes(sizes)
-    subset = list(range(total))
+    subset = np.arange(total)
     target = np.arange(n, dtype=np.int64)
-    for run in runs:
-        for a, b in zip(run, run[1:] + run[:1]):
-            target[a] = b
+    if runs:  # each run cycles to its next atom, the last back to the first
+        target[subset] = np.concatenate([np.roll(run, -1) for run in runs])
     transversal = tuple(run[0] for run in runs)
     keep = np.ones(n, dtype=bool)
     keep[subset] = False
@@ -270,6 +269,20 @@ def build_folner_perturbation(hom: Homomorphism, epsilon, sizes) -> Homomorphism
 
 
 # -- tower rearrangement ---------------------------------------------------
+
+
+def _rearrange(g: FullGroupElement, levels: np.ndarray, moves: dict[int, int]) -> FullGroupElement:
+    """Splice g so it sends tower level i onto level moves[i], fiber by fiber.
+
+    The splice target extends moves to a permutation of the tower's levels
+    (unmoved levels onto unclaimed ones, ascending) and fixes every other
+    atom; exact, since splice reads its target only on the moved levels.
+    """
+    unmoved = [i for i in range(len(levels)) if i not in moves]
+    unclaimed = [i for i in range(len(levels)) if i not in moves.values()]
+    target = np.arange(g.space.n_atoms, dtype=np.int64)
+    target[levels[[*moves, *unmoved]]] = levels[[*moves.values(), *unclaimed]]
+    return splice(g, levels[list(moves)].ravel(), FullGroupElement.from_forward(g.space, target))
 
 
 def build_ht_perturbation(hom: Homomorphism, m: int, tau, epsilon) -> Homomorphism:
@@ -294,11 +307,7 @@ def build_ht_perturbation(hom: Homomorphism, m: int, tau, epsilon) -> Homomorphi
     if not hom.is_lean_aperiodic:
         raise ConstructionError("first generator must be a single full cycle")
     levels = perturbation_tower(hom.gens[0], m, epsilon)
-    target = np.arange(hom.space.n_atoms, dtype=np.int64)
-    target[levels] = levels[list(tau)]
-    tau_elem = FullGroupElement.from_forward(hom.space, target)
-    spliced = splice(hom.gens[1], levels.ravel(), tau_elem)
-    return hom.replace_generator(1, spliced)
+    return hom.replace_generator(1, _rearrange(hom.gens[1], levels, dict(enumerate(tau))))
 
 
 # -- word displacement -----------------------------------------------------
@@ -381,33 +390,19 @@ def build_corefree_perturbation(hom: Homomorphism, word: ReducedWord, epsilon) -
     s = len(core)
     tau = tau_for_word(core)
     levels = perturbation_tower(hom.gens[0], s + 1, epsilon)
-    n = hom.space.n_atoms
 
-    # instructions[j]: tower level -> the level the j-th generator must send it to
-    instructions: dict[int, dict[int, int]] = {}
-    w = [0] + [core.letters[s - i] for i in range(1, s + 1)]
-    for i in range(1, s + 1):
-        letter = w[i]
-        gen_index = abs(letter)
-        if gen_index == 1:
+    # moves[j]: tower level -> the level the j-th generator must send it to
+    moves: dict[int, dict[int, int]] = {}
+    for i, letter in enumerate(reversed(core.letters), 1):  # the i-th letter applied
+        if abs(letter) == 1:
             continue
         dom, dest = (tau[i - 1], tau[i]) if letter > 0 else (tau[i], tau[i - 1])
-        per_gen = instructions.setdefault(gen_index, {})
+        per_gen = moves.setdefault(abs(letter), {})
         if dom in per_gen:
             raise AssertionError("conflicting instructions on one tower level")
         per_gen[dom] = dest
 
-    result = hom
-    for gen_index, per_gen in sorted(instructions.items()):
-        domain = levels[list(per_gen)].ravel()
-        target = np.full(n, -1, dtype=np.int64)
-        target[domain] = levels[list(per_gen.values())].ravel()
-        unused_src = np.ones(n, dtype=bool)
-        unused_src[domain] = False
-        unused_tgt = np.ones(n, dtype=bool)
-        unused_tgt[target[domain]] = False
-        target[unused_src] = np.nonzero(unused_tgt)[0]
-        tau_elem = FullGroupElement.from_forward(hom.space, target)
-        spliced = splice(result.gens[gen_index - 1], domain, tau_elem)
-        result = result.replace_generator(gen_index - 1, spliced)
-    return result
+    gens = list(hom.gens)
+    for gen_index, per_gen in moves.items():
+        gens[gen_index - 1] = _rearrange(gens[gen_index - 1], levels, per_gen)
+    return Homomorphism(hom.space, tuple(gens))

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .actions import Homomorphism
 from .fullgroup import FullGroupElement
 from .space import FiniteSpace
+from .words import ReducedWord
 
 STREAM_GEN_HOM = 1
 STREAM_SWEEP = 2
@@ -43,16 +45,12 @@ def random_full_group_element(space: FiniteSpace, rng: np.random.Generator) -> F
 
 def random_homomorphism(space: FiniteSpace, rank: int, rng: np.random.Generator):
     """Homomorphism with every generator an independent random element."""
-    from .actions import Homomorphism
-
     gens = tuple(random_full_group_element(space, rng) for _ in range(rank))
     return Homomorphism(space, gens)
 
 
 def lean_aperiodic_homomorphism(space: FiniteSpace, rank: int, rng: np.random.Generator):
     """First generator the standard full cycle, the rest random."""
-    from .actions import Homomorphism
-
     if rank < 1:
         raise ValueError("rank must be at least 1")
 
@@ -63,8 +61,6 @@ def lean_aperiodic_homomorphism(space: FiniteSpace, rank: int, rng: np.random.Ge
 
 def random_reduced_word(rank: int, length: int, rng: np.random.Generator):
     """Uniformly random reduced word of exactly the given length."""
-    from .words import ReducedWord
-
     letters: list[int] = []
     alphabet = [l for i in range(1, rank + 1) for l in (i, -i)]
     for _ in range(length):

@@ -23,9 +23,19 @@ _BYTE_BUDGET = 1 << 28  # the one size guard: every kernel reads it here at call
 
 
 def _count(count: int) -> str:
-    """A refused count in decimal, or past 64 bits the power of two it reaches,
-    so no refusal formats a number past Python's int-to-str limit."""
-    return str(count) if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
+    """A refused count in decimal, or past 64 bits the signed power of two it
+    reaches, so no refusal formats a number past Python's int-to-str limit."""
+    if count.bit_length() <= 64:
+        return str(count)
+    return f"{'at least ' if count > 0 else 'at most -'}2^{count.bit_length() - 1}"
+
+
+def _atom_text(atom: int) -> str:
+    """A refused atom in decimal, or as `_count` shows it past Python's int-to-str limit."""
+    try:
+        return str(atom)
+    except ValueError:
+        return _count(atom)
 
 
 def _integer_atoms(atoms) -> np.ndarray:
@@ -165,7 +175,7 @@ class FiniteSpace:
         atoms = _integer_atoms(atoms)
         bad = (atoms < 0) | (atoms >= self.n_atoms)
         if bad.any():
-            raise ValueError(f"atom {int(atoms[bad][0])} is not in [0, {self.n_atoms})")
+            raise ValueError(f"atom {_atom_text(int(atoms[bad][0]))} is not in [0, {self.n_atoms})")
         return atoms.astype(np.int64, copy=False)
 
     def block_index(self, level: int) -> np.ndarray:

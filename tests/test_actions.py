@@ -346,6 +346,68 @@ def homs(draw):
     return random_homomorphism(space, rank, rng)
 
 
+# -- oracles: per-atom word evaluation and the letter product of element_of ----
+
+
+def oracle_evaluate(hom, word, atom):
+    """Apply a word to one atom, one table lookup per letter, rightmost first."""
+    for letter in reversed(word.letters):
+        atom = int(hom.tables[letter][atom])
+    return atom
+
+
+def oracle_element_of(hom, word):
+    """The image permutation of a word as the product of its letters' images."""
+    result = FullGroupElement.identity(hom.space)
+    for letter in word.letters:
+        result = result * hom.generator(letter)
+    return result
+
+
+@settings(max_examples=80, deadline=None)
+@given(homs(), st.data())
+def test_array_evaluate_and_element_of_match_the_oracles(hom, data):
+    n = hom.space.n_atoms
+    letters = data.draw(st.lists(st.integers(-hom.rank, hom.rank).filter(bool), max_size=8))
+    atoms = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    for word in (reduce_letters(hom.rank, letters), reduce_letters(hom.rank, ())):
+        want = [oracle_evaluate(hom, word, a) for a in atoms]
+        array = np.array(atoms, dtype=np.int64)
+        got = evaluate(hom, word, array)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert not np.shares_memory(got, array)  # a new array, even for the empty word
+        assert evaluate(hom, word, atoms).tolist() == want
+        element, oracle = hom.element_of(word), oracle_element_of(hom, word)
+        assert element == oracle and np.array_equal(element.inverse, oracle.inverse)
+        assert not (element.forward.flags.writeable or element.inverse.flags.writeable)
+
+
+@pytest.mark.parametrize("atom", [5, np.int64(5), np.int32(5), np.uint8(5), np.array(5)])
+def test_one_atom_evaluates_to_an_int(atom):
+    hom = random_homomorphism(FiniteSpace.single_class(16), 2, derive_rng(17, STREAM_TEST, 17))
+    for text in ("s1 s2^-1 s1", ""):
+        word = parse_word(text, 2)
+        got = evaluate(hom, word, atom)
+        assert type(got) is int and got == oracle_evaluate(hom, word, 5)
+
+
+@pytest.mark.parametrize("atom, named", [(10**5000, "at least 2^16609"), (-10**5000, "at most -2^16609")],
+                         ids=["plus", "minus"])
+def test_atoms_past_the_int_to_str_limit_are_refused_by_their_size(atom, named):
+    hom = random_homomorphism(FiniteSpace.single_class(16), 2, derive_rng(17, STREAM_TEST, 17))
+    calls = [
+        lambda: hom.space.checked_atoms(atom),
+        lambda: hom.space.checked_atoms([1, atom, 2]),
+        lambda: evaluate(hom, parse_word("s1 s2", 2), atom),
+        lambda: evaluate(hom, parse_word("s1 s2", 2), [atom, 3]),
+        lambda: orbit(hom, atom),
+        lambda: hom.gens[0](atom),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^atom {re.escape(named)} is not in \[0, 16\)$"):
+            call()
+
+
 def _partition(rows):
     """Each row's label: the least row index holding the same bytes."""
     first = {}
@@ -589,6 +651,8 @@ def test_atoms_outside_the_space_are_refused(atom):
         lambda: hom.letter_image(-2, atom),
         lambda: evaluate(hom, parse_word("s1 s2", 2), atom),
         lambda: evaluate(hom, parse_word("", 2), atom),
+        lambda: evaluate(hom, parse_word("s1 s2", 2), [0, atom, 3]),
+        lambda: evaluate(hom, parse_word("", 2), np.array([2, 5, atom])),
         lambda: orbit(hom, atom),
         lambda: hom.gens[1](atom),
     ]

@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from irslab import cli
+from irslab.actions import evaluate
 from irslab.cli import build_parser, main
 
 
@@ -191,6 +193,16 @@ def test_construct_corefree_and_core_check(tmp_path):
     code, report = run(tmp_path, "analyze", "core", "--hom", str(out), "--word", "s2")
     assert code == 0
     assert report["outputs"]["trivial_fraction"] == "0/1"
+
+
+def test_construct_corefree_checks_a_base_of_many_atoms_in_one_evaluation(tmp_path, monkeypatch):
+    hom = gen_hom(tmp_path, log2=8)
+    calls = []
+    monkeypatch.setattr(cli, "evaluate", lambda *args: calls.append(args) or evaluate(*args))
+    code, report = run(tmp_path, "construct", "corefree", "--hom", str(hom), "--word", "s1 s2",
+                       "--epsilon", "1/2", "--out", str(tmp_path / "cf.json"))
+    assert code == 0 and all(c["passed"] for c in report["checks"])
+    assert len(report["outputs"]["base"]) > 1 and len(calls) == 1
 
 
 def test_analyze_core_failing_check_sets_exit_code(tmp_path):
