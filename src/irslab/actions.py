@@ -32,7 +32,7 @@ from .fullgroup import FullGroupElement, cycle_structure, uniform_metric
 from .labels import component_labels
 from .setops import row_ids, row_keys, sorted_unique
 from .space import FiniteSpace, _frozen_array
-from .words import ReducedWord, TraceBudgetError, ball, ball_size
+from .words import ReducedWord, TraceBudgetError, _check_radius, ball, ball_size
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def evaluate(hom: Homomorphism, word: ReducedWord, atom):
     array gives a new flat int64 array of the images, in the atoms' order."""
     if word.rank != hom.rank:
         raise ValueError("word rank does not match the homomorphism")
-    images = _atoms(hom, atom).copy()  # a new array, even for the empty word
+    images = hom.space.checked_atoms(atom).copy()  # a new array, even for the empty word
     for letter in reversed(word.letters):
         images = hom.tables[letter][images]
     return int(images[0]) if np.ndim(atom) == 0 else images
@@ -171,30 +171,22 @@ class StabilizerTrace:
 _CHUNK_BYTES = 4 << 20  # bytes of int64 ball-word images per chunk of atoms
 
 
-def _atoms(hom: Homomorphism, atoms) -> np.ndarray:
-    """The atoms (one or an array) as int64, refused as by `FiniteSpace.checked_atoms`."""
-    return hom.space.checked_atoms(atoms)
-
-
 def _atom(hom: Homomorphism, atom) -> int:
-    """One atom as an int, refused as by `_atoms` outside [0, n)."""
-    (atom,) = _atoms(hom, atom)
+    """One atom as an int, refused as by `FiniteSpace.checked_atoms` outside [0, n)."""
+    (atom,) = hom.space.checked_atoms(atom)
     return int(atom)
 
 
 def _check_rows(what: str, radius: int, atoms: int, row_bytes: int) -> None:
     """Raise `TraceBudgetError` when atoms rows of row_bytes pass the byte budget."""
-    need = atoms * row_bytes
-    if need > space._BYTE_BUDGET:
-        raise TraceBudgetError(f"{what} at radius {radius} need {space._count(need)} bytes for "
-                               f"{atoms} atom{'s' * (atoms != 1)}, over the budget of {space._BYTE_BUDGET}")
+    space._check_budget(atoms * row_bytes, TraceBudgetError, "{what} at radius {radius} need {need} bytes "
+                        "for {atoms} atom{s}", what=what, radius=radius, atoms=atoms, s="s" * (atoms != 1))
 
 
 def _code_sizes(hom: Homomorphism, radius: int, atoms: int) -> tuple[int, int]:
     """|B(R)| and |B(R+1)|, after refusing a negative radius, or ball codes
     for that many atoms past the byte budget."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    _check_radius(radius)
     inner, outer = ball_size(hom.rank, radius), ball_size(hom.rank, radius + 1)
     _check_rows("ball codes", radius, atoms, outer * np.min_scalar_type(inner).itemsize)
     return inner, outer
@@ -218,7 +210,7 @@ def _ball_images(hom: Homomorphism, radius: int, atoms=None):
 
 def stabilizer_trace(hom: Homomorphism, atom: int, radius: int) -> StabilizerTrace:
     """Trace of one atom: the ball words fixing it."""
-    ((_, images),) = _ball_images(hom, radius, _atoms(hom, atom))
+    ((_, images),) = _ball_images(hom, radius, hom.space.checked_atoms(atom))
     return StabilizerTrace(hom.rank, radius, np.packbits(images[0] == atom).tobytes())
 
 
@@ -241,7 +233,7 @@ def ball_codes(hom: Homomorphism, radius: int, atoms=None) -> np.ndarray:
     The atoms default to all; an empty list gives an empty code matrix.
     """
     n = hom.space.n_atoms
-    atoms = np.arange(n) if atoms is None else _atoms(hom, atoms)
+    atoms = np.arange(n) if atoms is None else hom.space.checked_atoms(atoms)
     inner, outer = _code_sizes(hom, radius, atoms.size)
     words = np.arange(outer)
     codes = np.empty((atoms.size, outer), dtype=np.min_scalar_type(inner))
@@ -358,9 +350,8 @@ def invariance_defect(hom: Homomorphism, radius: int) -> Fraction:
 def ball_atoms(hom: Homomorphism, root, radius: int) -> np.ndarray:
     """Atoms at word distance <= radius from the root, ascending.  The root
     may be one atom or an array of atoms, whose balls are united."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    frontier = _atoms(hom, root)
+    _check_radius(radius)
+    frontier = hom.space.checked_atoms(root)
     inside = np.zeros(hom.space.n_atoms, dtype=bool)
     inside[frontier] = True
     for _ in range(radius):

@@ -26,17 +26,17 @@ from . import space
 from .actions import (
     Homomorphism,
     _atom,
-    _atoms,
     _code_sizes,
     ball_atoms,
     ball_codes,
+    evaluate,
     hom_metric,
     orbit,  # unused here; the perfbench tracer self-test checks this binding is patched
 )
-from .constructions import splice
+from .constructions import _tower_permutation, splice
 from .rng import STREAM_SWEEP, derive_rng, random_full_group_element
 from .setops import member, merge_disjoint, sorted_unique
-from .words import ReducedWord, ball_size, format_word, parse_word
+from .words import ReducedWord, _check_radius, ball_size, format_word, parse_word
 
 
 class AnalysisError(ValueError):
@@ -48,9 +48,7 @@ class AnalysisError(ValueError):
 
 def schreier_boundary_ratio(hom: Homomorphism, subset) -> Fraction:
     """max over generators g of |gF symm-diff F| / |F| for F = subset."""
-    if not isinstance(subset, np.ndarray):
-        subset = np.fromiter(subset, np.int64)
-    atoms = sorted_unique(_atoms(hom, subset))
+    atoms = sorted_unique(hom.space.checked_atoms(subset))
     if atoms.size == 0:
         raise ValueError("boundary ratio needs a nonempty set")
     inside = np.zeros(hom.space.n_atoms, dtype=bool)
@@ -93,8 +91,7 @@ def folner_search(hom: Homomorphism, root: int, l: int, radius: int) -> FolnerRe
     """
     if l < 1:
         raise ValueError("l must be at least 1")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    _check_radius(radius)
     root = _atom(hom, root)
     cap = int(np.count_nonzero(hom.orbit_labels == hom.orbit_labels[root])) // 2
     if cap == 0:
@@ -137,7 +134,7 @@ def folner_search(hom: Homomorphism, root: int, l: int, radius: int) -> FolnerRe
         if not frontier or evaluations > _GREEDY_STEP_BUDGET:
             break
         evaluations += len(frontier)
-        ys = np.sort(np.fromiter(frontier, np.int64))
+        ys = np.array(sorted(frontier), dtype=np.int64)
         fy = np.stack([g.forward[ys] for g in hom.gens])
         by = np.stack([g.inverse[ys] for g in hom.gens])
         # adding y: g^-1 y stops escaping if inside, y escapes unless g y is in F + {y};
@@ -187,10 +184,8 @@ def _grow(frontier: np.ndarray, visited: np.ndarray, tables, n: int, m: int, tag
     """One breadth-first step on ascending keys: (images not yet visited, new visited).
     Refused first if its keys, 8 bytes per visited key and image, pass the byte budget;
     sort temporaries are not counted, so peak memory runs to 2-3 times the budget."""
-    need = 8 * (visited.size + frontier.size * len(tables))
-    if need > space._BYTE_BUDGET:
-        raise AnalysisError(f"tuple orbit step needs {need} bytes of keys, "
-                            f"over the budget of {space._BYTE_BUDGET}")
+    space._check_budget(8 * (visited.size + frontier.size * len(tables)), AnalysisError,
+                        "tuple orbit step needs {need} bytes of keys")
     fresh = sorted_unique(_diagonal_images(frontier, tables, n, m, tagged))
     fresh = fresh[~member(visited, fresh)]
     return fresh, merge_disjoint(visited, fresh)
@@ -258,13 +253,8 @@ def realizes_tau_fraction(hom: Homomorphism, m: int, tau, radius: int) -> Fracti
     """
     if not hom.is_lean_aperiodic:
         raise AnalysisError("needs a single-cycle first generator")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    tau = tuple(int(t) for t in tau)
-    if sorted(tau) != list(range(m)):
-        raise ValueError(f"tau must be a permutation of 0..{m - 1}")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    tau = _tower_permutation(m, tau)
+    _check_radius(radius)
     n = hom.space.n_atoms
     pos = hom.gens[0].cycle_positions[1]
     powers = hom.gens[0].levels(np.arange(n), m)
@@ -307,12 +297,11 @@ def core_check(hom: Homomorphism, word: ReducedWord) -> Fraction:
     """Size-weighted fraction of orbits on which the word acts trivially."""
     if len(word) == 0:
         raise ValueError("word must be nonempty")
-    g = hom.element_of(word)
-    n = hom.space.n_atoms
+    atoms = np.arange(hom.space.n_atoms)
     labels = hom.orbit_labels
-    moved = np.zeros(n, dtype=bool)
-    moved[labels[g.forward != np.arange(n)]] = True
-    return Fraction(int(np.count_nonzero(~moved[labels])), n)
+    moved = np.zeros(atoms.size, dtype=bool)
+    moved[labels[evaluate(hom, word, atoms) != atoms]] = True
+    return Fraction(int(np.count_nonzero(~moved[labels])), atoms.size)
 
 
 # -- ball stability ------------------------------------------------------------

@@ -28,6 +28,25 @@ class ConstructionError(ValueError):
     """A construction's feasibility precondition failed."""
 
 
+def _check_lean(hom: Homomorphism) -> None:
+    """The lean rank-2 precondition of the three perturbation builders: rank at
+    least 2, and a first generator that is one full cycle."""
+    if hom.rank < 2:
+        raise ConstructionError("need rank at least 2")
+    if not hom.is_lean_aperiodic:
+        raise ConstructionError("first generator must be a single full cycle")
+
+
+def _tower_permutation(m: int, tau) -> tuple[int, ...]:
+    """tau as a tuple of ints, refused unless m >= 1 and it permutes 0..m-1."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    tau = tuple(int(t) for t in tau)
+    if sorted(tau) != list(range(m)):
+        raise ValueError(f"tau must be a permutation of 0..{m - 1}")
+    return tau
+
+
 # -- splice ----------------------------------------------------------------
 
 
@@ -45,7 +64,7 @@ def splice(sigma: FullGroupElement, atoms, tau: FullGroupElement) -> FullGroupEl
     if tau.space != space:
         raise ValueError("splice needs elements on the same space")
     # checked before the int64 cast, which huge atoms overflow
-    subset = _integer_atoms(atoms if isinstance(atoms, np.ndarray) else list(atoms))
+    subset = _integer_atoms(atoms)
     if subset.size == 0:
         return sigma
     if subset.min() < 0 or subset.max() >= space.n_atoms:
@@ -97,23 +116,16 @@ def disjoint_support_partition(elements) -> list[tuple[int, ...]]:
     if any(t.space != space for t in elements):
         raise ValueError("elements live on different spaces")
     common = np.logical_and.reduce([t.forward != np.arange(space.n_atoms) for t in elements])
-    support = np.nonzero(common)[0]
-    in_support = set(int(x) for x in support)
-    color: dict[int, int] = {}
-    for x in map(int, support):
-        taken = set()
-        for t in elements:
-            for y in (int(t.forward[x]), int(t.inverse[x])):
-                if y in in_support and y in color:
-                    taken.add(color[y])
+    neighbours = np.stack([table for t in elements for table in (t.forward, t.inverse)], axis=1)
+    color = np.full(space.n_atoms, -1, dtype=np.int64)  # -1: uncoloured, or off the support
+    for x in np.flatnonzero(common).tolist():
+        taken = set(color[neighbours[x]].tolist())
         c = 0
         while c in taken:
             c += 1
         color[x] = c
-    parts: dict[int, list[int]] = {}
-    for x, c in color.items():
-        parts.setdefault(c, []).append(x)
-    result = [tuple(sorted(parts[c])) for c in sorted(parts)]
+    # greedy colours are 0..max with no gap; each part lists its atoms ascending
+    result = [tuple(np.flatnonzero(color == c).tolist()) for c in range(int(color.max()) + 1)]
     if len(result) > 2 * len(elements) + 1:
         raise AssertionError("greedy coloring exceeded the 2n+1 bound")
     return result
@@ -167,7 +179,7 @@ def first_return(sigma: FullGroupElement, subset) -> FullGroupElement:
     """
     space = sigma.space
     in_y = np.zeros(space.n_atoms, dtype=bool)
-    in_y[np.asarray(sorted(subset), dtype=np.int64)] = True
+    in_y[space.checked_atoms(subset)] = True
     labels, pos = sigma.cycle_positions
     ys = np.flatnonzero(in_y)
     ys = ys[np.lexsort((pos[ys], labels[ys]))]
@@ -237,10 +249,7 @@ def build_folner_perturbation(hom: Homomorphism, epsilon, sizes) -> Homomorphism
     sizes = [int(s) for s in sizes]
     if any(s < 1 for s in sizes):
         raise ValueError("class sizes must be positive")
-    if hom.rank < 2:
-        raise ConstructionError("need rank at least 2")
-    if not hom.is_lean_aperiodic:
-        raise ConstructionError("first generator must be a single full cycle")
+    _check_lean(hom)
     n = hom.space.n_atoms
     total = sum(sizes)
     if total > n:  # first, so a huge total is shown by `_count`, never as a fraction
@@ -297,15 +306,8 @@ def build_ht_perturbation(hom: Homomorphism, m: int, tau, epsilon) -> Homomorphi
     length at most 2*max-hitting-time + 1.
     """
     epsilon = Fraction(epsilon)
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    tau = tuple(int(t) for t in tau)
-    if sorted(tau) != list(range(m)):
-        raise ValueError(f"tau must be a permutation of 0..{m - 1}")
-    if hom.rank < 2:
-        raise ConstructionError("need rank at least 2")
-    if not hom.is_lean_aperiodic:
-        raise ConstructionError("first generator must be a single full cycle")
+    tau = _tower_permutation(m, tau)
+    _check_lean(hom)
     levels = perturbation_tower(hom.gens[0], m, epsilon)
     return hom.replace_generator(1, _rearrange(hom.gens[1], levels, dict(enumerate(tau))))
 
@@ -378,10 +380,7 @@ def build_corefree_perturbation(hom: Homomorphism, word: ReducedWord, epsilon) -
     orbit, since the untouched first generator keeps one full cycle.
     """
     epsilon = Fraction(epsilon)
-    if hom.rank < 2:
-        raise ConstructionError("need rank at least 2")
-    if not hom.is_lean_aperiodic:
-        raise ConstructionError("first generator must be a single full cycle")
+    _check_lean(hom)
     if word.rank != hom.rank:
         raise ValueError("word rank does not match the homomorphism")
     _, core = cyclic_reduce(word)

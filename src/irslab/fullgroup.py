@@ -114,8 +114,10 @@ class FullGroupElement:
         return [tuple(part.tolist()) for part in np.split(order, cuts)]
 
     def levels(self, base, height: int) -> np.ndarray:
-        """The (height x |base|) array whose row i is the i-th power's image of base."""
-        rows = np.empty((height, np.size(base)), dtype=np.int64)
+        """The (height x |base|) array whose row i is the i-th power's image of base,
+        its atoms refused as by `FiniteSpace.checked_atoms`."""
+        base = self.space.checked_atoms(base)
+        rows = np.empty((height, base.size), dtype=np.int64)
         rows[:1] = base
         for i in range(1, height):
             rows[i] = self.forward[rows[i - 1]]

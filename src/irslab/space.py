@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-_BYTE_BUDGET = 1 << 28  # the one size guard: every kernel reads it here at call time
+_BYTE_BUDGET = 1 << 28  # the one size guard: `_check_budget` reads it at call time for every kernel
 
 
 def _count(count: int) -> str:
@@ -41,9 +41,13 @@ def _atom_text(atom: int) -> str:
 def _integer_atoms(atoms) -> np.ndarray:
     """The atoms (one or a collection) as a flat array, refusing any that is not an integer.
 
-    An empty list, which numpy reads as float64, is no atoms; integers beyond
-    int64 stay Python ints in an object array, for the caller's range check.
+    Any iterable other than an array, list, tuple or string (a set, a range, a
+    generator) is listed first.  An empty list, which numpy reads as float64, is
+    no atoms; integers beyond int64 stay Python ints in an object array, for the
+    caller's range check.
     """
+    if isinstance(atoms, Iterable) and not isinstance(atoms, (np.ndarray, list, tuple, str, bytes)):
+        atoms = list(atoms)
     array = np.asarray(atoms).reshape(-1)
     listed = isinstance(atoms, (list, tuple))  # scanned as given, so a refusal names the item
     if array.dtype.kind not in "iu":
@@ -59,13 +63,18 @@ def _integer_atoms(atoms) -> np.ndarray:
     return array
 
 
+def _check_budget(need: int, error: type[ValueError], head: str, **fields) -> None:
+    """Refuse need bytes past the byte budget, read at call time: raise error with
+    head, formatted with the fields and need (shown by `_count`), and the budget."""
+    if need > _BYTE_BUDGET:
+        raise error(f"{head.format(need=_count(need), **fields)}, over the budget of {_BYTE_BUDGET}")
+
+
 def _atom_count(n_atoms: int) -> int:
     """n_atoms, checked before one int64 class id per atom is allocated."""
     if n_atoms < 1:
         raise ValueError("space needs at least one atom")
-    if 8 * n_atoms > _BYTE_BUDGET:
-        raise ValueError(f"{_count(n_atoms)} atoms need {_count(8 * n_atoms)} bytes, "
-                         f"over the budget of {_BYTE_BUDGET}")
+    _check_budget(8 * n_atoms, ValueError, "{atoms} atoms need {need} bytes", atoms=_count(n_atoms))
     return n_atoms
 
 
@@ -187,9 +196,13 @@ class FiniteSpace:
         return np.arange(self.n_atoms) // (2 ** level)
 
     def measure(self, atoms: Iterable[int] | int) -> Fraction:
-        """Exact measure of an atom set (or of a count of atoms)."""
-        count = atoms if isinstance(atoms, int) else len(set(atoms))
-        return Fraction(count, self.n_atoms)
+        """Exact measure of an atom set, refused as by `checked_atoms`, or of a
+        count of atoms in [0, n]."""
+        if not isinstance(atoms, (int, np.integer)):
+            return Fraction(np.unique(self.checked_atoms(atoms)).size, self.n_atoms)
+        if not 0 <= atoms <= self.n_atoms:
+            raise ValueError(f"count {_atom_text(atoms)} is not in [0, {self.n_atoms}]")
+        return Fraction(atoms, self.n_atoms)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteSpace):

@@ -120,16 +120,22 @@ class TraceBudgetError(ValueError):
     would exceed `space._BYTE_BUDGET` bytes."""
 
 
+def _check_radius(radius: int) -> None:
+    """The one refusal of a negative radius, for every kernel that takes one."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+
+
 def ball(rank: int, radius: int) -> FreeBall:
     """Cached ball of reduced words of length <= radius.
 
-    Its two int64 arrays are checked against the byte budget on every
-    call, before the cache is read, so a lowered budget refuses a cached ball.
+    A negative radius is refused first.  The ball's two int64 arrays are
+    checked against the byte budget on every call, before the cache is
+    read, so a lowered budget refuses a cached ball.
     """
-    need = 16 * ball_size(rank, radius)
-    if need > space._BYTE_BUDGET:
-        raise TraceBudgetError(f"ball of rank {rank} and radius {radius} needs {space._count(need)} "
-                               f"bytes, over the budget of {space._BYTE_BUDGET}")
+    _check_radius(radius)
+    space._check_budget(16 * ball_size(rank, radius), TraceBudgetError,
+                        "ball of rank {rank} and radius {radius} needs {need} bytes", rank=rank, radius=radius)
     return _cached_ball(rank, radius)
 
 
@@ -171,9 +177,8 @@ def parse_word(text: str, rank: int) -> ReducedWord:
             raise ValueError(f"generator index {space._count(index)} out of range for rank {rank}")
         sign = 1 if power > 0 else -1
         total = len(letters) + abs(power)
-        if 8 * total > space._BYTE_BUDGET:
-            raise ValueError(f"word of {space._count(total)} letters needs "
-                             f"{space._count(8 * total)} bytes, over the budget of {space._BYTE_BUDGET}")
+        space._check_budget(8 * total, ValueError, "word of {letters} letters needs {need} bytes",
+                            letters=space._count(total))
         letters.extend([sign * index] * abs(power))
     return reduce_letters(rank, letters)
 

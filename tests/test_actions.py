@@ -22,6 +22,7 @@ from irslab import (
     derive_rng,
     empirical_irs,
     evaluate,
+    first_return,
     folner_search,
     hom_metric,
     index_distribution,
@@ -35,6 +36,7 @@ from irslab import (
     random_reduced_word,
     reduce_letters,
     schreier_ball,
+    schreier_boundary_ratio,
     stabilizer_trace,
     trace_code_matrix,
 )
@@ -655,6 +657,13 @@ def test_atoms_outside_the_space_are_refused(atom):
         lambda: evaluate(hom, parse_word("", 2), np.array([2, 5, atom])),
         lambda: orbit(hom, atom),
         lambda: hom.gens[1](atom),
+        lambda: schreier_boundary_ratio(hom, [atom]),
+        lambda: schreier_boundary_ratio(hom, [0, atom]),
+        lambda: first_return(hom.gens[0], [atom]),
+        lambda: first_return(hom.gens[1], [3, atom]),
+        lambda: hom.gens[0].levels([atom], 3),
+        lambda: hom.gens[1].levels([0, atom], 1),
+        lambda: hom.space.measure([1, atom]),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=rf"^atom {atom} is not in \[0, 16\)$"):
@@ -677,6 +686,13 @@ def test_non_integer_atoms_are_refused(atom, named):
         lambda: orbit(hom, atom),
         lambda: hom.gens[0](atom),
         lambda: hom.space.checked_atoms(np.array([atom])),
+        lambda: schreier_boundary_ratio(hom, [atom]),
+        lambda: schreier_boundary_ratio(hom, [0, atom]),
+        lambda: first_return(hom.gens[0], [atom]),
+        lambda: first_return(hom.gens[1], [3, atom]),
+        lambda: hom.gens[0].levels([atom], 3),
+        lambda: hom.gens[1].levels([0, atom], 1),
+        lambda: hom.space.measure([1, atom]),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=rf"^atom {re.escape(named)} is not an integer$"):
@@ -716,6 +732,11 @@ def test_negative_radius_is_rejected(radius):
         lambda: balls_isomorphic(hom, 0, hom, 1, radius),
         lambda: folner_search(hom, 0, 2, radius),
         lambda: ball_stability_check(hom, hom, radius),
+        lambda: trace_code_matrix(hom, radius),
+        lambda: stabilizer_trace(hom, 0, radius),
+        lambda: empirical_irs(hom, radius),
+        lambda: invariance_defect(hom, radius),
+        lambda: ball(2, radius),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="^radius must be nonnegative$"):

@@ -522,6 +522,7 @@ def test_construct_ht_m_below_one_exits_2(tmp_path, capsys, m):
      "m must be at least 1"),
     (["analyze", "folner", "--hom", "{hom}", "--root", "0", "--l", "2", "--radius", "-3"],
      "radius must be nonnegative"),
+    (["analyze", "irs", "--hom", "{hom}", "--radius", "-1"], "radius must be nonnegative"),
 ])
 def test_malformed_integers_exit_2_without_traceback(tmp_path, argv, message):
     hom = gen_hom(tmp_path, log2=3)
@@ -539,6 +540,8 @@ def test_malformed_integers_exit_2_without_traceback(tmp_path, argv, message):
     ["analyze", "folner", "--hom", "{hom}", "--root", "0", "--l", "2", "--radius", "-3"],
     ["export", "--hom", "{hom}", "--format", "dot", "--root", "0", "--radius", "-1", "--out", "x.dot"],
     ["analyze", "stability", "--hom", "{hom}", "--other", "{hom}", "--radius", "-1"],
+    ["analyze", "irs", "--hom", "{hom}", "--radius", "-1"],
+    ["export", "--hom", "{hom}", "--format", "csv", "--radius", "-1", "--out", "x.csv"],
     ["sweep", "--hom", "{hom}", "--epsilon", "1/4", "--samples", "2", "--seed", "1",
      "--property", "folner(3,-2)"],
 ])
@@ -548,6 +551,7 @@ def test_negative_radius_exits_2(tmp_path, monkeypatch, capsys, argv):
     assert main([a.format(hom=hom) for a in argv]) == 2
     assert capsys.readouterr().err.strip() == "error: radius must be nonnegative"
     assert not (tmp_path / "x.dot").exists()
+    assert not (tmp_path / "x.csv").exists()
 
 
 def identity_hom(tmp_path, log2=4):

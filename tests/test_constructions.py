@@ -188,6 +188,65 @@ def test_disjoint_support_partition_contract_random():
                 assert not atoms & {t(x) for x in atoms}
 
 
+def oracle_disjoint_support_partition(elements) -> list[tuple[int, ...]]:
+    """The greedy colouring with a support set and colour and part dicts, kept as the oracle."""
+    elements = list(elements)
+    if not elements:
+        raise ValueError("need at least one element")
+    space = elements[0].space
+    if any(t.space != space for t in elements):
+        raise ValueError("elements live on different spaces")
+    common = np.logical_and.reduce([t.forward != np.arange(space.n_atoms) for t in elements])
+    support = np.nonzero(common)[0]
+    in_support = set(int(x) for x in support)
+    color: dict[int, int] = {}
+    for x in map(int, support):
+        taken = set()
+        for t in elements:
+            for y in (int(t.forward[x]), int(t.inverse[x])):
+                if y in in_support and y in color:
+                    taken.add(color[y])
+        c = 0
+        while c in taken:
+            c += 1
+        color[x] = c
+    parts: dict[int, list[int]] = {}
+    for x, c in color.items():
+        parts.setdefault(c, []).append(x)
+    result = [tuple(sorted(parts[c])) for c in sorted(parts)]
+    if len(result) > 2 * len(elements) + 1:
+        raise AssertionError("greedy coloring exceeded the 2n+1 bound")
+    return result
+
+
+def _involution(space, rng):
+    """A random class-preserving involution: some disjoint transpositions per class."""
+    forward = np.arange(space.n_atoms)
+    for cls in space.classes():
+        atoms = rng.permutation(cls)
+        pairs = int(rng.integers(len(atoms) // 2 + 1))
+        forward[atoms[:pairs]], forward[atoms[pairs:2 * pairs]] = atoms[pairs:2 * pairs], atoms[:pairs]
+    return FullGroupElement.from_forward(space, forward)
+
+
+spaces = st.one_of(
+    st.integers(1, 40).map(single),
+    st.lists(st.integers(1, 8), min_size=1, max_size=6).map(FiniteSpace.from_class_sizes),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaces, st.lists(st.sampled_from(["random", "identity", "involution"]), min_size=1, max_size=4),
+       st.integers(0, 2**16))
+def test_disjoint_support_partition_matches_the_oracle(sp, kinds, seed):
+    rng = derive_rng(seed, STREAM_TEST, 24)
+    make = {"random": lambda: random_full_group_element(sp, rng),
+            "identity": lambda: FullGroupElement.identity(sp),
+            "involution": lambda: _involution(sp, rng)}
+    elements = [make[kind]() for kind in kinds]
+    assert disjoint_support_partition(elements) == oracle_disjoint_support_partition(elements)
+
+
 # -- towers ------------------------------------------------------------------
 
 
@@ -246,6 +305,22 @@ def test_first_return_is_a_permutation_of_the_subset():
         induced = first_return(sigma, subset)
         assert {induced(x) for x in subset} == subset
         assert all(induced(x) == x for x in range(32) if x not in subset)
+
+
+@pytest.mark.parametrize("wrap", [
+    frozenset, set, iter, lambda atoms: (x for x in atoms), lambda atoms: range(atoms[0], atoms[-1] + 1),
+])
+def test_sets_ranges_and_generators_of_atoms_are_accepted(wrap):
+    """Any iterable of atoms gives what the same atoms in a sorted list give."""
+    rng = derive_rng(25, STREAM_TEST, 25)
+    sp = single(16)
+    sigma, tau = random_full_group_element(sp, rng), random_full_group_element(sp, rng)
+    hom = Homomorphism(sp, (sigma, tau))
+    for atoms in ([1, 4, 5, 11], [7], list(range(3, 9))):
+        listed = sorted(set(wrap(atoms)))
+        assert splice(sigma, wrap(atoms), tau) == splice(sigma, listed, tau)
+        assert schreier_boundary_ratio(hom, wrap(atoms)) == schreier_boundary_ratio(hom, listed)
+        assert first_return(sigma, wrap(atoms)) == first_return(sigma, listed)
 
 
 # -- periodic truncation -------------------------------------------------------

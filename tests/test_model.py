@@ -95,6 +95,27 @@ def test_measure():
     assert sp.measure([0, 1, 1]) == Fraction(1, 4)
     assert sp.measure(3) == Fraction(3, 8)
     assert sp.measure([]) == 0
+    assert sp.measure(8) == 1 and sp.measure(np.int64(2)) == Fraction(1, 4)
+    assert sp.measure(range(3)) == sp.measure({0, 1, 2}) == sp.measure(np.arange(3)) == Fraction(3, 8)
+
+
+@pytest.mark.parametrize("atoms, message", [
+    ([1, 99, -3], r"^atom 99 is not in \[0, 8\)$"),
+    ([-1], r"^atom -1 is not in \[0, 8\)$"),
+    ([8], r"^atom 8 is not in \[0, 8\)$"),
+    ([1.5], r"^atom 1.5 is not an integer$"),
+    ([True], r"^atom True is not an integer$"),
+    (99, r"^count 99 is not in \[0, 8\]$"),
+    (9, r"^count 9 is not in \[0, 8\]$"),
+    (-1, r"^count -1 is not in \[0, 8\]$"),
+    (np.int64(-3), r"^count -3 is not in \[0, 8\]$"),
+    pytest.param(-(10**5000), r"^count at most -2\^16609 is not in \[0, 8\]$", id="huge-count"),
+])
+def test_measure_refuses_atoms_and_counts_outside_the_space(atoms, message):
+    """Atom sets are refused as by `checked_atoms`; a count must lie in [0, n]."""
+    sp = FiniteSpace.single_class(8)
+    with pytest.raises(ValueError, match=message):
+        sp.measure(atoms)
 
 
 def test_space_equality_and_hash():
