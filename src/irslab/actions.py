@@ -12,10 +12,9 @@ comparison.  Ball codes record, for each word of B(R+1), the least
 word of B(R) reaching the same atom; two rooted Schreier balls of
 radius R are isomorphic exactly when their codes agree.  Traces,
 codes and the conjugated traces of the invariance check are all read
-off one kernel of ball-word images.  The distinct trace rows and their
-counts are sorted once per (hom, R) with `setops.row_ids` and cached on
-the homomorphism; the trace distribution is read off that table, and
-the conjugated rows are counted into it by binary search.
+off one kernel of ball-word images.  The trace distribution numbers the
+distinct trace rows with `setops.row_ids`; the invariance check compares
+each conjugated trace with the trace at the image atom, pointwise.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 from . import space
 from .fullgroup import FullGroupElement, cycle_structure, uniform_metric
 from .labels import component_labels
-from .setops import row_ids, row_keys, sorted_unique
+from .setops import row_ids, sorted_unique
 from .space import FiniteSpace, _frozen_array
 from .words import ReducedWord, TraceBudgetError, _check_radius, ball, ball_size
 
@@ -72,11 +71,6 @@ class Homomorphism:
     def tables(self) -> dict[int, np.ndarray]:
         """Permutation table of each signed letter, in the ball's order s1, s1^-1, s2, ..."""
         return {l: t for i, g in enumerate(self.gens, 1) for l, t in ((i, g.forward), (-i, g.inverse))}
-
-    @cached_property
-    def _trace_tables(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Per radius, the distinct trace rows and their counts (see `_trace_table`)."""
-        return {}
 
     def generator(self, letter: int) -> FullGroupElement:
         """Image of a signed letter."""
@@ -183,6 +177,11 @@ def _check_rows(what: str, radius: int, atoms: int, row_bytes: int) -> None:
                         "for {atoms} atom{s}", what=what, radius=radius, atoms=atoms, s="s" * (atoms != 1))
 
 
+def _check_trace_rows(hom: Homomorphism, radius: int) -> None:
+    """Refuse packed trace rows for every atom past the byte budget."""
+    _check_rows("trace rows", radius, hom.space.n_atoms, -(-ball_size(hom.rank, radius) // 8))
+
+
 def _code_sizes(hom: Homomorphism, radius: int, atoms: int) -> tuple[int, int]:
     """|B(R)| and |B(R+1)|, after refusing a negative radius, or ball codes
     for that many atoms past the byte budget."""
@@ -219,7 +218,7 @@ def trace_code_matrix(hom: Homomorphism, radius: int) -> np.ndarray:
 
     Raises `TraceBudgetError` before the ball is built when the rows pass the byte budget.
     """
-    _check_rows("trace rows", radius, hom.space.n_atoms, -(-ball_size(hom.rank, radius) // 8))
+    _check_trace_rows(hom, radius)
     return np.concatenate([np.packbits(images == chunk[:, None], axis=1)
                            for chunk, images in _ball_images(hom, radius)])
 
@@ -249,23 +248,13 @@ def ball_codes(hom: Homomorphism, radius: int, atoms=None) -> np.ndarray:
     return codes
 
 
-def _trace_table(hom: Homomorphism, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct packed trace rows in ascending byte order, and how many
-    atoms hold each; built once per (hom, radius) and cached on the hom."""
-    cached = hom._trace_tables.get(radius)
-    if cached is None:
-        rows = trace_code_matrix(hom, radius)
-        ids, count = row_ids(rows)
-        table = np.empty((count, rows.shape[1]), dtype=np.uint8)
-        table[ids] = rows
-        cached = hom._trace_tables[radius] = (table, np.bincount(ids, minlength=count))
-    return cached
-
-
 def empirical_irs(hom: Homomorphism, radius: int) -> "EmpiricalIRS":
     """Distribution of stabilizer traces over the uniform atom, by ascending bytes."""
-    table, counts = _trace_table(hom, radius)
-    n, counts = hom.space.n_atoms, counts.tolist()
+    rows = trace_code_matrix(hom, radius)
+    ids, count = row_ids(rows)
+    table = np.empty((count, rows.shape[1]), dtype=np.uint8)
+    table[ids] = rows
+    n, counts = hom.space.n_atoms, np.bincount(ids, minlength=count).tolist()
     weight = {c: Fraction(c, n) for c in set(counts)}  # traces share few counts
     weights = tuple(
         (StabilizerTrace(hom.rank, radius, row.tobytes()), weight[c])
@@ -300,48 +289,43 @@ class EmpiricalIRS:
 
 
 def _conjugate_rows(hom: Homomorphism, radius: int):
-    """Yield (letter, x, rows) for each signed letter s on each chunk of the
-    ball-word images kernel: bit i of rows[j] is set iff s^-1 w s fixes x[j],
-    for ball word i = w, evaluated as s^-1(w(y)) at y = s(x[j]), a chunk atom.
+    """Yield (letter, x, fixed, traced) for each signed letter s on each chunk
+    of the ball-word images kernel, y = s(x[j]) being chunk atom j: fixed[j, i]
+    says whether s^-1 w s fixes x[j], for ball word i = w, evaluated as
+    s^-1(w(y)), and traced[j, i] whether w fixes y (one block per chunk).
     Over all chunks, x runs through every atom once per letter.
     """
     for chunk, images in _ball_images(hom, radius):
+        traced = images == chunk[:, None]
         for letter, step in hom.tables.items():
             back = hom.tables[-letter]
             x = back[chunk]
             if not np.array_equal(step[x], chunk):
                 raise AssertionError(f"the tables of letters {letter} and {-letter} are not inverse")
-            yield letter, x, np.packbits(back[images] == x[:, None], axis=1)
-
-
-def _conjugate_gaps(hom: Homomorphism, radius: int) -> dict[int, int]:
-    """Per signed letter, the L1 distance in atoms between the trace counts
-    and the counts of the traces conjugated by that letter.  Conjugated rows
-    are counted by binary search into the cached table of distinct traces;
-    a row missing from it adds one atom to the gap, its base count being 0.
-    """
-    table, counts = _trace_table(hom, radius)
-    keys = row_keys(table)
-    conjugated = {letter: np.zeros(keys.size, dtype=np.int64) for letter in hom.tables}
-    missing = dict.fromkeys(hom.tables, 0)
-    for letter, _, rows in _conjugate_rows(hom, radius):
-        probe = row_keys(rows)
-        at = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
-        found = keys[at] == probe
-        conjugated[letter] += np.bincount(at[found], minlength=keys.size)
-        missing[letter] += probe.size - int(np.count_nonzero(found))
-    return {l: int(np.abs(counts - c).sum()) + missing[l] for l, c in conjugated.items()}
+            yield letter, x, back[images] == x[:, None], traced
 
 
 def invariance_defect(hom: Homomorphism, radius: int) -> Fraction:
     """Largest total-variation gap between the trace distribution and any
-    generator-conjugated one.  Exactly zero for every homomorphism; the
-    conjugated membership tests are evaluated directly, not rewritten:
-    each conjugate s^-1 w s is applied to x letter by letter, w to s(x)
-    on the ball-word images kernel and then s^-1.  One pass of the kernel
-    serves every letter (see `_conjugate_gaps`).
+    generator-conjugated one, certified pointwise by Stab(s x) = s Stab(x) s^-1.
+
+    For each signed letter s and atom x, the trace of the conjugates
+    s^-1 w s at x must equal the trace of w at s(x), row for row; x -> s(x)
+    is a bijection of the uniform atoms, so the two distributions agree
+    exactly and the gap is 0.  A row that differs is a broken invariant and
+    raises `AssertionError`.  Once the letter tables pass as inverse no row
+    can differ, yet criterion 07 stays a computed, direct evaluation, not an
+    assertion: each conjugate is applied to x letter by letter, w to s(x) on
+    the ball-word images kernel and then s^-1, in one kernel pass for every
+    letter (see `_conjugate_rows`).
+
+    Raises `TraceBudgetError` before the ball is built when trace rows pass the byte budget.
     """
-    return Fraction(max(_conjugate_gaps(hom, radius).values()), 2 * hom.space.n_atoms)
+    _check_trace_rows(hom, radius)
+    for letter, _, fixed, traced in _conjugate_rows(hom, radius):
+        if not np.array_equal(fixed, traced):
+            raise AssertionError(f"the trace of s^-1 w s at x differs from that of w at s(x), s = {letter}")
+    return Fraction(0)
 
 
 # -- Schreier balls --------------------------------------------------------

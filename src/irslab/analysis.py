@@ -33,7 +33,7 @@ from .actions import (
     hom_metric,
     orbit,  # unused here; the perfbench tracer self-test checks this binding is patched
 )
-from .constructions import _tower_permutation, splice
+from .constructions import _check_full_cycle, _tower_permutation, splice
 from .rng import STREAM_SWEEP, derive_rng, random_full_group_element
 from .setops import member, merge_disjoint, sorted_unique
 from .words import ReducedWord, _check_radius, ball_size, format_word, parse_word
@@ -251,8 +251,7 @@ def realizes_tau_fraction(hom: Homomorphism, m: int, tau, radius: int) -> Fracti
     step costs O(states * log states) in the states of unsettled atoms;
     when radius >= D_min + 2 (n // 2), the first meet settles every atom.
     """
-    if not hom.is_lean_aperiodic:
-        raise AnalysisError("needs a single-cycle first generator")
+    _check_full_cycle(hom, AnalysisError)
     tau = _tower_permutation(m, tau)
     _check_radius(radius)
     n = hom.space.n_atoms
@@ -404,8 +403,8 @@ def parse_property(text: str, rank: int) -> SweepProperty:
     if name == "realizes":
         if len(parts) != 3:
             raise ValueError("realizes takes (m, tau, radius)")
-        tau = tuple(_integer(t) for t in parts[1].split())
-        return SweepProperty("realizes", (_integer(parts[0]), " ".join(map(str, tau)), _integer(parts[2])))
+        m, tau, radius = _integer(parts[0]), [_integer(t) for t in parts[1].split()], _integer(parts[2])
+        return SweepProperty("realizes", (m, " ".join(map(str, _tower_permutation(m, tau))), radius))
     if name == "corefree":
         if len(parts) != 1:
             raise ValueError("corefree takes (word)")
@@ -440,8 +439,11 @@ def sample_perturbation(hom: Homomorphism, epsilon: Fraction, rng) -> Homomorphi
 
     Keeps the first generator and splices every other generator against
     an independent random full-group element on a random set of measure
-    at most epsilon/2, so the result stays within epsilon of hom.
+    at most epsilon/2, so the result stays within epsilon of hom.  Epsilon
+    outside [0, 2] is refused before anything is drawn.
     """
+    if not 0 <= epsilon <= 2:
+        raise ValueError(f"epsilon {epsilon} is not in [0, 2]")
     n = hom.space.n_atoms
     size = (epsilon.numerator * n) // (2 * epsilon.denominator)
     gens = [hom.gens[0]]

@@ -28,13 +28,19 @@ class ConstructionError(ValueError):
     """A construction's feasibility precondition failed."""
 
 
+def _check_full_cycle(hom: Homomorphism, error: type[ValueError]) -> None:
+    """The lean precondition, refused with the caller's error class: a first
+    generator that is one full cycle."""
+    if not hom.is_lean_aperiodic:
+        raise error("first generator must be a single full cycle")
+
+
 def _check_lean(hom: Homomorphism) -> None:
     """The lean rank-2 precondition of the three perturbation builders: rank at
     least 2, and a first generator that is one full cycle."""
     if hom.rank < 2:
         raise ConstructionError("need rank at least 2")
-    if not hom.is_lean_aperiodic:
-        raise ConstructionError("first generator must be a single full cycle")
+    _check_full_cycle(hom, ConstructionError)
 
 
 def _tower_permutation(m: int, tau) -> tuple[int, ...]:
@@ -42,7 +48,7 @@ def _tower_permutation(m: int, tau) -> tuple[int, ...]:
     if m < 1:
         raise ValueError("m must be at least 1")
     tau = tuple(int(t) for t in tau)
-    if sorted(tau) != list(range(m)):
+    if len(tau) != m or sorted(tau) != list(range(m)):  # no 0..m-1 list for a huge m
         raise ValueError(f"tau must be a permutation of 0..{m - 1}")
     return tau
 

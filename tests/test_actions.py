@@ -42,8 +42,10 @@ from irslab import (
 )
 import irslab.space
 from irslab import TraceBudgetError, actions
-from irslab.actions import EmpiricalIRS, _ball_images, _conjugate_gaps, _conjugate_rows
+from irslab.actions import EmpiricalIRS, _ball_images, _conjugate_rows
+from irslab.cli import main
 from irslab.rng import STREAM_TEST
+from irslab.serialize import dumps_canonical, hom_to_doc
 from irslab.setops import row_ids
 
 
@@ -518,20 +520,22 @@ def test_conjugate_traces_match_the_permutation_oracle(hom, radius, chunk_atoms)
     with pytest.MonkeyPatch.context() as mp:
         # chunks of chunk_atoms atoms, so most atoms sit at a nonzero chunk offset
         mp.setattr(actions, "_CHUNK_BYTES", chunk_atoms * 8 * len(fb))
-        one_pass = {letter: np.zeros((n, (len(fb) + 7) // 8), dtype=np.uint8) for letter in hom.tables}
+        blocks = {letter: np.zeros((2, n, len(fb)), dtype=bool) for letter in hom.tables}
         seen = Counter()
-        for letter, x, rows in _conjugate_rows(hom, radius):
-            one_pass[letter][x] = rows
+        for letter, x, fixed, traced in _conjugate_rows(hom, radius):
+            blocks[letter][:, x] = fixed, traced
             seen.update((letter, a) for a in x.tolist())
         assert seen == Counter({(letter, a): 1 for letter in hom.tables for a in range(n)})
+        base = np.unpackbits(trace_code_matrix(hom, radius), axis=1, count=len(fb)).astype(bool)
         for letter in [l for i in range(1, hom.rank + 1) for l in (i, -i)]:
+            fixed, traced = blocks[letter]
+            assert np.array_equal(traced, base[hom.tables[letter]])  # the trace at s(x)
             rows = _conjugate_trace_rows(hom, radius, letter)
             assert rows.shape == (n, (len(fb) + 7) // 8)
-            assert np.array_equal(one_pass[letter], rows)
-            bits = np.unpackbits(rows, axis=1, count=len(fb)).astype(bool)
+            assert np.array_equal(np.packbits(fixed, axis=1), rows)
             for i, w in enumerate(fb.words):
                 conj = hom.element_of(reduce_letters(hom.rank, (-letter,) + w.letters + (letter,)))
-                assert np.array_equal(bits[:, i], conj.forward == np.arange(n)), (letter, str(w))
+                assert np.array_equal(fixed[:, i], conj.forward == np.arange(n)), (letter, str(w))
         defect = invariance_defect(hom, radius)
     assert defect == 0
     assert defect == concat_invariance_defect(hom, radius)
@@ -539,33 +543,27 @@ def test_conjugate_traces_match_the_permutation_oracle(hom, radius, chunk_atoms)
     assert empirical_irs(hom, radius) == empirical_irs_from_first_atoms(hom, radius)
 
 
-def test_gap_counts_match_the_concatenation_oracle(monkeypatch):
-    """Counted against another action's trace table, the conjugated rows
-    miss some traces and overfill others; every letter's gap must still
-    equal the one counted on the concatenated rows."""
-    saw_missing = saw_surplus = False
-    for seed, sizes, rank, radius in [(1, [12], 2, 2), (2, [5, 3, 3, 1], 2, 1), (3, [9], 1, 3), (4, [4, 4], 3, 1)]:
-        rng = derive_rng(seed, STREAM_TEST, 10)
-        space = FiniteSpace.from_class_sizes(sizes, levels=None)
-        hom, other = random_homomorphism(space, rank, rng), random_homomorphism(space, rank, rng)
-        base = trace_code_matrix(other, radius)
-        hom._trace_tables[radius] = actions._trace_table(other, radius)
-        n, known = space.n_atoms, Counter(row.tobytes() for row in base)
-        gaps = _conjugate_gaps(hom, radius)
-        for letter, gap in gaps.items():
-            conj = _conjugate_trace_rows(hom, radius, letter)
-            ids, count = row_ids(np.concatenate([base, conj]))
-            expected = np.abs(np.bincount(ids[:n], minlength=count) - np.bincount(ids[n:], minlength=count))
-            assert gap == int(expected.sum()), (seed, letter)
-            counted = Counter(row.tobytes() for row in conj)
-            saw_missing |= any(row not in known for row in counted)
-            saw_surplus |= any(0 < known[row] < c for row, c in counted.items())
-        with monkeypatch.context() as mp:  # the oracle reads its base rows off the other action
-            mp.setitem(concat_invariance_defect.__globals__, "trace_code_matrix", lambda h, r: base)
-            expected_defect = concat_invariance_defect(hom, radius)
-        assert invariance_defect(hom, radius) == expected_defect == Fraction(max(gaps.values()), 2 * n)
-        assert expected_defect > 0
-    assert saw_missing and saw_surplus
+def test_a_conjugated_row_that_differs_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    hom = random_homomorphism(FiniteSpace.single_class(9), 2, derive_rng(11, STREAM_TEST, 11))
+    direct = actions._conjugate_rows
+
+    def tampered(hom, radius):
+        for letter, x, fixed, traced in direct(hom, radius):
+            if letter == -2:
+                fixed = fixed.copy()
+                fixed[-1, -1] = ~fixed[-1, -1]
+            yield letter, x, fixed, traced
+
+    monkeypatch.setattr(actions, "_conjugate_rows", tampered)
+    message = "the trace of s^-1 w s at x differs from that of w at s(x), s = -2"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        invariance_defect(hom, 1)
+    path = tmp_path / "h.json"
+    path.write_text(dumps_canonical(hom_to_doc(hom)))
+    assert main(["analyze", "irs", "--hom", str(path), "--radius", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"internal error: {message}\n"
+    assert captured.out == ""
 
 
 def test_letter_tables_that_are_not_inverse_are_an_internal_error():

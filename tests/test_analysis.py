@@ -1,5 +1,6 @@
 """Diagnostics: boundary ratios, transitivity, realization, stability, sweeps."""
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -445,6 +446,28 @@ def test_parse_property_forms():
     for bad in ("folner", "folner(1)", "realizes(2,1)", "corefree(a, b)", "mystery(1)"):
         with pytest.raises(ValueError):
             parse_property(bad, 2)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("realizes(2, 0 0, 4)", "tau must be a permutation of 0..1"),
+    ("realizes(3, 1 0, 4)", "tau must be a permutation of 0..2"),
+    ("realizes(0, , 4)", "m must be at least 1"),
+    ("realizes(999999999999999999, 1 0, 4)", "tau must be a permutation of 0..999999999999999998"),
+])
+def test_parse_property_refuses_a_bad_tau(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_property(text, 2)
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(-1, 2), Fraction(-1, 1024), Fraction(2049, 1024), Fraction(5, 2)])
+def test_sample_perturbation_refuses_epsilon_outside_zero_to_two(epsilon):
+    hom = lean_aperiodic_homomorphism(single(256), 2, derive_rng(33, STREAM_TEST, 33))
+    rng, fresh = derive_rng(33, STREAM_TEST, 34), derive_rng(33, STREAM_TEST, 34)
+    with pytest.raises(ValueError, match=f"^epsilon {re.escape(str(epsilon))} is not in \\[0, 2\\]$"):
+        sample_perturbation(hom, epsilon, rng)
+    assert rng.integers(1 << 62) == fresh.integers(1 << 62)  # refused before anything is drawn
+    for edge in (Fraction(0), Fraction(2)):
+        assert hom_metric(hom, sample_perturbation(hom, edge, rng)) <= edge
 
 
 def test_sample_perturbation_stays_in_the_ball():

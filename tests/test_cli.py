@@ -292,6 +292,29 @@ def test_bad_input_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_realize_and_ht_refuse_a_non_lean_hom_with_one_line(tmp_path, capsys):
+    hom = tmp_path / "random.json"
+    assert main(["gen", "hom", "--model", "random", "--rank", "2", "--seed", "1",
+                 "--log2", "4", "--out", str(hom)]) == 0
+    capsys.readouterr()
+    for argv in (["analyze", "realize", "--hom", str(hom), "--m", "2", "--tau", "1 0", "--radius", "2"],
+                 ["construct", "ht", "--hom", str(hom), "--m", "2", "--tau", "1 0", "--epsilon", "1/2"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: first generator must be a single full cycle\n"
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("epsilon", ["5/2", "-1/2"])
+def test_sweep_refuses_epsilon_outside_zero_to_two(tmp_path, capsys, epsilon):
+    hom = gen_hom(tmp_path, log2=4)
+    assert main(["sweep", "--hom", str(hom), f"--epsilon={epsilon}", "--samples", "2",
+                 "--property", "corefree(s1)", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: epsilon {epsilon} is not in [0, 2]\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", [
     ("export", "--format", "dot", "--radius", "1", "--out", "x.dot"),
     ("analyze", "folner", "--l", "2", "--radius", "2"),
