@@ -1,13 +1,13 @@
 """Diagnostics that certify properties of actions by exact computation.
 
-Everything here returns exact rationals or booleans backed by full
-enumeration within the byte budget: Foelner-set search with
-honest boundary ratios, transitivity degree by tuple-orbit closure,
-realization of a prescribed tower permutation by bidirectional word
-search spread along sigma's cycle by conjugation, triviality of a word
-per orbit, the ball-stability bound, and seeded genericity sweeps over
-perturbation balls.  Degree and classwise Sym generation share one
-per-orbit routine, `_degree`; it and realization grow tuple orbits with
+Everything here is exact within the byte budget: Foelner-set search with
+honest boundary ratios, transitivity degree by tuple-orbit closure under
+the generators, realization of a tower permutation by bidirectional word
+search spread along sigma's cycle by conjugation, per-orbit word
+triviality, the ball-stability bound, and seeded genericity sweeps over
+perturbation balls, their property grammar one table of argument names
+and each worker's samples one range of indices.  Degree and classwise
+Sym generation share `_degree`; it and realization grow tuple orbits with
 one kernel, packed keys stepped by `_grow`: untagged tuples for degree,
 (tuple, source atom) for realization.
 """
@@ -18,6 +18,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import perm
 
 import numpy as np
@@ -36,7 +37,7 @@ from .actions import (
 from .constructions import _check_full_cycle, _tower_permutation, splice
 from .rng import STREAM_SWEEP, derive_rng, random_full_group_element
 from .setops import member, merge_disjoint, sorted_unique
-from .words import ReducedWord, _check_radius, ball_size, format_word, parse_word
+from .words import _INT_RE, ReducedWord, _check_radius, ball_size, format_word, parse_word
 
 
 class AnalysisError(ValueError):
@@ -218,11 +219,13 @@ def _degree(atoms: np.ndarray, tables, k_max: int) -> int:
 
 def transitivity_degree(hom: Homomorphism, root: int, k_max: int) -> int:
     """Largest k <= k_max with a transitive action on distinct k-tuples of the
-    root's orbit (`_degree`).  Singleton orbits are vacuously 1-transitive."""
+    root's orbit (`_degree` under the generators alone: on a finite set an inverse
+    is a power of its generator).  Singleton orbits are vacuously 1-transitive."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     labels = hom.orbit_labels
-    return _degree(np.flatnonzero(labels == labels[_atom(hom, root)]), hom.tables.values(), k_max)
+    atoms = np.flatnonzero(labels == labels[_atom(hom, root)])
+    return _degree(atoms, [g.forward for g in hom.gens], k_max)
 
 
 # -- tower-permutation realization -------------------------------------------
@@ -381,39 +384,44 @@ class SweepProperty:
 
 
 def _integer(text: str) -> int:
-    """A property's integer argument, refused in one line past 18 digits,
-    before Python's int-to-str limit is met."""
+    """A property's integer argument in ASCII digits, refused in one line past
+    18 digits, before Python's int-to-str limit is met."""
     digits = sum(c.isdigit() for c in text)
     if digits > 18:
         raise ValueError(f"property integers take at most 18 digits, got {digits}")
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"bad integer token {text!r}")
     return int(text)
 
 
+_PROPERTIES = {  # each sweep property's argument names, in order
+    "folner": ("l", "radius"),
+    "realizes": ("m", "tau", "radius"),
+    "corefree": ("word",),
+    "periodic": ("level",),
+}
+
+
 def parse_property(text: str, rank: int) -> SweepProperty:
-    """Parse folner(l,R), realizes(m,tau,R), corefree(word), periodic(j)."""
+    """Parse `name(arg, ...)`, with the arity `_PROPERTIES` gives, into canonical args."""
     match = re.fullmatch(r"\s*(\w+)\s*\((.*)\)\s*", text)
     if not match:
         raise ValueError(f"cannot parse property {text!r}")
     name, inner = match.group(1), match.group(2)
     parts = [p.strip() for p in inner.split(",")] if inner.strip() else []
-    if name == "folner":
-        if len(parts) != 2:
-            raise ValueError("folner takes (l, radius)")
-        return SweepProperty("folner", (_integer(parts[0]), _integer(parts[1])))
+    names = _PROPERTIES.get(name)
+    if names is None:
+        raise ValueError(f"unknown property {name!r}")
+    if len(parts) != len(names):
+        raise ValueError(f"{name} takes ({', '.join(names)})")
     if name == "realizes":
-        if len(parts) != 3:
-            raise ValueError("realizes takes (m, tau, radius)")
         m, tau, radius = _integer(parts[0]), [_integer(t) for t in parts[1].split()], _integer(parts[2])
-        return SweepProperty("realizes", (m, " ".join(map(str, _tower_permutation(m, tau))), radius))
-    if name == "corefree":
-        if len(parts) != 1:
-            raise ValueError("corefree takes (word)")
-        return SweepProperty("corefree", (format_word(parse_word(parts[0], rank)),))
-    if name == "periodic":
-        if len(parts) != 1:
-            raise ValueError("periodic takes (level)")
-        return SweepProperty("periodic", (_integer(parts[0]),))
-    raise ValueError(f"unknown property {name!r}")
+        args = (m, " ".join(map(str, _tower_permutation(m, tau))), radius)
+    elif name == "corefree":
+        args = (format_word(parse_word(parts[0], rank)),)
+    else:
+        args = tuple(_integer(p) for p in parts)
+    return SweepProperty(name, args)
 
 
 def _property_holds(hom: Homomorphism, prop: SweepProperty, rng) -> bool:
@@ -448,20 +456,15 @@ def sample_perturbation(hom: Homomorphism, epsilon: Fraction, rng) -> Homomorphi
     size = (epsilon.numerator * n) // (2 * epsilon.denominator)
     gens = [hom.gens[0]]
     for g in hom.gens[1:]:
-        subset = np.sort(rng.choice(n, size=size, replace=False)) if size else np.empty(0, np.int64)
+        subset = rng.choice(n, size=size, replace=False) if size else np.empty(0, np.int64)
         gens.append(splice(g, subset, random_full_group_element(hom.space, rng)))
     return Homomorphism(hom.space, tuple(gens))
 
 
-def _sweep_chunk(payload) -> int:
-    hom, epsilon, prop, seed, indices = payload
-    hits = 0
-    for k in indices:
-        rng = derive_rng(seed, STREAM_SWEEP, k)
-        sample = sample_perturbation(hom, epsilon, rng)
-        if _property_holds(sample, prop, rng):
-            hits += 1
-    return hits
+def _sweep_chunk(hom, epsilon, prop, seed, indices: range) -> int:
+    """Hits among the sample indices, each drawing from its own stream of the seed."""
+    rngs = (derive_rng(seed, STREAM_SWEEP, k) for k in indices)
+    return sum(_property_holds(sample_perturbation(hom, epsilon, rng), prop, rng) for rng in rngs)
 
 
 def _worker_count() -> int:
@@ -474,30 +477,26 @@ def _worker_count() -> int:
     return max(1, min(workers, os.cpu_count() or 1))
 
 
-def genericity_sweep(
-    hom: Homomorphism, epsilon, samples: int, prop, seed: int
-) -> Fraction:
+def genericity_sweep(hom: Homomorphism, epsilon, samples: int, prop, seed: int) -> Fraction:
     """Fraction of sampled perturbations satisfying the property.
 
     Sampling is seeded per sample index, so the result is identical for
     any worker count; IRSLAB_WORKERS sets process parallelism, clamped to
-    the CPU count.
+    the CPU count and the sample count.  Worker w runs the indices
+    range(w, samples, workers), so no list of indices is ever built.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     epsilon = Fraction(epsilon)
     if isinstance(prop, str):
         prop = parse_property(prop, hom.rank)
-    workers = _worker_count()
-    indices = list(range(samples))
-    if workers <= 1 or samples == 1:
-        hits = _sweep_chunk((hom, epsilon, prop, seed, indices))
+    workers = min(_worker_count(), samples)
+    chunk = partial(_sweep_chunk, hom, epsilon, prop, seed)
+    ranges = [range(w, samples, workers) for w in range(workers)]
+    if workers == 1:
+        hits = chunk(ranges[0])
     else:
-        chunks = [
-            (hom, epsilon, prop, seed, indices[w::workers])
-            for w in range(min(workers, samples))
-        ]
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            hits = sum(pool.map(_sweep_chunk, chunks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            hits = sum(pool.map(chunk, ranges))
     return Fraction(hits, samples)

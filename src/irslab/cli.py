@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, constructions
+from . import analysis, constructions, space
 from .actions import (
     Homomorphism,
     empirical_irs,
@@ -45,9 +44,7 @@ from .serialize import (
     space_to_doc,
 )
 from .space import FiniteSpace
-from .words import _decimal, cyclic_reduce, parse_word
-
-_INT_RE = re.compile(r"-?\d+")
+from .words import _INT_RE, _decimal, cyclic_reduce, parse_word
 
 
 def _check(name: str, passed: bool, detail: str = "") -> dict:
@@ -86,9 +83,14 @@ def _root(hom: Homomorphism, root: int) -> int:
 
 
 def _log2_atoms(log2: int) -> int:
-    """The atom count 2^log2 of a --log2 option, which must be nonnegative."""
+    """The atom count 2^log2 of a --log2 option, which must be nonnegative.  From
+    2^64 atoms on, the space's budget refusal is built from log2 itself, as
+    `space._count` would show it, before a huge 2^log2 is computed."""
     if log2 < 0:
         raise ValueError("--log2 must be nonnegative")
+    if log2 >= 64:
+        raise ValueError(f"at least 2^{log2} atoms need at least 2^{log2 + 3} bytes, "
+                         f"over the budget of {space._BYTE_BUDGET}")
     return 2 ** log2
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .actions import Homomorphism
 from .fullgroup import FullGroupElement
-from .space import FiniteSpace
+from .space import FiniteSpace, _check_budget, _count
 from .words import ReducedWord
 
 STREAM_GEN_HOM = 1
@@ -43,8 +43,17 @@ def random_full_group_element(space: FiniteSpace, rng: np.random.Generator) -> F
     return FullGroupElement.from_forward(space, forward)
 
 
+def _check_tables(space: FiniteSpace, rank: int) -> None:
+    """Refuse the two int64 tables of rank generators past the byte budget,
+    before anything is drawn."""
+    _check_budget(16 * rank * space.n_atoms, ValueError,
+                  "tables of {rank} generators on {atoms} atoms need {need} bytes",
+                  rank=_count(rank), atoms=space.n_atoms)
+
+
 def random_homomorphism(space: FiniteSpace, rank: int, rng: np.random.Generator):
     """Homomorphism with every generator an independent random element."""
+    _check_tables(space, rank)
     gens = tuple(random_full_group_element(space, rng) for _ in range(rank))
     return Homomorphism(space, gens)
 
@@ -53,7 +62,7 @@ def lean_aperiodic_homomorphism(space: FiniteSpace, rank: int, rng: np.random.Ge
     """First generator the standard full cycle, the rest random."""
     if rank < 1:
         raise ValueError("rank must be at least 1")
-
+    _check_tables(space, rank)
     gens = [FullGroupElement.odometer(space)]
     gens.extend(random_full_group_element(space, rng) for _ in range(rank - 1))
     return Homomorphism(space, tuple(gens))

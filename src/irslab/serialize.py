@@ -22,7 +22,7 @@ from .actions import EmpiricalIRS, Homomorphism, SchreierBall
 from .fullgroup import FullGroupElement
 from .space import FiniteSpace
 
-_FRACTION_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_FRACTION_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
 
 def fraction_to_text(value: Fraction) -> str:

@@ -152,7 +152,9 @@ def ball_size(rank: int, radius: int) -> int:
     return 1 + rank * ((2 * rank - 1) ** radius - 1) // (rank - 1)
 
 
-_TOKEN_RE = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
+# integer tokens take ASCII digits alone: `\d` and `int` also take other Unicode digits
+_INT_RE = re.compile(r"-?[0-9]+")
+_TOKEN_RE = re.compile(r"^s([0-9]+)(?:\^(-?[0-9]+))?$")
 
 
 def _decimal(text: str) -> int:

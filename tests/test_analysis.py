@@ -508,6 +508,59 @@ def test_sweep_reproducible_and_worker_independent(monkeypatch):
         genericity_sweep(hom, Fraction(1, 2), 0, prop, 99)
 
 
+def test_a_sweep_reaches_its_first_sample_without_listing_the_indices(monkeypatch):
+    """10^15 sample indices would take 8 PB as a list; the sweep draws the first
+    sample at once instead."""
+
+    class FirstSample(Exception):
+        pass
+
+    def first_sample(hom, epsilon, rng):
+        raise FirstSample
+
+    monkeypatch.setenv("IRSLAB_WORKERS", "1")
+    monkeypatch.setattr(analysis, "sample_perturbation", first_sample)
+    with pytest.raises(FirstSample):
+        genericity_sweep(odometer_hom(16), Fraction(1, 4), 10 ** 15, "periodic(1)", 0)
+
+
+def test_pooled_sweep_chunks_are_ranges_covering_every_index_once(monkeypatch):
+    """Each pooled chunk is one range of sample indices, and together they hold
+    0..samples-1 exactly once; run in this process, they give the serial fraction."""
+    import concurrent.futures
+
+    mapped = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            assert len(chunks) == self.max_workers
+            mapped.extend(chunks)
+            return map(fn, chunks)
+
+    hom = lean_aperiodic_homomorphism(single(64), 2, derive_rng(35, STREAM_TEST, 35))
+    prop = "folner(2, 2)"  # draws its root from each sample's stream; holds on some samples only
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    for samples, workers in [(2, 2), (3, 3), (10, 4)]:
+        monkeypatch.setenv("IRSLAB_WORKERS", "1")
+        serial = genericity_sweep(hom, Fraction(1, 2), samples, prop, 7)
+        assert mapped == []
+        monkeypatch.setenv("IRSLAB_WORKERS", "4")
+        assert genericity_sweep(hom, Fraction(1, 2), samples, prop, 7) == serial
+        assert len(mapped) == workers and all(isinstance(chunk, range) for chunk in mapped)
+        assert sorted(k for chunk in mapped for k in chunk) == list(range(samples))
+        mapped.clear()
+
+
 def test_worker_count_is_clamped(monkeypatch):
     from irslab.analysis import _worker_count
 

@@ -21,6 +21,7 @@ from irslab import (
     derive_rng,
     generates_classwise_symmetric,
     lean_aperiodic_homomorphism,
+    random_homomorphism,
     realizes_tau_fraction,
     stabilizer_trace,
     trace_code_matrix,
@@ -40,6 +41,7 @@ def _sym(n):
 
 
 SYM8 = _sym(8)
+SPACE256 = FiniteSpace.single_class(256)
 LEAN64 = lean_aperiodic_homomorphism(FiniteSpace.single_class(64), 2, derive_rng(3, STREAM_TEST, 64))
 
 ENTRY_POINTS = {
@@ -60,6 +62,11 @@ ENTRY_POINTS = {
     "StabilizerTrace.words": (lambda: StabilizerTrace(2, 5, bytes(61)).words(), TraceBudgetError),
     # 1024 int64 class ids
     "FiniteSpace.single_class": (lambda: FiniteSpace.single_class(1024), ValueError),
+    # two int64 tables of 256 atoms for each of 2 generators; the class ids take 2048 bytes
+    "random_homomorphism": (lambda: random_homomorphism(SPACE256, 2, derive_rng(3, STREAM_TEST, 256)),
+                            ValueError),
+    "lean_aperiodic_homomorphism": (
+        lambda: lean_aperiodic_homomorphism(SPACE256, 2, derive_rng(3, STREAM_TEST, 256)), ValueError),
 }
 
 
@@ -78,6 +85,8 @@ def test_every_guarded_entry_point_reads_the_one_budget(small_budget, name):
     ("export", "--hom", "lean.json", "--format", "dot", "--root", "0", "--radius", "7",
      "--out", "ball.dot"),
     ("gen", "hom", "--rank", "2", "--seed", "1", "--log2", "10"),
+    # 256 class ids fit in 2 KiB, the generators' tables need 8 KiB
+    pytest.param(("gen", "hom", "--rank", "2", "--seed", "1", "--log2", "8"), id="gen hom tables"),
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_cli_refusals_under_the_budget_exit_2_with_one_line(tmp_path, monkeypatch, capsys,
                                                             small_budget, argv):

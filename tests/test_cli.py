@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from irslab import cli
+from irslab import FiniteSpace, cli
 from irslab.actions import evaluate
 from irslab.cli import build_parser, main
 
@@ -911,3 +911,58 @@ def test_huge_integer_lists_exit_2_with_one_line(tmp_path, capsys, argv, message
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--epsilon", "1/2", "--samples", "1", "--seed", "0", "--property", "folner(1_0, 2)"],
+     "bad integer token '1_0'"),
+    (["sweep", "--epsilon", "1/2", "--samples", "1", "--seed", "0", "--property", "folner(٣, 2)"],
+     "bad integer token '٣'"),
+    (["sweep", "--epsilon", "1/2", "--samples", "1", "--seed", "0", "--property", "periodic(+1)"],
+     "bad integer token '+1'"),
+    (["sweep", "--epsilon", "١/2", "--samples", "1", "--seed", "0", "--property", "periodic(1)"],
+     "expected a rational like '2/3', got '١/2'"),
+    (["construct", "corefree", "--word", "s٢", "--epsilon", "1/2"], "bad letter token 's٢'"),
+    (["construct", "corefree", "--word", "s2^٣", "--epsilon", "1/2"], "bad letter token 's2^٣'"),
+    (["analyze", "realize", "--m", "2", "--radius", "3", "--tau", "1_0 0"], "bad integer token '1_0'"),
+    (["analyze", "realize", "--m", "2", "--radius", "3", "--tau", "١ 0"], "bad integer token '١'"),
+], ids=["underscore", "arabic-indic", "plus", "fraction", "word index", "word power", "tau underscore",
+        "tau arabic-indic"])
+def test_integer_tokens_take_ascii_digits_only(tmp_path, capsys, argv, message):
+    """Python's int() reads `1_0` as 10, `+1` as 1 and other Unicode digits as
+    their values; every integer token of the lab's own grammar is refused instead."""
+    hom = gen_hom(tmp_path, log2=4, seed=1)
+    assert main([*argv, "--hom", str(hom)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def _limit_address_space_to_1_gib():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("sub", ["space", "hom"])
+def test_huge_log2_is_refused_before_2_to_the_log2_is_computed(sub):
+    """2^(10^11) is a 12.5 GB integer: under a 1 GiB address-space limit the
+    refusal must come from log2 alone."""
+    seeded = ("--rank", "2", "--seed", "1") if sub == "hom" else ()
+    proc = subprocess.run(
+        [sys.executable, "-m", "irslab.cli", "gen", sub, *seeded, "--log2", "100000000000"],
+        capture_output=True, text=True, preexec_fn=_limit_address_space_to_1_gib, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: at least 2^100000000000 atoms need at least 2^100000000003 bytes, "
+                           "over the budget of 268435456\n")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("log2", [64, 65, 20000])
+def test_a_huge_log2_is_refused_as_the_space_refuses_its_atom_count(log2):
+    with pytest.raises(ValueError) as by_space:
+        FiniteSpace.single_class(2 ** log2)
+    with pytest.raises(ValueError) as by_log2:
+        cli._log2_atoms(log2)
+    assert str(by_log2.value) == str(by_space.value)

@@ -18,6 +18,7 @@ from irslab import (
     Homomorphism,
     derive_rng,
     generates_classwise_symmetric,
+    lean_aperiodic_homomorphism,
     orbit,
     orbits,
     random_homomorphism,
@@ -221,6 +222,18 @@ def test_degree_3_on_a_16_atom_symmetric_orbit():
     # over the orbit-size guard of 12 that the byte budget replaced
     hom = _hom(16, _from_cycles(16, [tuple(range(1, 17))]), _from_cycles(16, [(1, 2)]))
     assert transitivity_degree(hom, 5, 3) == oracle_transitivity_degree(hom, 5, 3) == 3
+
+
+def test_degree_orbits_close_under_the_generators_alone(small_budget):
+    """An inverse is a power of its generator on a finite set, so the forward
+    tables give the same orbits as all signed letters with half the images per
+    step: a lean hom on 16 atoms whose signed-letter steps need 4472 bytes is
+    answered within 4 KiB, and the answer is the closure's."""
+    hom = lean_aperiodic_homomorphism(FiniteSpace.single_class(16, levels=None), 2,
+                                      derive_rng(1, STREAM_TEST, 16))
+    with pytest.raises(AnalysisError, match=r"^tuple orbit step needs 4472 bytes of keys, "):
+        _degree(np.arange(16), list(hom.tables.values()), 2)
+    assert transitivity_degree(hom, 0, 2) == oracle_transitivity_degree(hom, 0, 2) == 2
 
 
 
