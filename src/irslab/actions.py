@@ -12,7 +12,9 @@ comparison.  Ball codes record, for each word of B(R+1), the least
 word of B(R) reaching the same atom; two rooted Schreier balls of
 radius R are isomorphic exactly when their codes agree.  Traces,
 codes and the conjugated traces of the invariance check are all read
-off one kernel of ball-word images.  The trace distribution numbers the
+off one kernel of ball-word images, run over cache-sized chunks of atoms;
+ball codes come one block per chunk, so a caller comparing two actions'
+codes need not hold either code matrix.  The trace distribution numbers the
 distinct trace rows with `setops.row_ids`; the invariance check compares
 each conjugated trace with the trace at the image atom, pointwise.
 """
@@ -162,7 +164,9 @@ class StabilizerTrace:
         return self.bits.hex()
 
 
-_CHUNK_BYTES = 4 << 20  # bytes of int64 ball-word images per chunk of atoms
+# bytes of int64 ball-word images per chunk of atoms: `_code_blocks`' sort holds
+# about seven int64 blocks the size of the chunk at once, so a chunk stays cache-sized
+_CHUNK_BYTES = 512 << 10
 
 
 def _atom(hom: Homomorphism, atom) -> int:
@@ -223,6 +227,21 @@ def trace_code_matrix(hom: Homomorphism, radius: int) -> np.ndarray:
                            for chunk, images in _ball_images(hom, radius)])
 
 
+def _code_blocks(hom: Homomorphism, radius: int, atoms: np.ndarray, inner: int, outer: int):
+    """Yield the ball-code rows (see `ball_codes`) of the checked int64 atoms, one
+    block per `_ball_images` chunk; inner and outer are `_code_sizes`' |B(R)| and |B(R+1)|."""
+    n = hom.space.n_atoms
+    words = np.arange(outer)
+    for chunk, images in _ball_images(hom, radius + 1, atoms):
+        # sorted (row, atom, word) keys: each run of one (row, atom) starts at its least word
+        keys = np.sort((images + n * np.arange(chunk.size)[:, None]) * words.size + words, None)
+        slot, word = np.divmod(keys, words.size)  # slot = row * n + atom
+        head = np.maximum.accumulate(np.where(np.diff(slot, prepend=-1), np.arange(slot.size), 0))
+        block = np.empty((chunk.size, outer), dtype=np.min_scalar_type(inner))
+        block[slot // n, word] = np.minimum(word[head], inner)
+        yield block
+
+
 def ball_codes(hom: Homomorphism, radius: int, atoms=None) -> np.ndarray:
     """First-occurrence codes of rooted radius-R Schreier balls, one row per atom.
 
@@ -231,20 +250,13 @@ def ball_codes(hom: Homomorphism, radius: int, atoms=None) -> np.ndarray:
     at the root, so two rooted balls are label-isomorphic iff their rows agree.
     The atoms default to all; an empty list gives an empty code matrix.
     """
-    n = hom.space.n_atoms
-    atoms = np.arange(n) if atoms is None else hom.space.checked_atoms(atoms)
+    atoms = np.arange(hom.space.n_atoms) if atoms is None else hom.space.checked_atoms(atoms)
     inner, outer = _code_sizes(hom, radius, atoms.size)
-    words = np.arange(outer)
     codes = np.empty((atoms.size, outer), dtype=np.min_scalar_type(inner))
     start = 0
-    for chunk, images in _ball_images(hom, radius + 1, atoms):
-        # sorted (row, atom, word) keys: each run of one (row, atom) starts at its least word
-        keys = np.sort((images + n * np.arange(chunk.size)[:, None]) * words.size + words, None)
-        slot, word = np.divmod(keys, words.size)  # slot = row * n + atom
-        head = np.maximum.accumulate(np.where(np.diff(slot, prepend=-1), np.arange(slot.size), 0))
-        block = codes[start:start + chunk.size]
-        block[slot // n, word] = np.minimum(word[head], inner)
-        start += chunk.size
+    for block in _code_blocks(hom, radius, atoms, inner, outer):
+        codes[start:start + len(block)] = block
+        start += len(block)
     return codes
 
 

@@ -61,6 +61,14 @@ def _ints(text: str) -> list[int]:
     return [_decimal(t) for t in tokens]
 
 
+def _int_option(text: str) -> int:
+    """An integer option's value in ASCII digits with an optional minus sign, read
+    exactly; `1_0`, `+3`, ` 7` and other Unicode digits are refused as by `_ints`."""
+    if not _INT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"bad integer token {text!r}")
+    return int(text)
+
+
 def _load_space(path: str) -> FiniteSpace:
     return space_from_doc(json.loads(Path(path).read_text()))
 
@@ -400,15 +408,15 @@ def build_parser() -> argparse.ArgumentParser:
         dest="sub", required=True
     )
     g_space = gen.add_parser("space")
-    g_space.add_argument("--log2", type=int)
+    g_space.add_argument("--log2", type=_int_option)
     g_space.add_argument("--classes", help="comma-separated class sizes")
     g_space.add_argument("--out")
     g_space.set_defaults(handler=_cmd_gen_space)
     g_hom = gen.add_parser("hom")
     g_hom.add_argument("--model", choices=["lean-aperiodic", "random"], default="lean-aperiodic")
-    g_hom.add_argument("--rank", type=int, required=True)
-    g_hom.add_argument("--seed", type=int, required=True)
-    g_hom.add_argument("--log2", type=int, default=6)
+    g_hom.add_argument("--rank", type=_int_option, required=True)
+    g_hom.add_argument("--seed", type=_int_option, required=True)
+    g_hom.add_argument("--log2", type=_int_option, default=6)
     g_hom.add_argument("--space")
     g_hom.add_argument("--out")
     g_hom.set_defaults(handler=_cmd_gen_hom)
@@ -418,15 +426,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c_splice = con.add_parser("splice")
     _add_hom_arg(c_splice)
-    c_splice.add_argument("--gen-index", type=int, default=0)
+    c_splice.add_argument("--gen-index", type=_int_option, default=0)
     c_splice.add_argument("--atoms", default="", help="atoms of the spliced set")
     c_splice.add_argument("--tau", help="homomorphism JSON supplying the target element")
-    c_splice.add_argument("--tau-index", type=int, default=0)
+    c_splice.add_argument("--tau-index", type=_int_option, default=0)
     c_splice.add_argument("--out")
     c_splice.set_defaults(handler=_cmd_construct_splice)
     c_periodic = con.add_parser("periodic")
     _add_hom_arg(c_periodic)
-    c_periodic.add_argument("--level", type=int, required=True)
+    c_periodic.add_argument("--level", type=_int_option, required=True)
     c_periodic.add_argument("--out")
     c_periodic.set_defaults(handler=_cmd_construct_periodic)
     c_folner = con.add_parser("folner")
@@ -437,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_folner.set_defaults(handler=_cmd_construct_folner)
     c_ht = con.add_parser("ht")
     _add_hom_arg(c_ht)
-    c_ht.add_argument("--m", type=int, required=True)
+    c_ht.add_argument("--m", type=_int_option, required=True)
     c_ht.add_argument("--tau", required=True, help="permutation of 0..m-1, e.g. '1 0'")
     c_ht.add_argument("--epsilon", required=True)
     c_ht.add_argument("--out")
@@ -457,14 +465,14 @@ def build_parser() -> argparse.ArgumentParser:
     a_index.set_defaults(handler=_cmd_analyze_index)
     a_irs = ana.add_parser("irs")
     _add_hom_arg(a_irs)
-    a_irs.add_argument("--radius", type=int, required=True)
+    a_irs.add_argument("--radius", type=_int_option, required=True)
     a_irs.add_argument("--csv", help="also write the trace distribution CSV here")
     a_irs.set_defaults(handler=_cmd_analyze_irs)
     a_folner = ana.add_parser("folner")
     _add_hom_arg(a_folner)
-    a_folner.add_argument("--root", type=int, required=True)
-    a_folner.add_argument("--l", type=int, required=True)
-    a_folner.add_argument("--radius", type=int, required=True)
+    a_folner.add_argument("--root", type=_int_option, required=True)
+    a_folner.add_argument("--l", type=_int_option, required=True)
+    a_folner.add_argument("--radius", type=_int_option, required=True)
     a_folner.set_defaults(handler=_cmd_analyze_folner)
     a_core = ana.add_parser("core")
     _add_hom_arg(a_core)
@@ -472,34 +480,34 @@ def build_parser() -> argparse.ArgumentParser:
     a_core.set_defaults(handler=_cmd_analyze_core)
     a_realize = ana.add_parser("realize")
     _add_hom_arg(a_realize)
-    a_realize.add_argument("--m", type=int, required=True)
+    a_realize.add_argument("--m", type=_int_option, required=True)
     a_realize.add_argument("--tau", required=True)
-    a_realize.add_argument("--radius", type=int, required=True)
+    a_realize.add_argument("--radius", type=_int_option, required=True)
     a_realize.set_defaults(handler=_cmd_analyze_realize)
     a_degree = ana.add_parser("degree")
     _add_hom_arg(a_degree)
-    a_degree.add_argument("--root", type=int, required=True)
-    a_degree.add_argument("--k-max", type=int, required=True)
+    a_degree.add_argument("--root", type=_int_option, required=True)
+    a_degree.add_argument("--k-max", type=_int_option, required=True)
     a_degree.set_defaults(handler=_cmd_analyze_degree)
     a_stab = ana.add_parser("stability")
     _add_hom_arg(a_stab)
     a_stab.add_argument("--other", required=True, help="second homomorphism JSON")
-    a_stab.add_argument("--radius", type=int, required=True)
+    a_stab.add_argument("--radius", type=_int_option, required=True)
     a_stab.set_defaults(handler=_cmd_analyze_stability)
 
     sweep = top.add_parser("sweep", help="sample a perturbation ball")
     _add_hom_arg(sweep)
     sweep.add_argument("--epsilon", required=True)
-    sweep.add_argument("--samples", type=int, required=True)
+    sweep.add_argument("--samples", type=_int_option, required=True)
     sweep.add_argument("--property", required=True)
-    sweep.add_argument("--seed", type=int, required=True)
+    sweep.add_argument("--seed", type=_int_option, required=True)
     sweep.set_defaults(handler=_cmd_sweep)
 
     export = top.add_parser("export", help="write an artifact file")
     _add_hom_arg(export)
     export.add_argument("--format", choices=["json", "csv", "dot"], required=True)
-    export.add_argument("--radius", type=int)
-    export.add_argument("--root", type=int)
+    export.add_argument("--radius", type=_int_option)
+    export.add_argument("--root", type=_int_option)
     export.add_argument("--out", required=True)
     export.set_defaults(handler=_cmd_export)
 

@@ -1,6 +1,7 @@
 """Diagnostics: boundary ratios, transitivity, realization, stability, sweeps."""
 
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -32,7 +33,9 @@ from irslab import (
     schreier_boundary_ratio,
     transitivity_degree,
 )
+import irslab.actions as actions
 import irslab.analysis as analysis
+from irslab.actions import _code_blocks as code_blocks
 from irslab.actions import ball_atoms, ball_codes
 from irslab.analysis import _pack
 from irslab.rng import STREAM_TEST
@@ -354,11 +357,11 @@ def test_ball_stability_pairs_cover_empty_and_full_differences():
 def test_ball_stability_codes_only_the_neighbourhood_of_the_moved_atoms(monkeypatch):
     coded = []
 
-    def spy(hom, radius, atoms=None):
+    def spy(hom, radius, atoms, inner, outer):
         coded.append(atoms)
-        return ball_codes(hom, radius, atoms)
+        return code_blocks(hom, radius, atoms, inner, outer)
 
-    monkeypatch.setattr(analysis, "ball_codes", spy)
+    monkeypatch.setattr(analysis, "_code_blocks", spy)
     pairs = [_swap_pair(), _every_atom_pair(), (odometer_hom(64), odometer_hom(64)),
              *_perturbed_pairs(lambda rng: lean_aperiodic_homomorphism(single(2 ** 10), 2, rng),
                                Fraction(1, 64), 2, 11)]
@@ -374,6 +377,58 @@ def test_ball_stability_codes_only_the_neighbourhood_of_the_moved_atoms(monkeypa
     coded.clear()
     ball_stability_check(a, b, 1)
     assert coded[0].tolist() == [0, 1, 2, 255]
+
+
+def _chunk_atoms(monkeypatch, atoms, rank, radius):
+    """Set the kernel's chunk to the given number of atoms for radius-R ball codes."""
+    monkeypatch.setattr(actions, "_CHUNK_BYTES", atoms * 8 * ball_size(rank, radius + 1))
+
+
+def test_ball_stability_is_exact_across_chunk_boundaries(monkeypatch):
+    pairs = [_swap_pair(), _every_atom_pair(),
+             *_perturbed_pairs(lambda rng: lean_aperiodic_homomorphism(single(2 ** 8), 2, rng),
+                               Fraction(1, 32), 2, 12)]
+    cases = [(a, b, radius, oracle_observed(a, b, radius)) for a, b in pairs for radius in range(3)]
+    rows = {}
+
+    def spy(hom, radius, atoms, inner, outer):
+        for block in code_blocks(hom, radius, atoms, inner, outer):
+            rows.setdefault(id(hom), []).append(len(block))
+            yield block
+
+    monkeypatch.setattr(analysis, "_code_blocks", spy)
+    for size in range(1, 6):
+        remainders = set()
+        for a, b, radius, observed in cases:
+            _chunk_atoms(monkeypatch, size, a.rank, radius)
+            rows.clear()
+            assert ball_stability_check(a, b, radius).observed == observed
+            near = ball_atoms(a, moved_atoms(a, b), radius).size
+            # a's and b's blocks line up: the same row counts, chunk by chunk, over N_R(D)
+            assert rows[id(a)] == rows[id(b)]
+            assert sum(rows[id(a)]) == near and max(rows[id(a)]) <= size
+            remainders.add(near % size)
+        assert size == 1 or remainders - {0}  # some N_R(D) is not a multiple of the chunk
+
+
+def test_ball_stability_holds_one_chunk_of_codes_per_action(monkeypatch):
+    """With a chunk of a few atoms, the comparison's traced peak stays below one
+    |N_R(D)| x |B(R+1)| code matrix, where both full matrices would take two."""
+    a = odometer_hom(2 ** 12)
+    b = a.replace_generator(0, a.gens[0] * a.gens[0])
+    radius = 3
+    assert moved_atoms(a, b).size == a.space.n_atoms  # N_R(D) is every atom
+    matrix = a.space.n_atoms * ball_size(a.rank, radius + 1)  # |B(R)| = 53 codes fit uint8
+    _chunk_atoms(monkeypatch, 4, a.rank, radius)
+    ball_stability_check(a, b, radius)  # builds the cached balls outside the trace
+    tracemalloc.start()
+    try:
+        result = ball_stability_check(a, b, radius)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.observed == oracle_observed(a, b, radius)
+    assert peak < matrix
 
 
 def test_ball_stability_validation():

@@ -938,6 +938,36 @@ def test_integer_tokens_take_ascii_digits_only(tmp_path, capsys, argv, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, token", [
+    (["analyze", "folner", "--root", "0", "--l", "2", "--radius", "1_0"], "1_0"),
+    (["sweep", "--epsilon", "1/2", "--samples", "٣", "--seed", "0", "--property", "periodic(1)"], "٣"),
+    (["sweep", "--epsilon", "1/2", "--samples", "1", "--seed", "+3", "--property", "periodic(1)"], "+3"),
+    (["analyze", "degree", "--root", " 7", "--k-max", "2"], " 7"),
+], ids=["underscore", "arabic-indic", "plus", "space"])
+def test_integer_options_take_ascii_digits_only(tmp_path, capsys, argv, token):
+    """argparse's `type=int` would read each of these tokens as a number."""
+    hom = gen_hom(tmp_path, log2=4, seed=1)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--hom", str(hom)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"bad integer token {token!r}\n")
+    assert captured.out == ""
+
+
+def test_every_integer_option_reads_the_ascii_integer_rule():
+    def actions(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from actions(sub)
+            else:
+                yield action
+
+    types = [a.type for a in actions(build_parser())]
+    assert int not in types and cli._int_option in types
+
+
 def _limit_address_space_to_1_gib():
     import resource
 
