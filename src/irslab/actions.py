@@ -33,7 +33,7 @@ from .fullgroup import FullGroupElement, cycle_structure, uniform_metric
 from .labels import component_labels
 from .setops import row_ids, sorted_unique
 from .space import FiniteSpace, _frozen_array
-from .words import ReducedWord, TraceBudgetError, _check_radius, ball, ball_size
+from .words import FreeBall, ReducedWord, TraceBudgetError, _check_radius, ball, ball_size
 
 
 @dataclass(frozen=True)
@@ -164,8 +164,8 @@ class StabilizerTrace:
         return self.bits.hex()
 
 
-# bytes of int64 ball-word images per chunk of atoms: `_code_blocks`' sort holds
-# about seven int64 blocks the size of the chunk at once, so a chunk stays cache-sized
+# bytes of int64 ball-word images per chunk of atoms: a chunk's ball codes take the
+# images and under two more blocks their size (`_chunk_codes`), so a chunk stays cache-sized
 _CHUNK_BYTES = 512 << 10
 
 
@@ -204,11 +204,17 @@ def _ball_images(hom: Homomorphism, radius: int, atoms=None):
     size = max(1, _CHUNK_BYTES // (8 * len(fb)))
     for start in range(0, atoms.size, size):
         chunk = atoms[start:start + size]
-        cols = np.empty((len(fb), chunk.size), dtype=np.int64)
-        cols[0] = chunk
-        for lo, hi in zip(cuts, cuts[1:]):  # words sharing a first letter, all in one layer
-            cols[lo:hi] = hom.tables[int(fb.first_letter[lo])][cols[fb.parent[lo:hi]]]
-        yield chunk, cols.T
+        yield chunk, _word_images(hom, fb, cuts, chunk)  # no reference is kept across the yield
+
+
+def _word_images(hom: Homomorphism, fb: FreeBall, cuts: list[int], chunk: np.ndarray) -> np.ndarray:
+    """images[j, i] = ball word i of fb applied to atom chunk[j]; cuts bound the
+    runs of words sharing a first letter."""
+    cols = np.empty((len(fb), chunk.size), dtype=np.int64)
+    cols[0] = chunk
+    for lo, hi in zip(cuts, cuts[1:]):  # words sharing a first letter, all in one layer
+        cols[lo:hi] = hom.tables[int(fb.first_letter[lo])][cols[fb.parent[lo:hi]]]
+    return cols.T
 
 
 def stabilizer_trace(hom: Homomorphism, atom: int, radius: int) -> StabilizerTrace:
@@ -229,17 +235,41 @@ def trace_code_matrix(hom: Homomorphism, radius: int) -> np.ndarray:
 
 def _code_blocks(hom: Homomorphism, radius: int, atoms: np.ndarray, inner: int, outer: int):
     """Yield the ball-code rows (see `ball_codes`) of the checked int64 atoms, one
-    block per `_ball_images` chunk; inner and outer are `_code_sizes`' |B(R)| and |B(R+1)|."""
-    n = hom.space.n_atoms
-    words = np.arange(outer)
-    for chunk, images in _ball_images(hom, radius + 1, atoms):
-        # sorted (row, atom, word) keys: each run of one (row, atom) starts at its least word
-        keys = np.sort((images + n * np.arange(chunk.size)[:, None]) * words.size + words, None)
-        slot, word = np.divmod(keys, words.size)  # slot = row * n + atom
-        head = np.maximum.accumulate(np.where(np.diff(slot, prepend=-1), np.arange(slot.size), 0))
-        block = np.empty((chunk.size, outer), dtype=np.min_scalar_type(inner))
-        block[slot // n, word] = np.minimum(word[head], inner)
+    block per `_ball_images` chunk; inner and outer are `_code_sizes`' |B(R)| and |B(R+1)|.
+    Only the yielded block is alive while the generator is suspended."""
+    for _, images in _ball_images(hom, radius + 1, atoms):
+        block = _chunk_codes(images, inner, outer)
+        del images
         yield block
+
+
+def _chunk_codes(images: np.ndarray, inner: int, outer: int) -> np.ndarray:
+    """Ball-code rows of one chunk from its B(R+1) word images, one row per atom.
+
+    Each row's keys atom << bits | word are sorted in place, so every run of
+    one atom starts at its least word; that word, clipped to |B(R)|, is the
+    code of each word in the run.  Besides the images and the returned block,
+    one int64 block of keys and two blocks of one- or two-byte word indices
+    are held at once: under two int64 blocks in all.
+    """
+    bits = (outer - 1).bit_length()
+    words = np.arange(outer)
+    keys = np.left_shift(images, bits, out=np.empty(images.shape, dtype=np.int64))
+    keys |= words
+    keys.sort(axis=1)
+    word = np.empty(keys.shape, dtype=np.min_scalar_type(outer - 1))
+    np.bitwise_and(keys, (1 << bits) - 1, out=word, casting="unsafe")
+    keys >>= bits  # the atoms, ascending along each row
+    start = keys[:, 1:] != keys[:, :-1]  # a run starts at column 0 and wherever the atom changes
+    keys[:, 0] = 0
+    np.multiply(start, words[1:], out=keys[:, 1:])
+    np.maximum.accumulate(keys, axis=1, out=keys)  # the column of each run's head
+    first = np.take_along_axis(word, keys, axis=1)
+    del keys, start  # freed before the block and the scatter's temporaries are allocated
+    np.minimum(first, inner, out=first)
+    block = np.empty(word.shape, dtype=np.min_scalar_type(inner))
+    np.put_along_axis(block, word, first, axis=1)
+    return block
 
 
 def ball_codes(hom: Homomorphism, radius: int, atoms=None) -> np.ndarray:

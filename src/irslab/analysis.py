@@ -111,13 +111,14 @@ def folner_search(hom: Homomorphism, root: int, l: int, radius: int) -> FolnerRe
     small = small[np.argsort(cycle_of[small], kind="stable")]
     cycles = np.split(small, np.flatnonzero(np.diff(cycle_of[small])) + 1) if small.size else []
 
-    best_set: frozenset[int] = frozenset([root])
-    best_ratio = schreier_boundary_ratio(hom, best_set)
+    # the best candidate is a cycle array, or None for the greedy prefix of best_size atoms
+    # (the root alone to begin with); its frozenset is built once, at return
+    best_cycle, best_size, best_ratio = None, 1, schreier_boundary_ratio(hom, [root])
     # disjoint cycles differ at their least atoms: (size, least atom) orders them as (size, atoms)
     for cand in sorted(cycles, key=lambda c: (c.size, int(c[0]))):
         ratio = schreier_boundary_ratio(hom, cand)
-        if ratio < best_ratio or (ratio == best_ratio and cand.size < len(best_set)):
-            best_set, best_ratio = frozenset(cand.tolist()), ratio
+        if ratio < best_ratio or (ratio == best_ratio and cand.size < best_size):
+            best_cycle, best_size, best_ratio = cand, cand.size, ratio
 
     # greedy growth with escape counts kept per generator (one row each); the candidates
     # of one step share the denominator len(current) + 1, so compare numerators
@@ -150,10 +151,11 @@ def folner_search(hom: Homomorphism, root: int, l: int, radius: int) -> FolnerRe
         out_count = out[:, pick:pick + 1]
         frontier.discard(y)
         frontier.update(z for z in neighbors(y) if in_pool[z] and not inside[z])
-        if ratio < best_ratio or (ratio == best_ratio and len(current) < len(best_set)):
-            best_set, best_ratio = frozenset(current), ratio
+        if ratio < best_ratio or (ratio == best_ratio and len(current) < best_size):
+            best_cycle, best_size, best_ratio = None, len(current), ratio
 
-    return FolnerResult(best_set, best_ratio, best_ratio < Fraction(1, l))
+    best = current[:best_size] if best_cycle is None else best_cycle.tolist()
+    return FolnerResult(frozenset(best), best_ratio, best_ratio < Fraction(1, l))
 
 
 # -- tuple orbits and transitivity degree ------------------------------------
@@ -332,7 +334,9 @@ def ball_stability_check(a: Homomorphism, b: Homomorphism, radius: int) -> BallS
     steps and the codes agree.  The byte budget is checked for every atom,
     before D is read, so refusals do not depend on how far a and b differ.
     The two actions' codes are compared one kernel chunk at a time
-    (`_code_blocks`), so only a chunk of codes per action is held at once.
+    (`_code_blocks`): a suspended generator holds only its last code
+    block, so the comparison holds two small code blocks and one chunk's
+    working set, a few `_CHUNK_BYTES`, however large N_R(D) is.
     """
     if a.space != b.space or a.rank != b.rank:
         raise ValueError("actions must share space and rank")

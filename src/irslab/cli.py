@@ -63,10 +63,21 @@ def _ints(text: str) -> list[int]:
 
 def _int_option(text: str) -> int:
     """An integer option's value in ASCII digits with an optional minus sign, read
-    exactly; `1_0`, `+3`, ` 7` and other Unicode digits are refused as by `_ints`."""
+    by `words._decimal` as `_ints` reads its tokens (`_check_int_options` refuses
+    what `_decimal` does not read exactly); `1_0`, `+3`, ` 7` and other Unicode
+    digits are refused as by `_ints`."""
     if not _INT_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(f"bad integer token {text!r}")
-    return int(text)
+    return _decimal(text)
+
+
+def _check_int_options(args) -> None:
+    """Refuse an integer option past 64 bits in one line, shown as `space._count`
+    shows it: `words._decimal` is exact through 20 digits, so every value that
+    passes is the one given, and the report's inputs record it."""
+    for name, value in vars(args).items():
+        if type(value) is int and value.bit_length() > 64:
+            raise ValueError(f"--{name.replace('_', '-')} {space._count(value)} does not fit 64 bits")
 
 
 def _load_space(path: str) -> FiniteSpace:
@@ -522,6 +533,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     command = args.command + (f" {args.sub}" if getattr(args, "sub", None) else "")
     try:
+        _check_int_options(args)
         outputs, checks = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

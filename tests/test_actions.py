@@ -442,6 +442,61 @@ def test_traces_and_ball_codes_match_the_oracles(hom, radius, data):
             assert (schreier_ball(hom, x, radius).code == schreier_ball(hom, y, radius).code) == iso
 
 
+
+# -- oracles: the ball-code kernel's global sort, and first occurrences word by word --
+
+
+def global_sort_code_blocks(hom, radius, atoms, inner, outer):
+    """The ball-code kernel before the per-row sort, verbatim: one sort of the
+    (row, atom, word) keys of a whole chunk, runs split where the slot changes."""
+    n = hom.space.n_atoms
+    words = np.arange(outer)
+    for chunk, images in _ball_images(hom, radius + 1, atoms):
+        # sorted (row, atom, word) keys: each run of one (row, atom) starts at its least word
+        keys = np.sort((images + n * np.arange(chunk.size)[:, None]) * words.size + words, None)
+        slot, word = np.divmod(keys, words.size)  # slot = row * n + atom
+        head = np.maximum.accumulate(np.where(np.diff(slot, prepend=-1), np.arange(slot.size), 0))
+        block = np.empty((chunk.size, outer), dtype=np.min_scalar_type(inner))
+        block[slot // n, word] = np.minimum(word[head], inner)
+        yield block
+
+
+def first_occurrence_codes(hom, radius, atoms):
+    """Entry w of an atom's row: the least B(R) word reaching the atom that the
+    B(R+1) word w reaches, or |B(R)|, each word applied letter by letter."""
+    inner, words = ball_size(hom.rank, radius), ball(hom.rank, radius + 1).words
+    rows = []
+    for atom in atoms:
+        first = {}
+        for i, w in enumerate(words):
+            first.setdefault(oracle_evaluate(hom, w, atom), i)
+        rows.append([min(first[oracle_evaluate(hom, w, atom)], inner) for w in words])
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(homs(), st.integers(0, 3), st.integers(1, 5), st.data())
+def test_code_blocks_match_the_global_sort_and_first_occurrences(hom, radius, chunk_atoms, data):
+    n, outer = hom.space.n_atoms, ball_size(hom.rank, radius + 1)
+    atoms = data.draw(st.one_of(st.just(list(range(n))), st.lists(st.integers(0, n - 1), max_size=2 * n)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(actions, "_CHUNK_BYTES", chunk_atoms * 8 * outer)
+        checked = hom.space.checked_atoms(atoms)
+        inner, _ = actions._code_sizes(hom, radius, checked.size)
+        got = list(actions._code_blocks(hom, radius, checked, inner, outer))
+        want = list(global_sort_code_blocks(hom, radius, checked, inner, outer))
+        codes = ball_codes(hom, radius, atoms)
+    assert [len(b) for b in got] == [len(b) for b in want]
+    assert all(len(b) <= chunk_atoms for b in got) and sum(map(len, got)) == len(atoms)
+    for block, oracle in zip(got, want):
+        assert block.dtype == oracle.dtype == np.min_scalar_type(inner)
+        assert block.shape == (len(block), outer) and np.array_equal(block, oracle)
+    assert codes.shape == (len(atoms), outer) and codes.dtype == np.min_scalar_type(inner)
+    if radius < 3 or hom.rank < 3:  # |B(4)| = 1457 words per atom is slow letter by letter
+        assert codes.tolist() == first_occurrence_codes(hom, radius, atoms)
+    assert list(actions._code_blocks(hom, radius, np.empty(0, dtype=np.int64), inner, outer)) == []
+
+
 # -- oracle: the invariance defect built from one permutation per conjugate ----
 
 

@@ -39,7 +39,7 @@ from irslab.actions import _code_blocks as code_blocks
 from irslab.actions import ball_atoms, ball_codes
 from irslab.analysis import _pack
 from irslab.rng import STREAM_TEST
-from irslab.words import ball_size
+from irslab.words import _check_radius, ball_size
 
 
 def single(n, levels="auto"):
@@ -109,6 +109,100 @@ def test_folner_search_finds_a_planted_class():
     assert result.success
     assert result.ratio <= Fraction(1, 8)
 
+
+
+def frozenset_folner_search(hom, root, l, radius):
+    """`folner_search` as it was when every improving candidate became a
+    frozenset, verbatim but for the module prefixes."""
+    if l < 1:
+        raise ValueError("l must be at least 1")
+    _check_radius(radius)
+    root = actions._atom(hom, root)
+    cap = int(np.count_nonzero(hom.orbit_labels == hom.orbit_labels[root])) // 2
+    if cap == 0:
+        return analysis.FolnerResult(frozenset(), Fraction(1), False)
+
+    # the pool: every cycle of the last generator that meets the ball; the
+    # candidates: its cycles of at most cap atoms, each ascending
+    n = hom.space.n_atoms
+    cycle_of = hom.gens[-1].cycle_labels
+    hit = np.zeros(n, dtype=bool)
+    hit[cycle_of[ball_atoms(hom, root, radius)]] = True
+    in_pool = hit[cycle_of]
+    pool_size = int(np.count_nonzero(in_pool))
+    hit &= np.bincount(cycle_of, minlength=n) <= cap
+    small = np.flatnonzero(hit[cycle_of])
+    small = small[np.argsort(cycle_of[small], kind="stable")]
+    cycles = np.split(small, np.flatnonzero(np.diff(cycle_of[small])) + 1) if small.size else []
+
+    best_set: frozenset[int] = frozenset([root])
+    best_ratio = schreier_boundary_ratio(hom, best_set)
+    # disjoint cycles differ at their least atoms: (size, least atom) orders them as (size, atoms)
+    for cand in sorted(cycles, key=lambda c: (c.size, int(c[0]))):
+        ratio = schreier_boundary_ratio(hom, cand)
+        if ratio < best_ratio or (ratio == best_ratio and cand.size < len(best_set)):
+            best_set, best_ratio = frozenset(cand.tolist()), ratio
+
+    # greedy growth with escape counts kept per generator (one row each); the candidates
+    # of one step share the denominator len(current) + 1, so compare numerators
+    inside = np.zeros(n, dtype=bool)
+    inside[root] = True
+    current = [root]
+    out_count = np.array([[g.forward[root] != root] for g in hom.gens], dtype=np.int64)
+
+    def neighbors(x):
+        return (int(t[x]) for t in hom.tables.values())
+
+    frontier = {y for y in neighbors(root) if in_pool[y] and y != root}
+    evaluations = 0
+    while len(current) < min(cap, pool_size):
+        if not frontier or evaluations > analysis._GREEDY_STEP_BUDGET:
+            break
+        evaluations += len(frontier)
+        ys = np.array(sorted(frontier), dtype=np.int64)
+        fy = np.stack([g.forward[ys] for g in hom.gens])
+        by = np.stack([g.inverse[ys] for g in hom.gens])
+        # adding y: g^-1 y stops escaping if inside, y escapes unless g y is in F + {y};
+        # |gF - F| = |F - gF| as |gF| = |F|, so the symmetric difference is twice the escapes
+        out = out_count - inside[by] + ((fy != ys) & ~inside[fy])
+        worst = 2 * out.max(axis=0)
+        pick = int(np.argmin(worst))  # ys ascend, so ties go to the least atom
+        y = int(ys[pick])
+        ratio = Fraction(int(worst[pick]), len(current) + 1)
+        inside[y] = True
+        current.append(y)
+        out_count = out[:, pick:pick + 1]
+        frontier.discard(y)
+        frontier.update(z for z in neighbors(y) if in_pool[z] and not inside[z])
+        if ratio < best_ratio or (ratio == best_ratio and len(current) < len(best_set)):
+            best_set, best_ratio = frozenset(current), ratio
+
+    return analysis.FolnerResult(best_set, best_ratio, best_ratio < Fraction(1, l))
+
+
+def _folner_homs():
+    rng = derive_rng(33, STREAM_TEST, 33)
+    for rank in (1, 2, 3):
+        for n in (2, 16, 100, 2 ** 10):
+            yield lean_aperiodic_homomorphism(single(n), rank, rng)
+            yield random_homomorphism(single(n), rank, rng)
+        yield random_homomorphism(FiniteSpace.from_class_sizes([1, 2, 3, 5, 8, 13, 40]), rank, rng)
+        for _ in range(3):  # small classes: cycles tie with greedy prefixes of their size
+            yield random_homomorphism(FiniteSpace.from_class_sizes(rng.integers(1, 8, size=5).tolist()), rank, rng)
+    lean = lean_aperiodic_homomorphism(single(2 ** 12), 2, rng)
+    yield lean
+    yield build_folner_perturbation(lean, Fraction(1, 4), [16, 16, 32])  # planted cycles win
+    yield odometer_hom(64)  # ties between cycles and greedy prefixes
+
+
+def test_folner_search_matches_the_frozenset_search():
+    rng = derive_rng(34, STREAM_TEST, 34)
+    for hom in _folner_homs():
+        n = hom.space.n_atoms
+        for root in range(n) if n <= 40 else {0, n - 1, *rng.integers(n, size=3).tolist()}:
+            for radius in (0, 1, 3):
+                for l in (1, 8):
+                    assert folner_search(hom, root, l, radius) == frozenset_folner_search(hom, root, l, radius)
 
 def connected_subsets(hom, orb, max_size):
     """All connected subsets of an orbit, as frozensets."""
@@ -430,6 +524,27 @@ def test_ball_stability_holds_one_chunk_of_codes_per_action(monkeypatch):
     assert result.observed == oracle_observed(a, b, radius)
     assert peak < matrix
 
+
+
+def test_ball_stability_at_the_default_chunk_stays_within_six_chunks():
+    """Each action's suspended kernel holds only its yielded code block, and a
+    chunk's codes take its images and about two more blocks their size, so a
+    2^14 lean pair at R = 3 (N_R(D) many chunks) peaks below six chunks."""
+    rng = derive_rng(24, STREAM_TEST, 24)
+    a = lean_aperiodic_homomorphism(single(2 ** 14), 2, rng)
+    b = sample_perturbation(a, Fraction(1, 64), rng)
+    radius = 3
+    near = ball_atoms(a, moved_atoms(a, b), radius).size
+    assert near > 8 * actions._CHUNK_BYTES // (8 * ball_size(a.rank, radius + 1))  # over eight chunks
+    ball_stability_check(a, b, radius)  # builds the cached balls outside the trace
+    tracemalloc.start()
+    try:
+        result = ball_stability_check(a, b, radius)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.observed == oracle_observed(a, b, radius)
+    assert peak <= 6 * actions._CHUNK_BYTES
 
 def test_ball_stability_validation():
     with pytest.raises(ValueError):

@@ -955,6 +955,40 @@ def test_integer_options_take_ascii_digits_only(tmp_path, capsys, argv, token):
     assert captured.out == ""
 
 
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "irs", "--radius", NINES], "--radius at least 2^16609"),
+    (["analyze", "stability", "--other", "{hom}", "--radius", NINES], "--radius at least 2^16609"),
+    (["analyze", "folner", "--root", "0", "--l", "2", "--radius", f"-{NINES}"], "--radius at most -2^16609"),
+    (["export", "--format", "dot", "--root", "0", "--radius", NINES, "--out", "{tmp}/x.dot"],
+     "--radius at least 2^16609"),
+    (["analyze", "folner", "--root", NINES, "--l", "2", "--radius", "1"], "--root at least 2^16609"),
+    (["analyze", "degree", "--root", f"-{NINES}", "--k-max", "2"], "--root at most -2^16609"),
+    (["sweep", "--epsilon", "1/2", "--samples", NINES, "--seed", "0", "--property", "periodic(1)"],
+     "--samples at least 2^16609"),
+    (["analyze", "folner", "--root", "0", "--l", "18446744073709551616", "--radius", "1"], "--l at least 2^64"),
+], ids=["irs radius", "stability radius", "folner radius", "dot radius", "folner root", "degree root",
+        "samples", "2^64"])
+def test_integer_options_past_64_bits_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    """A 5000-digit option is read by `words._decimal` and refused in the form
+    `space._count` gives, never printed digit by digit."""
+    hom = gen_hom(tmp_path, log2=4, seed=1)
+    assert main([*(a.format(tmp=tmp_path, hom=hom) for a in argv), "--hom", str(hom)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message} does not fit 64 bits\n"
+    assert captured.out == ""
+    assert not (tmp_path / "x.dot").exists()
+
+
+def test_integer_options_within_64_bits_are_read_exactly(tmp_path, capsys):
+    hom = gen_hom(tmp_path, log2=4, seed=1)
+    seed = "18446744073709551615"  # 2^64 - 1: 20 digits, each one kept
+    assert main(["gen", "hom", "--rank", "2", "--seed", seed, "--log2", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"]["seed"] == 2 ** 64 - 1
+    assert main(["analyze", "folner", "--hom", str(hom), "--root", "0", "--l", seed, "--radius", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["inputs"]["l"] == 2 ** 64 - 1
+    assert cli._int_option("-0009") == -9 and cli._int_option("12345678901234567890") == 12345678901234567890
+
 def test_every_integer_option_reads_the_ascii_integer_rule():
     def actions(parser):
         for action in parser._actions:
