@@ -33,7 +33,7 @@ from .fullgroup import FullGroupElement, cycle_structure, uniform_metric
 from .labels import component_labels
 from .setops import row_ids, sorted_unique
 from .space import FiniteSpace, _frozen_array
-from .words import FreeBall, ReducedWord, TraceBudgetError, _check_radius, ball, ball_size
+from .words import FreeBall, ReducedWord, TraceBudgetError, _ball_size_bound, _check_radius, ball, ball_size
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,8 @@ class Homomorphism:
         return int(self.tables[letter][_atom(self, atom)])
 
     def element_of(self, word: ReducedWord) -> FullGroupElement:
-        """The image permutation of a word: the word and its inverse evaluated on every atom."""
-        atoms = np.arange(self.space.n_atoms)
-        forward, inverse = (_frozen_array(evaluate(self, w, atoms)) for w in (word, word.inverse()))
-        return FullGroupElement(self.space, forward, inverse)
+        """The image permutation of a word: the word evaluated once on every atom."""
+        return FullGroupElement(self.space, _frozen_array(evaluate(self, word, np.arange(self.space.n_atoms))))
 
     def replace_generator(self, index: int, element: FullGroupElement) -> "Homomorphism":
         """Copy with the 0-based generator at index swapped out."""
@@ -175,24 +173,27 @@ def _atom(hom: Homomorphism, atom) -> int:
     return int(atom)
 
 
-def _check_rows(what: str, radius: int, atoms: int, row_bytes: int) -> None:
-    """Raise `TraceBudgetError` when atoms rows of row_bytes pass the byte budget."""
-    space._check_budget(atoms * row_bytes, TraceBudgetError, "{what} at radius {radius} need {need} bytes "
-                        "for {atoms} atom{s}", what=what, radius=radius, atoms=atoms, s="s" * (atoms != 1))
+def _check_rows(what: str, radius: int, atoms: int, row_bytes: int, shift: int) -> None:
+    """Raise `TraceBudgetError` when atoms rows of row_bytes * 2^shift pass the byte budget."""
+    space._check_budget(atoms * row_bytes, TraceBudgetError, "{what} at radius {radius} need {need} bytes for "
+                        "{atoms} atom{s}", shift, what=what, radius=radius, atoms=atoms, s="s" * (atoms != 1))
 
 
 def _check_trace_rows(hom: Homomorphism, radius: int) -> None:
-    """Refuse packed trace rows for every atom past the byte budget."""
-    _check_rows("trace rows", radius, hom.space.n_atoms, -(-ball_size(hom.rank, radius) // 8))
+    """Refuse packed trace rows, |B(R)| bits each rounded up to bytes, for every atom past the byte budget."""
+    size, shift = _ball_size_bound(hom.rank, radius)
+    row_bytes, shift = (size, shift - 3) if shift else (-(-size // 8), 0)
+    _check_rows("trace rows", radius, hom.space.n_atoms, row_bytes, shift)
 
 
 def _code_sizes(hom: Homomorphism, radius: int, atoms: int) -> tuple[int, int]:
-    """|B(R)| and |B(R+1)|, after refusing a negative radius, or ball codes
-    for that many atoms past the byte budget."""
+    """|B(R)| and |B(R+1)|, after refusing a negative radius, ball codes for that
+    many atoms past the byte budget, then the ball of radius R+1 they are read off."""
     _check_radius(radius)
-    inner, outer = ball_size(hom.rank, radius), ball_size(hom.rank, radius + 1)
-    _check_rows("ball codes", radius, atoms, outer * np.min_scalar_type(inner).itemsize)
-    return inner, outer
+    (inner, _), (outer, shift) = (_ball_size_bound(hom.rank, r) for r in (radius, radius + 1))
+    _check_rows("ball codes", radius, atoms, outer * np.min_scalar_type(inner).itemsize, shift)
+    outer = len(ball(hom.rank, radius + 1))  # first, so a ball past the budget is never sized exactly
+    return ball_size(hom.rank, radius), outer
 
 
 def _ball_images(hom: Homomorphism, radius: int, atoms=None):

@@ -14,6 +14,7 @@ the identity on a tower base, so no orbit fixes it).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -232,12 +233,8 @@ def periodic_truncate(hom: Homomorphism, level: int) -> Homomorphism:
 
 def folner_planted_classes(sizes) -> tuple[tuple[int, ...], ...]:
     """Deterministic layout of the planted classes: consecutive runs from 0."""
-    runs = []
-    start = 0
-    for s in sizes:
-        runs.append(tuple(range(start, start + int(s))))
-        start += int(s)
-    return tuple(runs)
+    ends = [0, *accumulate(int(s) for s in sizes)]
+    return tuple(tuple(range(start, end)) for start, end in zip(ends, ends[1:]))
 
 
 def build_folner_perturbation(hom: Homomorphism, epsilon, sizes) -> Homomorphism:
@@ -348,20 +345,12 @@ def tau_for_word(word: ReducedWord) -> tuple[int, ...]:
     tau = [0] * (s + 1)
     offset = 0
     for a, b in sorted(runs, key=lambda r: (r[0] - r[1], r[0])):
-        length = b - a + 1
-        if length == 1:
-            tau[a] = offset
-        else:
-            signs = {1 if w[i] > 0 else -1 for i in range(a + 1, b + 1)}
-            if len(signs) != 1:
-                raise AssertionError("mixed signs inside a run of a reduced word")
-            if signs == {1}:
-                for t in range(length):
-                    tau[a + t] = offset + t
-            else:
-                for t in range(length):
-                    tau[a + t] = offset + length - 1 - t
-        offset += length
+        signs = {1 if w[i] > 0 else -1 for i in range(a + 1, b + 1)}  # none in a run of one
+        if len(signs) > 1:
+            raise AssertionError("mixed signs inside a run of a reduced word")
+        span = range(offset, offset + b - a + 1)
+        tau[a:b + 1] = span[::-1] if signs == {-1} else span
+        offset += len(span)
     if sorted(tau) != list(range(s + 1)):
         raise AssertionError("packed positions are not a permutation")
     for i in range(1, s + 1):

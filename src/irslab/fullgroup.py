@@ -1,9 +1,9 @@
 """Class-preserving permutations of a finite space, with exact metric.
 
 A full-group element is a bijection of the atoms that moves every atom
-within its own class.  Elements store both permutation tables, compose
-by array gather, and measure distance by the exact fraction of atoms on
-which two elements disagree.  No floats anywhere.
+within its own class.  An element is its forward table, its inverse
+derived on first read; elements compose by array gather and measure distance
+by the exact fraction of atoms on which two elements disagree.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ class FullGroupElement:
 
     space: FiniteSpace
     forward: np.ndarray
-    inverse: np.ndarray
 
     @classmethod
     def from_forward(cls, space: FiniteSpace, images) -> "FullGroupElement":
@@ -40,24 +39,26 @@ class FullGroupElement:
         if (space.class_of[forward] != space.class_of).any():
             bad = int(np.nonzero(space.class_of[forward] != space.class_of)[0][0])
             raise ValueError(f"atom {bad} leaves its class; not a full-group element")
-        inverse = np.empty_like(forward)
-        inverse[forward] = np.arange(space.n_atoms)
-        return cls(space, _frozen_array(forward), _frozen_array(inverse))
+        return cls(space, _frozen_array(forward))
 
     @classmethod
     def identity(cls, space: FiniteSpace) -> "FullGroupElement":
-        ident = _frozen_array(np.arange(space.n_atoms))
-        return cls(space, ident, ident)
+        return cls(space, _frozen_array(np.arange(space.n_atoms)))
 
     @classmethod
     def odometer(cls, space: FiniteSpace) -> "FullGroupElement":
         """The standard single cycle x -> x+1 mod n_atoms."""
         if not space.is_single_class:
             raise ValueError("odometer needs a single-class relation")
-        n = space.n_atoms
-        forward = _frozen_array((np.arange(n) + 1) % n)
-        inverse = _frozen_array((np.arange(n) - 1) % n)
-        return cls(space, forward, inverse)
+        return cls(space, _frozen_array((np.arange(space.n_atoms) + 1) % space.n_atoms))
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """The read-only inverse table, scattered from `forward` on first read: the one inverse build."""
+        inverse = np.empty_like(self.forward)
+        inverse[self.forward] = np.arange(self.space.n_atoms)
+        inverse.setflags(write=False)
+        return inverse
 
     # -- group operations ---------------------------------------------
 
@@ -69,12 +70,10 @@ class FullGroupElement:
         """Composition: (a * b)(x) = a(b(x)), so b acts first."""
         if self.space != other.space:
             raise ValueError("elements live on different spaces")
-        forward = _frozen_array(self.forward[other.forward])
-        inverse = _frozen_array(other.inverse[self.inverse])
-        return FullGroupElement(self.space, forward, inverse)
+        return FullGroupElement(self.space, _frozen_array(self.forward[other.forward]))
 
     def inv(self) -> "FullGroupElement":
-        return FullGroupElement(self.space, self.inverse, self.forward)
+        return FullGroupElement(self.space, self.inverse)
 
     def __pow__(self, exponent: int) -> "FullGroupElement":
         base = self if exponent >= 0 else self.inv()
@@ -100,8 +99,8 @@ class FullGroupElement:
 
     @cached_property
     def cycle_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """`cycle_labels` and the read-only `labels.cycle_positions` ranked on them."""
-        return self.cycle_labels, _frozen_array(cycle_positions(self.forward, self.cycle_labels))
+        """`cycle_labels` and the read-only `labels.cycle_positions` ranked on them along `inverse`."""
+        return self.cycle_labels, _frozen_array(cycle_positions(self.inverse, self.cycle_labels))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """All cycles (fixed points included), each starting at its least atom.

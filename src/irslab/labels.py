@@ -10,7 +10,8 @@ a star forest (each atom its own root, or the cycles of one generator),
 each round hooks the larger of two joined roots onto the smaller, then
 jumps `parent = parent[parent]` until every tree is a star.  Parents
 only decrease, so a component's root is its least atom.
-`cycle_positions` ranks given cycle labels (Wyllie).  No per-atom Python loop.
+`cycle_positions` ranks given cycle labels along a predecessor table
+(Wyllie).  No per-atom Python loop.
 """
 
 from __future__ import annotations
@@ -57,17 +58,15 @@ def component_labels(tables, n: int, start=None) -> np.ndarray:
             parent = grand
 
 
-def cycle_positions(perm, labels) -> np.ndarray:
-    """pos[x] = k with perm^k(labels[x]) = x, labels[x] being the least atom of x's cycle.
+def cycle_positions(pred, labels) -> np.ndarray:
+    """pos[x] = k with perm^k(labels[x]) = x, for the permutation perm whose
+    predecessor table (its inverse) is pred, labels[x] being the least atom of x's cycle.
 
     Every atom but a cycle's least one points to its predecessor;
     pointer doubling sums the steps to the least atom.
     """
-    perm = np.asarray(perm, dtype=np.int64)
-    atoms = np.arange(perm.size, dtype=np.int64)
-    nxt = np.empty_like(perm)
-    nxt[perm] = atoms
-    nxt = np.where(labels == atoms, atoms, nxt)
+    atoms = np.arange(len(pred), dtype=np.int64)
+    nxt = np.where(labels == atoms, atoms, np.asarray(pred, dtype=np.int64))
     pos = (nxt != atoms).astype(np.int64)
     while not np.array_equal(grand := nxt[nxt], nxt):
         pos += pos[nxt]

@@ -20,7 +20,8 @@ import numpy as np
 
 from .actions import EmpiricalIRS, Homomorphism, SchreierBall
 from .fullgroup import FullGroupElement
-from .space import FiniteSpace
+from .space import FiniteSpace, _count
+from .words import _decimal
 
 _FRACTION_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
@@ -34,10 +35,13 @@ def parse_fraction(text: str) -> Fraction:
     match = _FRACTION_RE.match(text.strip())
     if not match:
         raise ValueError(f"expected a rational like '2/3', got {text!r}")
-    denominator = int(match.group(2) or 1)
+    numerator, denominator = _decimal(match.group(1)), _decimal(match.group(2) or "1")
+    for part, value in (("numerator", numerator), ("denominator", denominator)):
+        if value.bit_length() > 64:
+            raise ValueError(f"fraction {part} {_count(value)} does not fit 64 bits")
     if denominator == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(int(match.group(1)), denominator)
+    return Fraction(numerator, denominator)
 
 
 def _require(doc, what: str, ints=(), int_lists=()) -> None:

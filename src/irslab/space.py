@@ -19,15 +19,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .setops import sorted_unique
+
 _BYTE_BUDGET = 1 << 28  # the one size guard: `_check_budget` reads it at call time for every kernel
 
 
-def _count(count: int) -> str:
-    """A refused count in decimal, or past 64 bits the signed power of two it
-    reaches, so no refusal formats a number past Python's int-to-str limit."""
-    if count.bit_length() <= 64:
-        return str(count)
-    return f"{'at least ' if count > 0 else 'at most -'}2^{count.bit_length() - 1}"
+def _count(count: int, shift: int = 0) -> str:
+    """A refused count times 2^shift in decimal, or past 64 bits the signed power of two it
+    reaches, so no refusal formats a number past Python's int-to-str limit or builds 2^shift."""
+    if count == 0 or count.bit_length() + shift <= 64:
+        return str(count << shift)
+    return f"{'at least ' if count > 0 else 'at most -'}2^{count.bit_length() - 1 + shift}"
 
 
 def _atom_text(atom: int) -> str:
@@ -63,11 +65,12 @@ def _integer_atoms(atoms) -> np.ndarray:
     return array
 
 
-def _check_budget(need: int, error: type[ValueError], head: str, **fields) -> None:
-    """Refuse need bytes past the byte budget, read at call time: raise error with
-    head, formatted with the fields and need (shown by `_count`), and the budget."""
-    if need > _BYTE_BUDGET:
-        raise error(f"{head.format(need=_count(need), **fields)}, over the budget of {_BYTE_BUDGET}")
+def _check_budget(need: int, error: type[ValueError], head: str, shift: int = 0, **fields) -> None:
+    """Refuse need * 2^shift bytes past the byte budget, read at call time: raise
+    error with head, formatted with the fields and the bytes (shown by `_count`),
+    and the budget.  Bit lengths are compared first, so a huge shift is never expanded."""
+    if need > 0 and (need.bit_length() + shift > _BYTE_BUDGET.bit_length() or need << shift > _BYTE_BUDGET):
+        raise error(f"{head.format(need=_count(need, shift), **fields)}, over the budget of {_BYTE_BUDGET}")
 
 
 def _atom_count(n_atoms: int) -> int:
@@ -88,10 +91,7 @@ def _max_dyadic_levels(sizes: Sequence[int]) -> int:
     """Largest j such that every size is divisible by 2**j."""
     if not sizes or min(sizes) < 1:
         raise ValueError("class sizes must be positive")
-    level = 0
-    while all(s % (2 ** (level + 1)) == 0 for s in sizes):
-        level += 1
-    return level
+    return min((int(s) & -int(s)).bit_length() - 1 for s in sizes)  # s & -s: the least set bit
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +199,7 @@ class FiniteSpace:
         """Exact measure of an atom set, refused as by `checked_atoms`, or of a
         count of atoms in [0, n]."""
         if not isinstance(atoms, (int, np.integer)):
-            return Fraction(np.unique(self.checked_atoms(atoms)).size, self.n_atoms)
+            return Fraction(sorted_unique(self.checked_atoms(atoms)).size, self.n_atoms)
         if not 0 <= atoms <= self.n_atoms:
             raise ValueError(f"count {_atom_text(atoms)} is not in [0, {self.n_atoms}]")
         return Fraction(atoms, self.n_atoms)

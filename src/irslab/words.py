@@ -134,8 +134,9 @@ def ball(rank: int, radius: int) -> FreeBall:
     read, so a lowered budget refuses a cached ball.
     """
     _check_radius(radius)
-    space._check_budget(16 * ball_size(rank, radius), TraceBudgetError,
-                        "ball of rank {rank} and radius {radius} needs {need} bytes", rank=rank, radius=radius)
+    size, shift = _ball_size_bound(rank, radius)
+    space._check_budget(16 * size, TraceBudgetError, "ball of rank {rank} and radius {radius} needs {need} "
+                        "bytes", shift, rank=rank, radius=radius)
     return _cached_ball(rank, radius)
 
 
@@ -150,6 +151,16 @@ def ball_size(rank: int, radius: int) -> int:
     if rank == 1:
         return 1 + 2 * radius
     return 1 + rank * ((2 * rank - 1) ** radius - 1) // (rank - 1)
+
+
+_EXACT_BITS = 1 << 20  # up to here (2r-1)^R has under 2^21 bits: about 0.15 s to build in CPython 3.11
+
+
+def _ball_size_bound(rank: int, radius: int) -> tuple[int, int]:
+    """(size, 0) with size = `ball_size` while R floor(log2(2r-1)) is at most `_EXACT_BITS`,
+    else (1, that exponent): |B(R)| >= (2r-1)^R, so 2^exponent bounds it from below."""
+    shift = radius * ((2 * rank - 1).bit_length() - 1)
+    return (ball_size(rank, radius), 0) if shift <= _EXACT_BITS else (1, shift)
 
 
 # integer tokens take ASCII digits alone: `\d` and `int` also take other Unicode digits

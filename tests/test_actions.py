@@ -412,6 +412,112 @@ def test_atoms_past_the_int_to_str_limit_are_refused_by_their_size(atom, named):
             call()
 
 
+# -- oracles: the inverse tables built before an element became its forward table --
+#
+# Each builder made its own inverse: `from_forward` by a scatter, `odometer` by
+# a formula, `__mul__` by a gather of the factors' inverses, `element_of` by
+# evaluating the inverse word, and `labels.cycle_positions` by a scatter of the
+# predecessors.  They are kept verbatim (only renamed) as independent oracles
+# of the one scatter in `FullGroupElement.inverse`.
+
+
+def old_from_forward_inverse(space, forward):
+    inverse = np.empty_like(forward)
+    inverse[forward] = np.arange(space.n_atoms)
+    return inverse
+
+
+def old_odometer_inverse(n):
+    return (np.arange(n) - 1) % n
+
+
+def old_product(a, b):
+    """(forward, inverse) of a * b from the two factors' (forward, inverse)."""
+    (self_forward, self_inverse), (other_forward, other_inverse) = a, b
+    return self_forward[other_forward], other_inverse[self_inverse]
+
+
+def old_element_of(hom, tables, word):
+    """(forward, inverse) of a word: the word and its inverse evaluated on every
+    atom, on the old letter tables."""
+    atoms = np.arange(hom.space.n_atoms)
+    pair = []
+    for w in (word, word.inverse()):
+        images = atoms.copy()
+        for letter in reversed(w.letters):
+            images = tables[letter][images]
+        pair.append(images)
+    return tuple(pair)
+
+
+def old_cycle_positions(perm, labels):
+    perm = np.asarray(perm, dtype=np.int64)
+    atoms = np.arange(perm.size, dtype=np.int64)
+    nxt = np.empty_like(perm)
+    nxt[perm] = atoms
+    nxt = np.where(labels == atoms, atoms, nxt)
+    pos = (nxt != atoms).astype(np.int64)
+    while not np.array_equal(grand := nxt[nxt], nxt):
+        pos += pos[nxt]
+        nxt = grand
+    return pos
+
+
+def _assert_matches(element, pair):
+    forward, inverse = pair
+    n = element.space.n_atoms
+    assert np.array_equal(element.forward, forward) and np.array_equal(element.inverse, inverse)
+    assert not (element.forward.flags.writeable or element.inverse.flags.writeable)
+    assert np.array_equal(element.inverse[element.forward], np.arange(n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(homs(), st.data())
+def test_every_inverse_matches_the_old_inverse_builds(hom, data):
+    space, n = hom.space, hom.space.n_atoms
+    lean = hom.is_lean_aperiodic and hom.gens[0] == FullGroupElement.odometer(space)
+    old = [(g.forward, old_odometer_inverse(n) if lean and i == 0 else old_from_forward_inverse(space, g.forward))
+           for i, g in enumerate(hom.gens)]
+    for g, pair in zip(hom.gens, old):
+        _assert_matches(g, pair)
+        _assert_matches(FullGroupElement.from_forward(space, g.forward), pair)
+    if space.is_single_class:
+        _assert_matches(FullGroupElement.odometer(space), ((np.arange(n) + 1) % n, old_odometer_inverse(n)))
+    tables = {l: t for i, (f, inv) in enumerate(old, 1) for l, t in ((i, f), (-i, inv))}
+    assert tables.keys() == hom.tables.keys()
+    assert all(np.array_equal(hom.tables[l], t) for l, t in tables.items())
+
+    def old_pair(letter):
+        forward, inverse = old[abs(letter) - 1]
+        return (forward, inverse) if letter > 0 else (inverse, forward)  # the old inv()
+
+    letters = st.integers(-hom.rank, hom.rank).filter(bool)
+    for _ in range(3):
+        word = reduce_letters(hom.rank, data.draw(st.lists(letters, max_size=6)))
+        _assert_matches(hom.element_of(word), old_element_of(hom, tables, word))
+
+        # the word as a product of letter images, a factor at a time
+        element, pair = FullGroupElement.identity(space), (np.arange(n), np.arange(n))
+        for letter in word.letters:
+            element, pair = element * hom.generator(letter), old_product(pair, old_pair(letter))
+            _assert_matches(element, pair)
+
+        # negative and positive powers, and inv() chains
+        letter, k = data.draw(letters), data.draw(st.integers(-4, 4))
+        power = (np.arange(n), np.arange(n))
+        for _ in range(abs(k)):
+            power = old_product(power, old_pair(letter if k > 0 else -letter))
+        _assert_matches(hom.generator(letter) ** k, power)
+        chain, pair = hom.generator(letter), old_pair(letter)
+        for _ in range(data.draw(st.integers(1, 4))):
+            chain, pair = chain.inv(), pair[::-1]
+            _assert_matches(chain, pair)
+
+    for g in hom.gens:
+        labels, pos = g.cycle_positions
+        assert np.array_equal(pos, old_cycle_positions(g.forward, labels))
+
+
 def _partition(rows):
     """Each row's label: the least row index holding the same bytes."""
     first = {}

@@ -109,3 +109,13 @@ def test_a_cached_ball_is_refused_under_a_lowered_budget(monkeypatch):
         ball(2, 5)
     monkeypatch.setattr(irslab.space, "_BYTE_BUDGET", 16 * len(built))
     assert ball(2, 5) is built
+
+
+def test_a_shifted_need_is_compared_exactly_and_never_expanded():
+    check = irslab.space._check_budget
+    check(1, ValueError, "{need}", shift=28)  # 2^28 bytes: the budget itself
+    check(0, ValueError, "{need}", shift=2 ** 64)  # no bytes at all
+    with pytest.raises(ValueError, match=r"^x 536870912 bytes, over the budget of 268435456$"):
+        check(1, ValueError, "x {need} bytes", shift=29)
+    with pytest.raises(ValueError, match=r"^x at least 2\^18446744073709551617 bytes, over"):
+        check(3, ValueError, "x {need} bytes", shift=2 ** 64)

@@ -856,6 +856,32 @@ def test_huge_radii_and_powers_exit_2_at_once(tmp_path, argv, message):
     assert not (tmp_path / "x.dot").exists()
 
 
+@pytest.mark.parametrize("radius", [10**10, 2**64 - 1], ids=["10^10", "2^64-1"])
+@pytest.mark.parametrize("argv, head, log2", [
+    (["analyze", "irs"], "trace rows at radius {radius} need at least 2^{need} bytes for 16 atoms", 1),
+    (["analyze", "stability", "--other", "{hom}"],
+     "ball codes at radius {radius} need at least 2^{need} bytes for 16 atoms", 5),
+    (["export", "--format", "csv", "--out", "{tmp}/x.csv"],
+     "trace rows at radius {radius} need at least 2^{need} bytes for 16 atoms", 1),
+    (["export", "--format", "dot", "--root", "0", "--out", "{tmp}/x.dot"],
+     "ball codes at radius {radius} need at least 2^{need} bytes for 1 atom", 1),
+], ids=["irs", "stability", "csv", "dot"])
+def test_radii_within_64_bits_exit_2_before_the_ball_is_sized(tmp_path, argv, head, log2, radius):
+    """|B(R)| >= 3^R >= 2^R at rank 2: a radius this large is refused from that
+    exponent (2^(R + log2) bytes) before the power 3^R, gigabytes long, is built."""
+    hom = gen_hom(tmp_path, log2=4, seed=1)
+    proc = subprocess.run(
+        [sys.executable, "-m", "irslab.cli", *(a.format(tmp=tmp_path, hom=hom) for a in argv),
+         "--radius", str(radius), "--hom", str(hom)],
+        capture_output=True, text=True, preexec_fn=_limit_address_space, timeout=60,
+    )
+    assert proc.returncode == 2
+    message = head.format(radius=radius, need=radius + log2)
+    assert proc.stderr == f"error: {message}, over the budget of 268435456\n"
+    assert proc.stdout == ""
+    assert not any(tmp_path.glob("x.*"))
+
+
 NINES = "9" * 5000  # past Python's int-to-str limit of 4300 digits
 
 
@@ -881,6 +907,22 @@ def test_huge_integers_in_words_and_properties_exit_2_with_one_line(tmp_path, ca
     assert main([*argv, "--hom", str(hom)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--epsilon", f"{NINES}/1", "--samples", "1", "--property", "periodic(1)", "--seed", "0"],
+     "fraction numerator at least 2^16609"),
+    (["construct", "ht", "--m", "2", "--tau", "1 0", "--epsilon", f"1/{NINES}"],
+     "fraction denominator at least 2^16609"),
+    (["construct", "ht", "--m", "2", "--tau", "1 0", "--epsilon", f"1/{NINES[:4000]}"],
+     "fraction denominator at least 2^13287"),
+], ids=["sweep numerator", "ht denominator", "4000 digits"])
+def test_fractions_past_64_bits_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    hom = gen_hom(tmp_path, log2=4, seed=1)
+    assert main([*argv, "--hom", str(hom)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message} does not fit 64 bits\n"
     assert captured.out == ""
 
 

@@ -601,7 +601,7 @@ def test_lean_aperiodic_homomorphism_needs_rank_at_least_one(rank):
 
 def _cycle_order(sigma: FullGroupElement) -> tuple[np.ndarray, np.ndarray]:
     """Cycle listing from atom 0 and each atom's position along it (single cycle)."""
-    pos = cycle_positions(sigma.forward, component_labels([sigma.forward], sigma.space.n_atoms))
+    pos = cycle_positions(sigma.inverse, component_labels([sigma.forward], sigma.space.n_atoms))
     return np.argsort(pos), pos
 
 

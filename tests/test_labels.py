@@ -356,7 +356,7 @@ def test_component_labels_match_the_orbit_walk(hom):
 def test_cycle_positions_match_the_cycle_walk(hom):
     for g in hom.gens:
         labels = component_labels([g.forward], hom.space.n_atoms)
-        pos = cycle_positions(g.forward, labels)
+        pos = cycle_positions(g.inverse, labels)
         for cyc in walk_cycles(g):
             assert labels[list(cyc)].tolist() == [cyc[0]] * len(cyc)
             assert pos[list(cyc)].tolist() == list(range(len(cyc)))
@@ -472,7 +472,7 @@ def test_single_n_cycle_worst_case(n):
     perm = hom.gens[0].forward
     labels = component_labels([perm], n)
     assert not labels.any()
-    pos = cycle_positions(perm, labels)
+    pos = cycle_positions(hom.gens[0].inverse, labels)
     walk = np.empty(n, dtype=np.int64)
     x = 0
     for k in range(n):
@@ -485,7 +485,7 @@ def test_kernel_edge_cases():
     assert component_labels([np.arange(5)], 5).tolist() == [0, 1, 2, 3, 4]
     assert component_labels([np.array([1, 0, 2]), np.array([0, 2, 1])], 3).tolist() == [0, 0, 0]
     labels = component_labels([np.array([2, 0, 1, 3])], 4)
-    pos = cycle_positions([2, 0, 1, 3], labels)
+    pos = cycle_positions([1, 2, 0, 3], labels)  # the predecessors under [2, 0, 1, 3]
     assert labels.tolist() == [0, 0, 0, 3]
     assert pos.tolist() == [0, 2, 1, 0]
 
@@ -551,7 +551,7 @@ def test_cycle_callers_match_the_walks(hom, data):
         assert first_return(g, subset) == walk_first_return(g, subset)
         if hom.space.is_single_class and cycle_structure(g).is_single_cycle:
             labels = component_labels([g.forward], n)
-            pos = cycle_positions(g.forward, labels)
+            pos = cycle_positions(g.inverse, labels)
             cyc, walked_pos = walk_cycle_order(g)
             assert not labels.any() and np.array_equal(pos, walked_pos)
             assert np.array_equal(cyc[pos], np.arange(n))

@@ -1,5 +1,7 @@
 """Space, full-group element, and exact metric behavior."""
 
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -12,11 +14,14 @@ from irslab import (
     FullGroupElement,
     conjugate_to_standard_cycle,
     derive_rng,
+    lean_aperiodic_homomorphism,
     random_full_group_element,
+    random_homomorphism,
     uniform_metric,
 )
 from irslab.fullgroup import cycle_structure
 from irslab.rng import STREAM_TEST
+from irslab.serialize import hom_from_doc, hom_to_doc
 
 
 def test_single_class_space():
@@ -271,6 +276,37 @@ def test_inverse_and_product_identities(p, q):
     assert a.inv() * a == e
     assert (a * b).inv() == b.inv() * a.inv()
     assert a * e == a and e * a == a
+
+
+def test_an_element_is_its_forward_table_until_its_inverse_is_read():
+    assert [f.name for f in dataclasses.fields(FullGroupElement)] == ["space", "forward"]
+    sp = FiniteSpace.from_class_sizes([3, 5])
+    rng = derive_rng(5, STREAM_TEST, 5)
+    doc = hom_to_doc(random_homomorphism(sp, 2, rng))
+    elements = [
+        random_full_group_element(sp, rng),
+        FullGroupElement.from_forward(sp, [1, 2, 0, 7, 3, 4, 5, 6]),
+        *hom_from_doc(doc, sp).gens,
+        *hom_from_doc(doc).gens,
+    ]
+    for g in elements:
+        assert "inverse" not in vars(g)
+        inverse = g.inverse
+        assert vars(g)["inverse"] is inverse and g.inverse is inverse
+        assert np.array_equal(inverse[g.forward], np.arange(sp.n_atoms)) and not inverse.flags.writeable
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+def test_homs_pickle_with_and_without_their_tables(read):
+    hom = lean_aperiodic_homomorphism(FiniteSpace.single_class(16), 3, derive_rng(6, STREAM_TEST, 6))
+    if read:
+        hom.tables
+    back = pickle.loads(pickle.dumps(hom))
+    assert back == hom and back.gens == hom.gens
+    assert ("tables" in vars(back)) == read
+    assert back.tables.keys() == hom.tables.keys()
+    assert all(np.array_equal(back.tables[l], t) for l, t in hom.tables.items())
+    assert all(np.array_equal(b.inverse, g.inverse) for b, g in zip(back.gens, hom.gens))
 
 
 # -- oracle: one rng.permutation per class, in class-id order --------------------

@@ -1,6 +1,7 @@
 """Exact text forms: fractions, JSON documents, CSV, and DOT."""
 
 import json
+import re
 from fractions import Fraction
 from itertools import chain
 
@@ -43,6 +44,17 @@ def test_fraction_text_round_trip():
     for bad in ("", "1/0", "a/b", "1.5", "1/-2"):
         with pytest.raises(ValueError):
             parse_fraction(bad)
+
+
+def test_fractions_are_read_exactly_within_64_bits():
+    top = 2 ** 64 - 1  # 20 digits, each one kept
+    assert parse_fraction(f"{top}/{top - 1}") == Fraction(top, top - 1)
+    assert parse_fraction(f"-{top}") == -top
+    assert parse_fraction(" -0009/0003 ") == -3
+    for text, message in ((f"{top + 1}/3", "numerator at least 2^64"), (f"1/{top + 1}", "denominator at least 2^64"),
+                          (f"-{top + 1}/3", "numerator at most -2^64")):
+        with pytest.raises(ValueError, match=f"^fraction {re.escape(message)} does not fit 64 bits$"):
+            parse_fraction(text)
 
 
 def test_dumps_canonical_is_stable():

@@ -18,7 +18,8 @@ from irslab import (
 )
 from irslab import FiniteSpace, TraceBudgetError, ball_codes, random_homomorphism, trace_code_matrix
 from irslab.rng import STREAM_TEST
-from irslab.words import FreeBall
+from irslab import words
+from irslab.words import FreeBall, _ball_size_bound
 
 letters_lists = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12)
 
@@ -103,6 +104,29 @@ def test_huge_balls_are_refused_without_formatting_their_size():
     with pytest.raises(TraceBudgetError, match=r"^ball of rank 2 and radius 100000 needs at least "
                        r"2\^158501 bytes, over the budget of 268435456$"):
         ball(2, 100000)
+
+
+def test_ball_sizes_past_the_exact_bits_are_bounded_from_below():
+    for rank in (1, 2, 3, 5):
+        for radius in (-1, 0, 1, 7, 100000):
+            assert _ball_size_bound(rank, radius) == (ball_size(rank, radius), 0)
+    assert _ball_size_bound(1, 2 ** 64 - 1) == (2 ** 65 - 1, 0)
+    # 3^R > 2^R: just past the exact bits the bound is below the exact size
+    radius = words._EXACT_BITS + 1
+    assert _ball_size_bound(2, radius) == (1, radius) and 2 ** radius <= ball_size(2, radius)
+    assert _ball_size_bound(3, 2 ** 64 - 1) == (1, 2 * (2 ** 64 - 1))  # 5^R >= 4^R
+
+
+def test_balls_past_the_exact_bits_are_refused_from_the_exponent():
+    top = 2 ** 64 - 1
+    with pytest.raises(TraceBudgetError, match=rf"^ball of rank 2 and radius {top} needs at least "
+                       rf"2\^{top + 4} bytes, over the budget of 268435456$"):
+        ball(2, top)
+    # no atom needs a code row, so the ball of radius R+1 is refused
+    hom = random_homomorphism(FiniteSpace.single_class(4), 2, derive_rng(2, STREAM_TEST, 2))
+    with pytest.raises(TraceBudgetError, match=rf"^ball of rank 2 and radius {top + 1} needs at least "
+                       rf"2\^{top + 5} bytes, over the budget of 268435456$"):
+        ball_codes(hom, top, [])
 
 
 def test_ball_is_length_lex_ordered():
