@@ -324,7 +324,10 @@ class EmpiricalIRS:
             raise ValueError("weights must be multiples of 1/n_atoms")
         if any(w.numerator <= 0 for _, w in self.weights):
             raise ValueError("weights must be positive")
-        if len({t for t, _ in self.weights}) != len(self.weights):
+        if any(t.rank != self.rank or t.radius != self.radius for t, _ in self.weights):
+            raise ValueError("traces must have the distribution's rank and radius")
+        bits = sorted(t.bits for t, _ in self.weights)  # a list of references: a set of 23k traces took 2 MiB
+        if any(bits[i] == bits[i + 1] for i in range(len(bits) - 1)):
             raise ValueError("traces must not repeat")
 
     def as_dict(self) -> dict[StabilizerTrace, Fraction]:

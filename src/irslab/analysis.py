@@ -37,7 +37,7 @@ from .actions import (
 from .constructions import _check_full_cycle, _tower_permutation, splice
 from .rng import STREAM_SWEEP, derive_rng, random_full_group_element
 from .setops import member, merge_disjoint, sorted_unique
-from .words import _INT_RE, ReducedWord, _check_radius, ball_size, format_word, parse_word
+from .words import ReducedWord, _check_radius, _quote, ball_size, format_word, parse_word, read_int
 
 
 class AnalysisError(ValueError):
@@ -390,17 +390,6 @@ class SweepProperty:
         return f"{self.name}({inner})"
 
 
-def _integer(text: str) -> int:
-    """A property's integer argument in ASCII digits, refused in one line past
-    18 digits, before Python's int-to-str limit is met."""
-    digits = sum(c.isdigit() for c in text)
-    if digits > 18:
-        raise ValueError(f"property integers take at most 18 digits, got {digits}")
-    if not _INT_RE.fullmatch(text):
-        raise ValueError(f"bad integer token {text!r}")
-    return int(text)
-
-
 _PROPERTIES = {  # each sweep property's argument names, in order
     "folner": ("l", "radius"),
     "realizes": ("m", "tau", "radius"),
@@ -413,21 +402,21 @@ def parse_property(text: str, rank: int) -> SweepProperty:
     """Parse `name(arg, ...)`, with the arity `_PROPERTIES` gives, into canonical args."""
     match = re.fullmatch(r"\s*(\w+)\s*\((.*)\)\s*", text)
     if not match:
-        raise ValueError(f"cannot parse property {text!r}")
+        raise ValueError(f"cannot parse property {_quote(text)}")
     name, inner = match.group(1), match.group(2)
     parts = [p.strip() for p in inner.split(",")] if inner.strip() else []
     names = _PROPERTIES.get(name)
     if names is None:
-        raise ValueError(f"unknown property {name!r}")
+        raise ValueError(f"unknown property {_quote(name)}")
     if len(parts) != len(names):
         raise ValueError(f"{name} takes ({', '.join(names)})")
     if name == "realizes":
-        m, tau, radius = _integer(parts[0]), [_integer(t) for t in parts[1].split()], _integer(parts[2])
+        m, *tau, radius = (read_int(t, "integer") for t in (parts[0], *parts[1].split(), parts[2]))
         args = (m, " ".join(map(str, _tower_permutation(m, tau))), radius)
     elif name == "corefree":
         args = (format_word(parse_word(parts[0], rank)),)
     else:
-        args = tuple(_integer(p) for p in parts)
+        args = tuple(read_int(p, "integer") for p in parts)
     return SweepProperty(name, args)
 
 
@@ -438,7 +427,7 @@ def _property_holds(hom: Homomorphism, prop: SweepProperty, rng) -> bool:
         return folner_search(hom, root, l, radius).success
     if prop.name == "realizes":
         m, tau_text, radius = prop.args
-        tau = tuple(int(t) for t in tau_text.split())
+        tau = tuple(read_int(t, "integer") for t in tau_text.split())
         return realizes_tau_fraction(hom, m, tau, radius) == 1
     if prop.name == "corefree":
         word = parse_word(prop.args[0], hom.rank)
@@ -476,11 +465,10 @@ def _sweep_chunk(hom, epsilon, prop, seed, indices: range) -> int:
 
 def _worker_count() -> int:
     """IRSLAB_WORKERS (default 1) clamped to [1, os.cpu_count()]."""
-    text = os.environ.get("IRSLAB_WORKERS", "1")
     try:
-        workers = int(text)
-    except ValueError:
-        raise ValueError(f"IRSLAB_WORKERS must be an integer, got {text!r}") from None
+        workers = read_int(os.environ.get("IRSLAB_WORKERS", "1").strip(), "value")
+    except ValueError as exc:
+        raise ValueError(f"IRSLAB_WORKERS: {exc}") from None
     return max(1, min(workers, os.cpu_count() or 1))
 
 

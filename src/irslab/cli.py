@@ -5,6 +5,7 @@ for a file) containing its inputs, exact rational outputs, and a list
 of named checks.  The inputs are every parsed option but --report,
 --space included, so no handler can leave one out.  The exit status is
 0 exactly when every check passed, 1 when one failed, 2 on bad input
+(an argument parse error included) with one `error:` line on stderr,
 and 3 on a broken internal invariant.  Rationals cross the boundary as
 "p/q" text, never as floats.
 """
@@ -44,7 +45,7 @@ from .serialize import (
     space_to_doc,
 )
 from .space import FiniteSpace
-from .words import _INT_RE, _decimal, cyclic_reduce, parse_word
+from .words import cyclic_reduce, parse_word, read_int
 
 
 def _check(name: str, passed: bool, detail: str = "") -> dict:
@@ -52,32 +53,17 @@ def _check(name: str, passed: bool, detail: str = "") -> dict:
 
 
 def _ints(text: str) -> list[int]:
-    """Decimal tokens split at commas and spaces, read by `words._decimal`, so a
-    token past Python's int-to-str limit meets the option's own refusal."""
-    tokens = text.replace(",", " ").split()
-    bad = next((t for t in tokens if not _INT_RE.fullmatch(t)), None)
-    if bad is not None:
-        raise ValueError(f"bad integer token {bad!r}")
-    return [_decimal(t) for t in tokens]
+    """Integer tokens split at commas and spaces, each read by `words.read_int`."""
+    return [read_int(t, "integer") for t in text.replace(",", " ").split()]
 
 
 def _int_option(text: str) -> int:
-    """An integer option's value in ASCII digits with an optional minus sign, read
-    by `words._decimal` as `_ints` reads its tokens (`_check_int_options` refuses
-    what `_decimal` does not read exactly); `1_0`, `+3`, ` 7` and other Unicode
-    digits are refused as by `_ints`."""
-    if not _INT_RE.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"bad integer token {text!r}")
-    return _decimal(text)
-
-
-def _check_int_options(args) -> None:
-    """Refuse an integer option past 64 bits in one line, shown as `space._count`
-    shows it: `words._decimal` is exact through 20 digits, so every value that
-    passes is the one given, and the report's inputs record it."""
-    for name, value in vars(args).items():
-        if type(value) is int and value.bit_length() > 64:
-            raise ValueError(f"--{name.replace('_', '-')} {space._count(value)} does not fit 64 bits")
+    """An integer option's value, read by `words.read_int`; argparse prints an
+    `ArgumentTypeError` as it is, where it would quote a `ValueError`'s whole token."""
+    try:
+        return read_int(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_space(path: str) -> FiniteSpace:
@@ -404,8 +390,15 @@ def _add_hom_arg(parser):
     parser.add_argument("--space", help="optional space JSON file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors, its subparsers' too, raise `ValueError` for `main` to print."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="irslab",
         description="finite laboratory for free-group actions on finite spaces",
     )
@@ -527,30 +520,29 @@ _NOT_INPUTS = {"command", "sub", "handler", "report"}  # parser bookkeeping and 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    command = args.command + (f" {args.sub}" if getattr(args, "sub", None) else "")
     try:
-        _check_int_options(args)
+        args = parser.parse_args(argv)
         outputs, checks = args.handler(args)
+        passed = all(c["passed"] for c in checks)
+        command = args.command + (f" {args.sub}" if getattr(args, "sub", None) else "")
+        report = {
+            "command": command,
+            "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
+            "outputs": outputs,
+            "checks": checks,
+            "passed": passed,
+        }
+        text = dumps_canonical(report)
+        if args.report:
+            Path(args.report).write_text(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, RuntimeError) as exc:  # a broken internal invariant
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    passed = all(c["passed"] for c in checks)
-    report = {
-        "command": command,
-        "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
-        "outputs": outputs,
-        "checks": checks,
-        "passed": passed,
-    }
-    text = dumps_canonical(report)
-    if args.report:
-        Path(args.report).write_text(text)
-    else:
-        sys.stdout.write(text)
     return 0 if passed else 1
 
 

@@ -5,8 +5,8 @@ trailing newline, rationals as "p/q" text.  Import of an exported
 document re-exports byte-identically.  `dumps_canonical` writes exactly
 the bytes of `json.dumps(doc, sort_keys=True, indent=2)` plus a newline;
 it walks dicts and lists itself and hands each list of scalars, and each
-list of scalar lists, to json's C encoder in one call.  A document already
-written is embedded in another as `Encoded`, so it is encoded once.
+list of short scalar lists, to json's C encoder in one call.  A document
+already written is embedded in another as `Encoded`, so it is encoded once.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 
 from .actions import EmpiricalIRS, Homomorphism, SchreierBall
 from .fullgroup import FullGroupElement
-from .space import FiniteSpace, _count
-from .words import _decimal
+from .space import FiniteSpace
+from .words import _quote, read_int
 
 _FRACTION_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
@@ -34,13 +34,11 @@ def fraction_to_text(value: Fraction) -> str:
 def parse_fraction(text: str) -> Fraction:
     match = _FRACTION_RE.match(text.strip())
     if not match:
-        raise ValueError(f"expected a rational like '2/3', got {text!r}")
-    numerator, denominator = _decimal(match.group(1)), _decimal(match.group(2) or "1")
-    for part, value in (("numerator", numerator), ("denominator", denominator)):
-        if value.bit_length() > 64:
-            raise ValueError(f"fraction {part} {_count(value)} does not fit 64 bits")
+        raise ValueError(f"expected a rational like '2/3', got {_quote(text)}")
+    numerator = read_int(match.group(1), "fraction numerator")
+    denominator = read_int(match.group(2) or "1", "fraction denominator")
     if denominator == 0:
-        raise ValueError(f"zero denominator in {text!r}")
+        raise ValueError(f"zero denominator in {_quote(text)}")
     return Fraction(numerator, denominator)
 
 
@@ -93,11 +91,12 @@ def dumps_canonical(doc) -> str:
 def _indented(value, newline: str, parts: list[str]) -> None:
     """Append value's indented text to parts; newline is a line break plus value's indent.
 
-    Dicts and lists are walked here.  A list of scalars, or of scalar lists, is
-    written by the C encoder in one call, its items already separated by a line
-    break and their indent, once its text shows no string (`"`), no dict (`{`)
-    and one `[` per list.  `Encoded` text is re-indented as it is: json escapes
-    every line break inside a string, so each one left in the text is layout.
+    Dicts and lists are walked here.  A list of scalars, or of scalar lists whose
+    first has under 4096 items, is written by the C encoder in one call, its items
+    already separated by a line break and their indent, once its text shows no
+    string (`"`), no dict (`{`) and one `[` per list; longer rows take one call
+    each, as the encoder holds a string per item until it joins them.  `Encoded`
+    text is re-indented as it is: json escapes every line break inside a string.
     """
     inner = newline + "  "
     if isinstance(value, Encoded):
@@ -121,7 +120,7 @@ def _indented(value, newline: str, parts: list[str]) -> None:
             if '"' not in text and "{" not in text and text.find("[", 1) < 0:
                 parts += ("[", inner, text[1:-1], newline, "]")
                 return
-        elif all(isinstance(row, (list, tuple)) for row in value):
+        elif len(value[0]) < 4096 and all(isinstance(row, (list, tuple)) for row in value):
             deep = inner + "  "
             text = _encoder("," + deep)(value)
             # the rows are flat exactly when the text holds one "]" per row

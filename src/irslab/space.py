@@ -118,9 +118,9 @@ class FiniteSpace:
         if levels is not None:
             if levels < 0:
                 raise ValueError("filtration level count must be nonnegative")
-            width = 2 ** levels
-            if self.n_atoms % width != 0:
+            if levels > int(self.n_atoms).bit_length() or self.n_atoms % 2 ** levels != 0:
                 raise ValueError("atom count must be divisible by the top block size")
+            width = 2 ** levels
             blocks = self.class_of.reshape(-1, width)
             if (blocks != blocks[:, :1]).any():
                 raise ValueError("top filtration blocks must lie inside one class")

@@ -2,7 +2,8 @@
 
 A letter is a nonzero signed integer: k is the k-th generator, -k its
 inverse.  Words are kept freely reduced.  The text form writes letters
-as s1, s2^-1, and so on, separated by spaces.
+as s1, s2^-1, and so on, separated by spaces.  `read_int` reads every
+integer in the lab's text input.
 """
 
 from __future__ import annotations
@@ -168,13 +169,25 @@ _INT_RE = re.compile(r"-?[0-9]+")
 _TOKEN_RE = re.compile(r"^s([0-9]+)(?:\^(-?[0-9]+))?$")
 
 
-def _decimal(text: str) -> int:
-    """A signed decimal, exact up to 20 digits.  Longer, its 20 leading digits
-    times the power of ten of the rest: a lower bound past 2^64, which refusals
-    show as `space._count` does, and no conversion meets Python's int-to-str limit."""
-    sign = -1 if text.startswith("-") else 1
-    digits = text.lstrip("-").lstrip("0") or "0"
-    return sign * int(digits[:20]) * 10 ** max(len(digits) - 20, 0)
+def _quote(text: str) -> str:
+    """text's repr, cut to its first 40 characters, so a refusal that quotes
+    its input stays one short line."""
+    return repr(text[:40]) + ("..." if len(text) > 40 else "")
+
+
+def read_int(token: str, what: str) -> int:
+    """The one reader of integer text: an optional minus sign and ASCII digits,
+    at most 64 bits.  A longer token is read as its 20 leading digits times the
+    power of ten of the rest, a lower bound past 2^64 that the refusal shows as
+    `space._count` does, so no conversion meets Python's int-to-str limit."""
+    if not _INT_RE.fullmatch(token):
+        raise ValueError(f"bad integer token {_quote(token)}")
+    sign = -1 if token.startswith("-") else 1
+    digits = token.lstrip("-").lstrip("0") or "0"
+    value = sign * int(digits[:20]) * 10 ** max(len(digits) - 20, 0)
+    if value.bit_length() > 64:
+        raise ValueError(f"{what} {space._count(value)} does not fit 64 bits")
+    return value
 
 
 def parse_word(text: str, rank: int) -> ReducedWord:
@@ -183,11 +196,11 @@ def parse_word(text: str, rank: int) -> ReducedWord:
     for token in text.split():
         match = _TOKEN_RE.match(token)
         if not match:
-            raise ValueError(f"bad letter token {token!r}")
-        index = _decimal(match.group(1))
-        power = _decimal(match.group(2)) if match.group(2) else 1
+            raise ValueError(f"bad letter token {_quote(token)}")
+        index = read_int(match.group(1), "generator index")
+        power = read_int(match.group(2), "power") if match.group(2) else 1
         if index < 1 or index > rank:
-            raise ValueError(f"generator index {space._count(index)} out of range for rank {rank}")
+            raise ValueError(f"generator index {index} out of range for rank {rank}")
         sign = 1 if power > 0 else -1
         total = len(letters) + abs(power)
         space._check_budget(8 * total, ValueError, "word of {letters} letters needs {need} bytes",

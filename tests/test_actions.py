@@ -228,6 +228,9 @@ def test_empirical_irs_rejects_malformed_weights():
         (((t0, Fraction(1)), (t1, Fraction(0))), "weights must be positive"),
         (((t0, Fraction(5, 4)), (t1, Fraction(-1, 4))), "weights must be positive"),
         (((t0, Fraction(1, 2)), (t0, Fraction(1, 2))), "traces must not repeat"),
+        (((t0, Fraction(1, 4)), (t1, Fraction(1, 4)), (t0, Fraction(1, 2))), "traces must not repeat"),
+        (((StabilizerTrace(2, 0, bytes([0x80])), Fraction(1)),), "traces must have the distribution's rank"),
+        (((StabilizerTrace(1, 1, bytes([0x80])), Fraction(1)),), "traces must have the distribution's rank"),
     ]
     for weights, message in cases:
         with pytest.raises(ValueError, match=message):

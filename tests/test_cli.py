@@ -2,11 +2,14 @@
 
 import argparse
 import json
+import signal
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from irslab import FiniteSpace, cli
 from irslab.actions import evaluate
@@ -887,20 +890,20 @@ NINES = "9" * 5000  # past Python's int-to-str limit of 4300 digits
 
 @pytest.mark.parametrize("argv, message", [
     (["construct", "corefree", "--word", f"s2^{NINES}", "--epsilon", "1/2"],
-     "word of at least 2^16609 letters needs at least 2^16612 bytes, over the budget of 268435456"),
+     "power at least 2^16609 does not fit 64 bits"),
     (["construct", "corefree", "--word", f"s2^-{NINES}", "--epsilon", "1/2"],
-     "word of at least 2^16609 letters needs at least 2^16612 bytes, over the budget of 268435456"),
+     "power at most -2^16609 does not fit 64 bits"),
     (["construct", "corefree", "--word", f"s{NINES}", "--epsilon", "1/2"],
-     "generator index at least 2^16609 out of range for rank 2"),
+     "generator index at least 2^16609 does not fit 64 bits"),
     (["sweep", "--epsilon", "1/2", "--samples", "1", "--property", f"realizes(2, 1 0, {NINES})",
       "--seed", "0"],
-     "property integers take at most 18 digits, got 5000"),
+     "integer at least 2^16609 does not fit 64 bits"),
     (["sweep", "--epsilon", "1/2", "--samples", "1", "--property", f"folner({NINES}, 2)",
       "--seed", "0"],
-     "property integers take at most 18 digits, got 5000"),
+     "integer at least 2^16609 does not fit 64 bits"),
     (["sweep", "--epsilon", "1/2", "--samples", "1", "--property", f"corefree(s1 s2^{NINES})",
       "--seed", "0"],
-     "word of at least 2^16609 letters needs at least 2^16612 bytes, over the budget of 268435456"),
+     "power at least 2^16609 does not fit 64 bits"),
 ], ids=["power", "negative power", "index", "realizes radius", "folner l", "sweep word"])
 def test_huge_integers_in_words_and_properties_exit_2_with_one_line(tmp_path, capsys, argv, message):
     hom = gen_hom(tmp_path, log2=4, seed=1)
@@ -927,23 +930,26 @@ def test_fractions_past_64_bits_exit_2_with_one_line(tmp_path, capsys, argv, mes
 
 
 def test_huge_class_size_exits_2_with_the_atom_count_refusal(tmp_path, capsys):
-    assert main(["gen", "space", "--classes", f"4 {NINES}", "--out", str(tmp_path / "s.json")]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == ("error: at least 2^16609 atoms need at least 2^16612 bytes, "
-                            "over the budget of 268435456\n")
-    assert captured.out == ""
-    assert not (tmp_path / "s.json").exists()
+    """A size past 64 bits is refused as it is read; one within them by the atom count."""
+    for size, message in ((NINES, "integer at least 2^16609 does not fit 64 bits"),
+                          (str(2**64 - 1), "at least 2^64 atoms need at least 2^67 bytes, "
+                                           "over the budget of 268435456")):
+        assert main(["gen", "space", "--classes", f"4 {size}", "--out", str(tmp_path / "s.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "s.json").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
     (["analyze", "realize", "--m", "2", "--radius", "3", "--tau", f"1 {NINES}"],
-     "tau must be a permutation of 0..1"),
+     "integer at least 2^16609 does not fit 64 bits"),
     (["construct", "ht", "--m", "2", "--epsilon", "1/2", "--tau", f"1 {NINES}", "--out", "{tmp}/o.json"],
-     "tau must be a permutation of 0..1"),
+     "integer at least 2^16609 does not fit 64 bits"),
     (["construct", "splice", "--atoms", f"1 {NINES}", "--tau", "{hom}", "--out", "{tmp}/o.json"],
-     "splice set contains atoms out of range"),
+     "integer at least 2^16609 does not fit 64 bits"),
     (["construct", "folner", "--epsilon", "1/2", "--sizes", f"1 {NINES}", "--out", "{tmp}/o.json"],
-     "requested classes need at least 2^16609 atoms, more than the 16 in the space"),
+     "integer at least 2^16609 does not fit 64 bits"),
     (["analyze", "realize", "--m", "2", "--radius", "3", "--tau", "1 -"], "bad integer token '-'"),
 ], ids=["realize tau", "ht tau", "splice atoms", "folner sizes", "bare sign"])
 def test_huge_integer_lists_exit_2_with_one_line(tmp_path, capsys, argv, message):
@@ -989,30 +995,34 @@ def test_integer_tokens_take_ascii_digits_only(tmp_path, capsys, argv, message):
 def test_integer_options_take_ascii_digits_only(tmp_path, capsys, argv, token):
     """argparse's `type=int` would read each of these tokens as a number."""
     hom = gen_hom(tmp_path, log2=4, seed=1)
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--hom", str(hom)])
-    assert exc.value.code == 2
+    assert main([*argv, "--hom", str(hom)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.endswith(f"bad integer token {token!r}\n")
+    assert captured.err.startswith("error: argument --")
+    assert captured.err.endswith(f": bad integer token {token!r}\n") and captured.err.count("\n") == 1
     assert captured.out == ""
 
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["analyze", "irs", "--radius", NINES], "--radius at least 2^16609"),
-    (["analyze", "stability", "--other", "{hom}", "--radius", NINES], "--radius at least 2^16609"),
-    (["analyze", "folner", "--root", "0", "--l", "2", "--radius", f"-{NINES}"], "--radius at most -2^16609"),
+    (["analyze", "irs", "--radius", NINES], "argument --radius: value at least 2^16609"),
+    (["analyze", "stability", "--other", "{hom}", "--radius", NINES],
+     "argument --radius: value at least 2^16609"),
+    (["analyze", "folner", "--root", "0", "--l", "2", "--radius", f"-{NINES}"],
+     "argument --radius: value at most -2^16609"),
     (["export", "--format", "dot", "--root", "0", "--radius", NINES, "--out", "{tmp}/x.dot"],
-     "--radius at least 2^16609"),
-    (["analyze", "folner", "--root", NINES, "--l", "2", "--radius", "1"], "--root at least 2^16609"),
-    (["analyze", "degree", "--root", f"-{NINES}", "--k-max", "2"], "--root at most -2^16609"),
+     "argument --radius: value at least 2^16609"),
+    (["analyze", "folner", "--root", NINES, "--l", "2", "--radius", "1"],
+     "argument --root: value at least 2^16609"),
+    (["analyze", "degree", "--root", f"-{NINES}", "--k-max", "2"],
+     "argument --root: value at most -2^16609"),
     (["sweep", "--epsilon", "1/2", "--samples", NINES, "--seed", "0", "--property", "periodic(1)"],
-     "--samples at least 2^16609"),
-    (["analyze", "folner", "--root", "0", "--l", "18446744073709551616", "--radius", "1"], "--l at least 2^64"),
+     "argument --samples: value at least 2^16609"),
+    (["analyze", "folner", "--root", "0", "--l", "18446744073709551616", "--radius", "1"],
+     "argument --l: value at least 2^64"),
 ], ids=["irs radius", "stability radius", "folner radius", "dot radius", "folner root", "degree root",
         "samples", "2^64"])
 def test_integer_options_past_64_bits_exit_2_with_one_line(tmp_path, capsys, argv, message):
-    """A 5000-digit option is read by `words._decimal` and refused in the form
+    """A 5000-digit option is read by `words.read_int` and refused in the form
     `space._count` gives, never printed digit by digit."""
     hom = gen_hom(tmp_path, log2=4, seed=1)
     assert main([*(a.format(tmp=tmp_path, hom=hom) for a in argv), "--hom", str(hom)]) == 2
@@ -1072,3 +1082,134 @@ def test_a_huge_log2_is_refused_as_the_space_refuses_its_atom_count(log2):
     with pytest.raises(ValueError) as by_log2:
         cli._log2_atoms(log2)
     assert str(by_log2.value) == str(by_space.value)
+
+
+@pytest.mark.parametrize("levels", [2**40, 10**20], ids=["2^40", "10^20"])
+def test_huge_filtration_levels_exit_2_before_the_top_block_size_is_computed(tmp_path, levels):
+    """2^(2^40) is a 128 GiB integer: under a 1 GiB address-space limit a space
+    document claiming that many levels must be refused from the count alone."""
+    hom, space = gen_hom(tmp_path, log2=4), tmp_path / "sp.json"
+    assert run(tmp_path, "gen", "space", "--log2", "4", "--out", str(space))[0] == 0
+    space.write_text(json.dumps({**json.loads(space.read_text()), "filtration_log2_levels": levels}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "irslab.cli", "analyze", "index", "--hom", str(hom), "--space", str(space)],
+        capture_output=True, text=True, preexec_fn=_limit_address_space_to_1_gib, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: atom count must be divisible by the top block size\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "ht", "--m", "2", "--tau", "1 0", "--epsilon", f"{NINES}x"],
+    ["construct", "ht", "--m", "2", "--tau", "1 0", "--epsilon", "1/" + "0" * 5000],
+    ["construct", "corefree", "--epsilon", "1/2", "--word", f"s{NINES}x"],
+    ["sweep", "--epsilon", "1/2", "--samples", "1", "--seed", "0", "--property", NINES],
+    ["sweep", "--epsilon", "1/2", "--samples", "1", "--seed", "0", "--property", f"x{NINES}(1)"],
+    ["gen", "space", "--classes", f"4 4x{NINES}"],
+    ["analyze", "folner", "--root", "0", "--l", "2", "--radius", f"{NINES}x"],
+], ids=["epsilon", "zero denominator", "letter", "property", "property name", "classes", "option"])
+def test_refusals_quote_a_short_prefix_of_their_input(tmp_path, capsys, argv):
+    hom = gen_hom(tmp_path, log2=4, seed=1)
+    assert main([*argv, *([] if argv[0] == "gen" else ["--hom", str(hom)])]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.endswith("...\n") and len(captured.err.encode()) <= 200
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("prop", [
+    "folner(9999999999999999999, 2)",
+    "folner(18446744073709551615, 2)",
+    "realizes(2, 1 0, 18446744073709551615)",
+], ids=["19 digits", "20 digits", "20-digit radius"])
+def test_property_integers_within_64_bits_are_accepted(tmp_path, capsys, prop):
+    hom = gen_hom(tmp_path, log2=4, seed=1)
+    assert main(["sweep", "--hom", str(hom), "--epsilon", "1/2", "--samples", "1", "--seed", "0",
+                 "--property", prop]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"]["property"] == prop.replace(", ", ",")
+
+
+# option values for the grammar fuzz test, (valid, adversarial) by kind: the
+# adversarial ones are integers past 64 bits, negative, in non-ASCII digits or
+# in forms Python's int() reads, floats, empty text, missing files, a folder
+# and documents of the wrong kind
+ADVERSARIAL_INTEGERS = ["-1", "18446744073709551616", "-" + "9" * 30, "٣", "1_0", "+3", "1.5", "", " 7"]
+FUZZ_POOLS = {
+    "integer": (["0", "1", "2", "3"], ADVERSARIAL_INTEGERS),
+    "list": (["1 0", "0,1", "4,4,8"], ADVERSARIAL_INTEGERS),
+    "epsilon": (["1/2", "3/5", "1"], [*ADVERSARIAL_INTEGERS, "1/0", "1/2/3"]),
+    "word": (["s1 s2", "s2^-1", "s2"], ["s0", "s1^", "t1", "s1^1_0", "s٢"]),
+    "property": (["corefree(s2)", "folner(2, 1)", "periodic(1)", "realizes(2, 1 0, 4)"],
+                 ["folner(2)", "nope(1)", "folner(1_0, 2)", "periodic(18446744073709551616)", ""]),
+    "hom": (["{dir}/h.json", "{dir}/lean.json"],
+            ["{dir}/space.json", "{dir}/notes.txt", "{dir}/missing.json", "{dir}"]),
+    "space": (["{dir}/space.json"], ["{dir}/h.json", "{dir}/notes.txt", "{dir}/missing.json", "{dir}"]),
+    "output": (["{dir}/o.out"], ["{dir}", "{dir}/missing/o.out"]),
+}
+
+
+def _fuzz_kind(action) -> str:
+    """The pool an option draws from, read from its type, destination and help."""
+    text = action.help or ""
+    if action.type is cli._int_option:
+        return "integer"
+    if action.dest in ("out", "csv", "report"):
+        return "output"
+    if "JSON" in text:
+        return "space" if "space" in text else "hom"
+    return action.dest if action.dest in FUZZ_POOLS else "list"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Documents on 2^4 atoms: a space, a random hom on it, a lean hom, and a text file."""
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "notes.txt").write_text("not a document\n")
+    for argv in (["gen", "space", "--log2", "4", "--out", "space.json"],
+                 ["gen", "hom", "--model", "random", "--rank", "2", "--seed", "3", "--space", "space.json",
+                  "--out", "h.json"],
+                 ["gen", "hom", "--rank", "2", "--seed", "1", "--log2", "4", "--out", "lean.json"]):
+        assert main(["--report", str(path / "r.json"), *(str(path / a) if a.endswith(".json") else a
+                                                         for a in argv)]) == 0
+    return path
+
+
+def _fuzz_argv(data, parser, folder) -> list[str]:
+    """An argv drawn from the parser's own option table, depth first."""
+    argv = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            name = data.draw(st.sampled_from(sorted(action.choices)))
+            argv += [name, *_fuzz_argv(data, action.choices[name], folder)]
+        elif action.option_strings and action.dest != "help":
+            if data.draw(st.integers(0, 19)) >= (19 if action.required else 10):
+                continue  # a required option is left out now and then, too
+            valid, adversarial = FUZZ_POOLS[_fuzz_kind(action)]
+            pool = action.choices or (adversarial if data.draw(st.integers(0, 5)) == 0 else valid)
+            argv += [action.option_strings[0], data.draw(st.sampled_from(pool)).format(dir=folder)]
+    return argv
+
+
+def _hang(signum, frame):
+    pytest.fail("a fuzz case ran past its alarm")  # a BaseException, which main does not catch
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_drawn_command_line_exits_0_1_or_2_with_one_error_line(fuzz_dir, capsys, data):
+    argv = _fuzz_argv(data, build_parser(), fuzz_dir)
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.alarm(10)
+    try:
+        code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), (argv, captured.err)
+    if code == 2:
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, (argv, captured.err)
+    else:
+        assert captured.err == "", (argv, captured.err)

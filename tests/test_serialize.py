@@ -93,6 +93,9 @@ _values = st.recursive(
 @example([[1], [[2]]])
 @example({10: [1], 9: {"b": [], "a": ()}, -1: [[1, 2], [], [-3]]})
 @example([(1, 2), (), [True, None, 1.5, -2**65]])
+@example([list(range(4095)), [1]])
+@example([list(range(4096)), (), [-1, 2]])
+@example({"gens": [list(range(4096)), [[2]], ["a"]]})
 def test_dumps_canonical_matches_the_json_oracle(value):
     assert dumps_canonical(value) == oracle_dumps(value)
 
