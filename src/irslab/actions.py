@@ -14,14 +14,15 @@ radius R are isomorphic exactly when their codes agree.  Traces,
 codes and the conjugated traces of the invariance check are all read
 off one kernel of ball-word images, run over cache-sized chunks of atoms;
 ball codes come one block per chunk, so a caller comparing two actions'
-codes need not hold either code matrix.  The trace distribution numbers the
-distinct trace rows with `setops.row_ids`; the invariance check compares
-each conjugated trace with the trace at the image atom, pointwise.
+codes need not hold either code matrix.  The trace distribution is two
+arrays: the distinct trace rows, numbered in byte order by `setops.row_ids`,
+and each row's atom count; its (trace, weight) pairs are a view built on
+request.  The invariance check compares each conjugated trace with the
+trace at the image atom, pointwise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -158,9 +159,6 @@ class StabilizerTrace:
     def words(self) -> tuple[ReducedWord, ...]:
         return tuple(w for w in ball(self.rank, self.radius).words if self.contains(w))
 
-    def hex(self) -> str:
-        return self.bits.hex()
-
 
 # bytes of int64 ball-word images per chunk of atoms: a chunk's ball codes take the
 # images and under two more blocks their size (`_chunk_codes`), so a chunk stays cache-sized
@@ -292,43 +290,45 @@ def ball_codes(hom: Homomorphism, radius: int, atoms=None) -> np.ndarray:
 
 
 def empirical_irs(hom: Homomorphism, radius: int) -> "EmpiricalIRS":
-    """Distribution of stabilizer traces over the uniform atom, by ascending bytes."""
+    """Distribution of stabilizer traces over the uniform atom: the distinct
+    trace rows by ascending bytes, each with its atom count."""
     rows = trace_code_matrix(hom, radius)
     ids, count = row_ids(rows)
     table = np.empty((count, rows.shape[1]), dtype=np.uint8)
     table[ids] = rows
-    n, counts = hom.space.n_atoms, np.bincount(ids, minlength=count).tolist()
-    weight = {c: Fraction(c, n) for c in set(counts)}  # traces share few counts
-    weights = tuple(
-        (StabilizerTrace(hom.rank, radius, row.tobytes()), weight[c])
-        for row, c in zip(table, counts)
-    )
-    return EmpiricalIRS(n_atoms=n, rank=hom.rank, radius=radius, weights=weights)
+    return EmpiricalIRS(hom.space.n_atoms, hom.rank, radius, table, np.bincount(ids, minlength=count))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalIRS:
-    """Finitely supported trace distribution; weights are exact multiples of 1/N."""
+    """Finitely supported trace distribution: read-only copies of the distinct packed
+    trace rows, ascending by bytes, and of their atom counts; row i weighs counts[i]/n_atoms."""
 
     n_atoms: int
     rank: int
     radius: int
-    weights: tuple[tuple[StabilizerTrace, Fraction], ...]
+    rows: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self):
-        # integers over the common denominator: ~23k Fraction additions took ~0.1 s
-        common = math.lcm(*(w.denominator for _, w in self.weights))
-        if sum(w.numerator * (common // w.denominator) for _, w in self.weights) != common:
-            raise ValueError("weights must sum to exactly 1")
-        if any(self.n_atoms % w.denominator for _, w in self.weights):
-            raise ValueError("weights must be multiples of 1/n_atoms")
-        if any(w.numerator <= 0 for _, w in self.weights):
-            raise ValueError("weights must be positive")
-        if any(t.rank != self.rank or t.radius != self.radius for t, _ in self.weights):
-            raise ValueError("traces must have the distribution's rank and radius")
-        bits = sorted(t.bits for t, _ in self.weights)  # a list of references: a set of 23k traces took 2 MiB
-        if any(bits[i] == bits[i + 1] for i in range(len(bits) - 1)):
-            raise ValueError("traces must not repeat")
+        object.__setattr__(self, "rows", _frozen_array(self.rows, np.uint8))
+        object.__setattr__(self, "counts", _frozen_array(self.counts))
+        size, shift = _ball_size_bound(self.rank, self.radius)  # a huge ball is refused unsized
+        if shift or self.rows.ndim != 2 or self.rows.shape[1] != -(-size // 8):
+            raise ValueError("rows must be trace rows of the distribution's rank and radius")
+        if self.counts.shape != self.rows.shape[:1] or (self.counts <= 0).any():
+            raise ValueError("counts must be one positive count per row")
+        if self.n_atoms < 1 or sum(self.counts.tolist()) != self.n_atoms:  # Python ints: no int64 wrap
+            raise ValueError("counts must sum to n_atoms, at least 1")
+        if not np.array_equal(row_ids(self.rows)[0], np.arange(len(self.rows))):
+            raise ValueError("rows must strictly ascend by bytes")
+
+    @cached_property
+    def weights(self) -> tuple[tuple[StabilizerTrace, Fraction], ...]:
+        """(trace, weight) pairs in row order, built when first read."""
+        weight = {c: Fraction(c, self.n_atoms) for c in set(self.counts.tolist())}  # rows share few counts
+        return tuple((StabilizerTrace(self.rank, self.radius, row.tobytes()), weight[c])
+                     for row, c in zip(self.rows, self.counts.tolist()))
 
     def as_dict(self) -> dict[StabilizerTrace, Fraction]:
         return dict(self.weights)

@@ -45,7 +45,7 @@ from .serialize import (
     space_to_doc,
 )
 from .space import FiniteSpace
-from .words import cyclic_reduce, parse_word, read_int
+from .words import _quote, cyclic_reduce, parse_word, read_int
 
 
 def _check(name: str, passed: bool, detail: str = "") -> dict:
@@ -88,15 +88,20 @@ def _root(hom: Homomorphism, root: int) -> int:
 
 
 def _log2_atoms(log2: int) -> int:
-    """The atom count 2^log2 of a --log2 option, which must be nonnegative.  From
-    2^64 atoms on, the space's budget refusal is built from log2 itself, as
-    `space._count` would show it, before a huge 2^log2 is computed."""
+    """The atom count 2^log2 of a --log2 option, which must be nonnegative.  Past
+    the byte budget the space's refusal is built from log2 itself, before a huge
+    2^log2 is computed."""
     if log2 < 0:
         raise ValueError("--log2 must be nonnegative")
-    if log2 >= 64:
-        raise ValueError(f"at least 2^{log2} atoms need at least 2^{log2 + 3} bytes, "
-                         f"over the budget of {space._BYTE_BUDGET}")
+    space._check_budget(8, ValueError, "{atoms} atoms need {need} bytes", log2, atoms=space._count(1, log2))
     return 2 ** log2
+
+
+def _error_text(exc: Exception) -> str:
+    """exc's text, but an OS error's file name cut as `words._quote` cuts it."""
+    if isinstance(exc, OSError) and isinstance(exc.filename, str) and exc.filename2 is None:
+        return f"[Errno {exc.errno}] {exc.strerror}: {_quote(exc.filename)}"
+    return str(exc)
 
 
 def _write_doc(path: str | None, doc: dict) -> Encoded:
@@ -123,11 +128,7 @@ def _cmd_gen_space(args):
     doc = _write_doc(args.out, space_to_doc(space))
     checks = [
         _check("classes partition the atoms", True, f"{space.class_count} classes"),
-        _check(
-            "filtration blocks class-constant",
-            True,
-            f"levels={space.filtration_levels}",
-        ),
+        _check("filtration blocks class-constant", True, f"levels={space.filtration_levels}"),
     ]
     return {"space": doc}, checks
 
@@ -161,11 +162,8 @@ def _cmd_construct_splice(args):
     bound = 2 * hom.space.measure(atoms)
     checks = [
         _check("result equals tau on the spliced set", agrees),
-        _check(
-            "distance at most twice the set measure",
-            distance <= bound,
-            f"{fraction_to_text(distance)} <= {fraction_to_text(bound)}",
-        ),
+        _check("distance at most twice the set measure", distance <= bound,
+               f"{fraction_to_text(distance)} <= {fraction_to_text(bound)}"),
     ]
     outputs = {"hom": doc, "distance": fraction_to_text(distance)}
     return outputs, checks
@@ -196,11 +194,8 @@ def _cmd_construct_folner(args):
     doc = _write_doc(args.out, hom_to_doc(result))
     distance = hom_metric(hom, result)
     checks = [
-        _check(
-            "distance within epsilon",
-            distance <= epsilon,
-            f"{fraction_to_text(distance)} <= {args.epsilon}",
-        )
+        _check("distance within epsilon", distance <= epsilon,
+               f"{fraction_to_text(distance)} <= {args.epsilon}")
     ]
     ratios = []
     for cls in constructions.folner_planted_classes(sizes):
@@ -208,11 +203,8 @@ def _cmd_construct_folner(args):
         bound = Fraction(2 * (hom.rank - 1), len(cls))
         ratios.append(fraction_to_text(ratio))
         checks.append(
-            _check(
-                f"class of size {len(cls)} has boundary ratio within 2(r-1)/n",
-                ratio <= bound,
-                f"{fraction_to_text(ratio)} <= {fraction_to_text(bound)}",
-            )
+            _check(f"class of size {len(cls)} has boundary ratio within 2(r-1)/n", ratio <= bound,
+                   f"{fraction_to_text(ratio)} <= {fraction_to_text(bound)}")
         )
     outputs = {"hom": doc, "distance": fraction_to_text(distance), "class_ratios": ratios}
     return outputs, checks
@@ -228,11 +220,8 @@ def _cmd_construct_ht(args):
     levels = constructions.perturbation_tower(hom.gens[0], args.m, epsilon)
     fibered = np.array_equal(result.gens[1].forward[levels], levels[list(tau)])
     checks = [
-        _check(
-            "distance below epsilon",
-            distance < epsilon,
-            f"{fraction_to_text(distance)} < {args.epsilon}",
-        ),
+        _check("distance below epsilon", distance < epsilon,
+               f"{fraction_to_text(distance)} < {args.epsilon}"),
         _check("second generator permutes every tower fiber by tau", fibered),
     ]
     outputs = {
@@ -256,11 +245,8 @@ def _cmd_construct_corefree(args):
     levels = constructions.perturbation_tower(hom.gens[0], s + 1, epsilon)
     displaced = np.array_equal(evaluate(result, core, levels[tau[0]]), levels[tau[s]])
     checks = [
-        _check(
-            "distance below epsilon",
-            distance < epsilon,
-            f"{fraction_to_text(distance)} < {args.epsilon}",
-        ),
+        _check("distance below epsilon", distance < epsilon,
+               f"{fraction_to_text(distance)} < {args.epsilon}"),
         _check("word carries the first tower level onto the last", displaced),
     ]
     outputs = {
@@ -288,11 +274,7 @@ def _cmd_analyze_irs(args):
     if args.csv:
         Path(args.csv).write_text(irs_to_csv(irs))
     checks = [_check("invariance defect is zero", defect == 0, fraction_to_text(defect))]
-    outputs = {
-        "defect": fraction_to_text(defect),
-        "trace_count": len(irs.weights),
-        "csv": args.csv,
-    }
+    outputs = {"defect": fraction_to_text(defect), "trace_count": len(irs.counts), "csv": args.csv}
     return outputs, checks
 
 
@@ -335,11 +317,8 @@ def _cmd_analyze_stability(args):
     other = _load_hom(args, args.other)
     result = analysis.ball_stability_check(hom, other, args.radius)
     checks = [
-        _check(
-            "observed bad fraction within the union bound",
-            result.observed <= result.bound,
-            f"{fraction_to_text(result.observed)} <= {fraction_to_text(result.bound)}",
-        )
+        _check("observed bad fraction within the union bound", result.observed <= result.bound,
+               f"{fraction_to_text(result.observed)} <= {fraction_to_text(result.bound)}")
     ]
     outputs = {
         "observed": fraction_to_text(result.observed),
@@ -391,10 +370,23 @@ def _add_hom_arg(parser):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose errors, its subparsers' too, raise `ValueError` for `main` to print."""
+    """A parser whose errors, its subparsers' too, raise `ValueError` for `main` to
+    print.  A refused choice and unrecognized arguments are cut as `words._quote` cuts."""
 
     def error(self, message):
         raise ValueError(message)
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {_quote(value)} (choose from {choices})")
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            text = " ".join(extra)
+            self.error(f"unrecognized arguments: {text[:40]}{'...' * (len(text) > 40)}")
+        return args
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -538,7 +530,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 2
     except (AssertionError, RuntimeError) as exc:  # a broken internal invariant
         print(f"internal error: {exc}", file=sys.stderr)

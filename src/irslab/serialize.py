@@ -224,9 +224,13 @@ def hom_from_doc(doc: dict, space: FiniteSpace | None = None) -> Homomorphism:
 
 
 def irs_to_csv(irs: EmpiricalIRS) -> str:
+    """One line per trace row: its hex and its weight counts[i]/n_atoms in lowest terms."""
+    text, width = irs.rows.tobytes().hex(), 2 * irs.rows.shape[1]
+    common = np.gcd(irs.counts, irs.n_atoms)
     lines = ["trace,numerator,denominator"]
-    for trace, weight in irs.weights:
-        lines.append(f"{trace.hex()},{weight.numerator},{weight.denominator}")
+    for start, p, q in zip(range(0, len(text), width), (irs.counts // common).tolist(),
+                           (irs.n_atoms // common).tolist()):
+        lines.append(f"{text[start:start + width]},{p},{q}")
     return "\n".join(lines) + "\n"
 
 

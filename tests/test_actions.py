@@ -215,26 +215,28 @@ def test_empirical_irs_weights():
 
 
 def test_empirical_irs_rejects_malformed_weights():
-    n = 4
-    t0, t1 = (StabilizerTrace(1, 0, bytes([b])) for b in (0x80, 0x00))
-    ok = EmpiricalIRS(n, 1, 0, ((t0, Fraction(1, 4)), (t1, Fraction(3, 4))))
-    assert ok.as_dict() == {t0: Fraction(1, 4), t1: Fraction(3, 4)}
+    n, rows, counts = 4, np.array([[0x80], [0xF8]], dtype=np.uint8), np.array([1, 3])
+    ok = EmpiricalIRS(n, 1, 2, rows, counts)  # rank 1, radius 2: five ball words, one byte a row
+    assert ok.as_dict() == {StabilizerTrace(1, 2, bytes([0x80])): Fraction(1, 4),
+                            StabilizerTrace(1, 2, bytes([0xF8])): Fraction(3, 4)}
+    assert not ok.rows.flags.writeable and not ok.counts.flags.writeable
     cases = [
-        ((), "weights must sum to exactly 1"),
-        (((t0, Fraction(1, 4)), (t1, Fraction(1, 2))), "weights must sum to exactly 1"),
-        # a sum of 1/3 that is not a multiple of 1/4 either: the sum is checked first
-        (((t0, Fraction(1, 3)),), "weights must sum to exactly 1"),
-        (((t0, Fraction(1, 3)), (t1, Fraction(2, 3))), "weights must be multiples of 1/n_atoms"),
-        (((t0, Fraction(1)), (t1, Fraction(0))), "weights must be positive"),
-        (((t0, Fraction(5, 4)), (t1, Fraction(-1, 4))), "weights must be positive"),
-        (((t0, Fraction(1, 2)), (t0, Fraction(1, 2))), "traces must not repeat"),
-        (((t0, Fraction(1, 4)), (t1, Fraction(1, 4)), (t0, Fraction(1, 2))), "traces must not repeat"),
-        (((StabilizerTrace(2, 0, bytes([0x80])), Fraction(1)),), "traces must have the distribution's rank"),
-        (((StabilizerTrace(1, 1, bytes([0x80])), Fraction(1)),), "traces must have the distribution's rank"),
+        ((n, 1, 2, rows, [1, 2]), "counts must sum to n_atoms"),
+        ((0, 1, 2, rows[:0], []), "counts must sum to n_atoms, at least 1"),
+        ((n, 1, 2, rows, [4, 0]), "counts must be one positive count per row"),
+        ((n, 1, 2, rows, [5, -1]), "counts must be one positive count per row"),
+        ((n, 1, 2, rows, [4]), "counts must be one positive count per row"),
+        ((n, 1, 2, rows[[0, 0]], [2, 2]), "rows must strictly ascend by bytes"),
+        ((n, 1, 2, rows[[0, 1, 0]], [1, 2, 1]), "rows must strictly ascend by bytes"),
+        ((n, 1, 2, rows[::-1], [3, 1]), "rows must strictly ascend by bytes"),
+        ((n, 2, 2, rows, counts), "rows must be trace rows of the distribution's rank and radius"),
+        ((n, 1, 5, rows, counts), "rows must be trace rows of the distribution's rank and radius"),
+        # (2r-1)^R past 2^(2^20): refused from the bound, without sizing the ball
+        ((n, 2, 10**10, rows, counts), "rows must be trace rows of the distribution's rank and radius"),
     ]
-    for weights, message in cases:
+    for fields, message in cases:
         with pytest.raises(ValueError, match=message):
-            EmpiricalIRS(n, 1, 0, weights)
+            EmpiricalIRS(*fields)
 
 
 def test_invariance_defect_is_zero():
@@ -669,12 +671,7 @@ def empirical_irs_from_first_atoms(hom, radius):
     ids, count = row_ids(rows)
     first = np.empty(count, dtype=np.int64)
     first[ids] = np.arange(ids.size)  # an atom holding each trace
-    n = hom.space.n_atoms
-    weights = tuple(
-        (StabilizerTrace(hom.rank, radius, rows[i].tobytes()), Fraction(c, n))
-        for i, c in zip(first.tolist(), np.bincount(ids, minlength=count).tolist())
-    )
-    return EmpiricalIRS(n_atoms=n, rank=hom.rank, radius=radius, weights=weights)
+    return EmpiricalIRS(hom.space.n_atoms, hom.rank, radius, rows[first], np.bincount(ids, minlength=count))
 
 
 @settings(max_examples=60, deadline=None)
@@ -704,7 +701,9 @@ def test_conjugate_traces_match_the_permutation_oracle(hom, radius, chunk_atoms)
     assert defect == 0
     assert defect == concat_invariance_defect(hom, radius)
     assert defect == oracle_invariance_defect(hom, radius)
-    assert empirical_irs(hom, radius) == empirical_irs_from_first_atoms(hom, radius)
+    irs, oracle = empirical_irs(hom, radius), empirical_irs_from_first_atoms(hom, radius)
+    assert np.array_equal(irs.rows, oracle.rows) and np.array_equal(irs.counts, oracle.counts)
+    assert irs.weights == oracle.weights
 
 
 def test_a_conjugated_row_that_differs_is_an_internal_error(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import signal
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from irslab import FiniteSpace, cli
+from irslab import FiniteSpace, actions, cli
 from irslab.actions import evaluate
 from irslab.cli import build_parser, main
 
@@ -135,6 +136,26 @@ def test_analyze_irs_bytes_on_a_multi_class_space(tmp_path, monkeypatch, capsys)
                  "--radius", "2", "--csv", "irs.csv"]) == 0
     assert capsys.readouterr().out == PINNED_IRS_REPORT
     assert (tmp_path / "irs.csv").read_bytes() == PINNED_IRS_CSV.encode()
+
+
+def test_irs_csv_is_written_without_trace_objects(tmp_path, monkeypatch, capsys):
+    """`analyze irs --csv` and `export --format csv` write from the distribution's
+    arrays: no `StabilizerTrace` is constructed."""
+    built = []
+    monkeypatch.setattr(actions, "StabilizerTrace", lambda *fields: built.append(fields))
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "space", "--classes", "8,8,4,12", "--out", "space.json"]) == 0
+    assert main(["gen", "hom", "--model", "random", "--rank", "2", "--seed", "11",
+                 "--space", "space.json", "--out", "hom.json"]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "irs", "--hom", "hom.json", "--space", "space.json",
+                 "--radius", "2", "--csv", "irs.csv"]) == 0
+    assert capsys.readouterr().out == PINNED_IRS_REPORT
+    assert main(["export", "--hom", "hom.json", "--space", "space.json", "--format", "csv",
+                 "--radius", "2", "--out", "export.csv"]) == 0
+    for name in ("irs.csv", "export.csv"):
+        assert (tmp_path / name).read_bytes() == PINNED_IRS_CSV.encode()
+    assert built == []
 
 
 def test_analyze_index(tmp_path):
@@ -1108,13 +1129,19 @@ def test_huge_filtration_levels_exit_2_before_the_top_block_size_is_computed(tmp
     ["sweep", "--epsilon", "1/2", "--samples", "1", "--seed", "0", "--property", f"x{NINES}(1)"],
     ["gen", "space", "--classes", f"4 4x{NINES}"],
     ["analyze", "folner", "--root", "0", "--l", "2", "--radius", f"{NINES}x"],
-], ids=["epsilon", "zero denominator", "letter", "property", "property name", "classes", "option"])
+    ["analyze", "x" * 5000],
+    ["analyze", "index", "x" * 5000],
+    ["analyze", "index", "--hom", "x" * 5000],
+    ["gen", "hom", "--rank", "2", "--seed", "1", "--model", "x" * 5000],
+], ids=["epsilon", "zero denominator", "letter", "property", "property name", "classes", "option",
+        "subcommand", "extra argument", "file name", "choice"])
 def test_refusals_quote_a_short_prefix_of_their_input(tmp_path, capsys, argv):
     hom = gen_hom(tmp_path, log2=4, seed=1)
-    assert main([*argv, *([] if argv[0] == "gen" else ["--hom", str(hom)])]) == 2
+    assert main([*argv, *([] if argv[0] == "gen" or "--hom" in argv else ["--hom", str(hom)])]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert captured.err.endswith("...\n") and len(captured.err.encode()) <= 200
+    # the cut input ends the line, or comes just before argparse's list of choices
+    assert re.search(r"\.\.\.( \(choose from [^()]*\))?\n\Z", captured.err) and len(captured.err.encode()) <= 200
     assert captured.out == ""
 
 
