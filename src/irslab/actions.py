@@ -410,7 +410,9 @@ class SchreierBall:
 
 
 def schreier_ball(hom: Homomorphism, root: int, radius: int) -> SchreierBall:
-    """Materialize the radius-R ball at an atom with its ball code (see `ball_codes`)."""
+    """Materialize the radius-R ball at an atom with its ball code (see `ball_codes`),
+    the code first, so a radius past its byte budget is refused before any edge is built."""
+    code = ball_codes(hom, radius, [root]).tobytes()
     vertices = tuple(ball_atoms(hom, root, radius).tolist())
     vset = set(vertices)
     edges = []
@@ -421,7 +423,6 @@ def schreier_ball(hom: Homomorphism, root: int, radius: int) -> SchreierBall:
             if t not in vset:
                 edges.append((t, -letter, v))
     edges.sort(key=lambda e: (e[0], abs(e[1]), e[1] < 0, e[2]))
-    code = ball_codes(hom, radius, [root]).tobytes()
     return SchreierBall(root, radius, vertices, tuple(edges), code)
 
 

@@ -6,10 +6,11 @@ the generators, realization of a tower permutation by bidirectional word
 search spread along sigma's cycle by conjugation, per-orbit word
 triviality, the ball-stability bound, and seeded genericity sweeps over
 perturbation balls, their property grammar one table of argument names
-and each worker's samples one range of indices.  Degree and classwise
-Sym generation share `_degree`; it and realization grow tuple orbits with
-one kernel, packed keys stepped by `_grow`: untagged tuples for degree,
-(tuple, source atom) for realization.
+and predicates, each property's arguments parsed once, and each worker's
+samples one range of indices.  Degree and classwise Sym generation share
+`_degree`; it and realization grow tuple orbits with one kernel, packed
+keys stepped by `_grow`: untagged tuples for degree, (tuple, source atom)
+for realization.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .actions import (
 from .constructions import _check_full_cycle, _tower_permutation, splice
 from .rng import STREAM_SWEEP, derive_rng, random_full_group_element
 from .setops import member, merge_disjoint, sorted_unique
-from .words import ReducedWord, _check_radius, _quote, ball_size, format_word, parse_word, read_int
+from .words import ReducedWord, _check_radius, _quote, ball_size, parse_word, read_int
 
 
 class AnalysisError(ValueError):
@@ -379,63 +380,61 @@ def generates_classwise_symmetric(hom: Homomorphism) -> bool:
 
 @dataclass(frozen=True)
 class SweepProperty:
-    """Parsed named predicate evaluated on each sampled perturbation."""
+    """Parsed named predicate evaluated on each sampled perturbation: its
+    arguments are values (ints, a tower permutation tuple, a `ReducedWord`)."""
 
     name: str
     args: tuple
 
     @property
     def text(self) -> str:
-        inner = ",".join(str(a) for a in self.args)
+        """The canonical form, `name(arg,...)`, a tuple's entries joined by spaces."""
+        inner = ",".join(" ".join(map(str, a)) if isinstance(a, tuple) else str(a) for a in self.args)
         return f"{self.name}({inner})"
 
 
-_PROPERTIES = {  # each sweep property's argument names, in order
-    "folner": ("l", "radius"),
-    "realizes": ("m", "tau", "radius"),
-    "corefree": ("word",),
-    "periodic": ("level",),
+def _folner_holds(hom: Homomorphism, rng, l: int, radius: int) -> bool:
+    return folner_search(hom, int(rng.integers(hom.space.n_atoms)), l, radius).success
+
+
+def _periodic_holds(hom: Homomorphism, rng, level: int) -> bool:
+    blocks = hom.space.block_index(level)
+    return all((blocks[g.forward] == blocks).all() for g in hom.gens)
+
+
+_PROPERTIES = {  # each sweep property's argument names, in order, and its predicate
+    "folner": (("l", "radius"), _folner_holds),
+    "realizes": (("m", "tau", "radius"),
+                 lambda hom, rng, m, tau, radius: realizes_tau_fraction(hom, m, tau, radius) == 1),
+    "corefree": (("word",), lambda hom, rng, word: core_check(hom, word) == 0),
+    "periodic": (("level",), _periodic_holds),
 }
 
 
 def parse_property(text: str, rank: int) -> SweepProperty:
-    """Parse `name(arg, ...)`, with the arity `_PROPERTIES` gives, into canonical args."""
+    """Parse `name(arg, ...)`, with the arity `_PROPERTIES` gives, into argument values."""
     match = re.fullmatch(r"\s*(\w+)\s*\((.*)\)\s*", text)
     if not match:
         raise ValueError(f"cannot parse property {_quote(text)}")
     name, inner = match.group(1), match.group(2)
     parts = [p.strip() for p in inner.split(",")] if inner.strip() else []
-    names = _PROPERTIES.get(name)
-    if names is None:
+    if name not in _PROPERTIES:
         raise ValueError(f"unknown property {_quote(name)}")
+    names = _PROPERTIES[name][0]
     if len(parts) != len(names):
         raise ValueError(f"{name} takes ({', '.join(names)})")
     if name == "realizes":
         m, *tau, radius = (read_int(t, "integer") for t in (parts[0], *parts[1].split(), parts[2]))
-        args = (m, " ".join(map(str, _tower_permutation(m, tau))), radius)
+        args = (m, _tower_permutation(m, tau), radius)
     elif name == "corefree":
-        args = (format_word(parse_word(parts[0], rank)),)
+        args = (parse_word(parts[0], rank),)
     else:
         args = tuple(read_int(p, "integer") for p in parts)
     return SweepProperty(name, args)
 
 
 def _property_holds(hom: Homomorphism, prop: SweepProperty, rng) -> bool:
-    if prop.name == "folner":
-        l, radius = prop.args
-        root = int(rng.integers(hom.space.n_atoms))
-        return folner_search(hom, root, l, radius).success
-    if prop.name == "realizes":
-        m, tau_text, radius = prop.args
-        tau = tuple(read_int(t, "integer") for t in tau_text.split())
-        return realizes_tau_fraction(hom, m, tau, radius) == 1
-    if prop.name == "corefree":
-        word = parse_word(prop.args[0], hom.rank)
-        return core_check(hom, word) == 0
-    if prop.name == "periodic":
-        blocks = hom.space.block_index(prop.args[0])
-        return all((blocks[g.forward] == blocks).all() for g in hom.gens)
-    raise ValueError(f"unknown property {prop.name!r}")
+    return _PROPERTIES[prop.name][1](hom, rng, *prop.args)
 
 
 def sample_perturbation(hom: Homomorphism, epsilon: Fraction, rng) -> Homomorphism:
@@ -472,7 +471,7 @@ def _worker_count() -> int:
     return max(1, min(workers, os.cpu_count() or 1))
 
 
-def genericity_sweep(hom: Homomorphism, epsilon, samples: int, prop, seed: int) -> Fraction:
+def genericity_sweep(hom: Homomorphism, epsilon, samples: int, prop: SweepProperty, seed: int) -> Fraction:
     """Fraction of sampled perturbations satisfying the property.
 
     Sampling is seeded per sample index, so the result is identical for
@@ -483,8 +482,6 @@ def genericity_sweep(hom: Homomorphism, epsilon, samples: int, prop, seed: int) 
     if samples < 1:
         raise ValueError("samples must be at least 1")
     epsilon = Fraction(epsilon)
-    if isinstance(prop, str):
-        prop = parse_property(prop, hom.rank)
     workers = min(_worker_count(), samples)
     chunk = partial(_sweep_chunk, hom, epsilon, prop, seed)
     ranges = [range(w, samples, workers) for w in range(workers)]

@@ -3,7 +3,9 @@
 Every subcommand writes one JSON report (stdout by default, --report
 for a file) containing its inputs, exact rational outputs, and a list
 of named checks.  The inputs are every parsed option but --report,
---space included, so no handler can leave one out.  The exit status is
+--space included, so no handler can leave one out.  `main` loads --hom
+(on --space, if given) once and hands it to the handler; no option may
+be abbreviated, so each has one spelling.  The exit status is
 0 exactly when every check passed, 1 when one failed, 2 on bad input
 (an argument parse error included) with one `error:` line on stderr,
 and 3 on a broken internal invariant.  Rationals cross the boundary as
@@ -115,7 +117,7 @@ def _write_doc(path: str | None, doc: dict) -> Encoded:
 # -- subcommand handlers ----------------------------------------------------
 
 
-def _cmd_gen_space(args):
+def _cmd_gen_space(args, _):
     if args.classes:
         sizes = _ints(args.classes)
         space = FiniteSpace.from_class_sizes(sizes)
@@ -133,7 +135,7 @@ def _cmd_gen_space(args):
     return {"space": doc}, checks
 
 
-def _cmd_gen_hom(args):
+def _cmd_gen_hom(args, _):
     space = _load_space(args.space) if args.space else FiniteSpace.single_class(_log2_atoms(args.log2))
     rng = derive_rng(args.seed, STREAM_GEN_HOM, 0)
     if args.model == "lean-aperiodic":
@@ -147,8 +149,7 @@ def _cmd_gen_hom(args):
     return {"hom": doc}, checks
 
 
-def _cmd_construct_splice(args):
-    hom = _load_hom(args)
+def _cmd_construct_splice(args, hom):
     other = _load_hom(args, args.tau) if args.tau else hom
     gen_index = _index("--gen-index", args.gen_index, hom.rank, "a generator")
     sigma = hom.gens[gen_index]
@@ -169,8 +170,7 @@ def _cmd_construct_splice(args):
     return outputs, checks
 
 
-def _cmd_construct_periodic(args):
-    hom = _load_hom(args)
+def _cmd_construct_periodic(args, hom):
     result = constructions.periodic_truncate(hom, args.level)
     doc = _write_doc(args.out, hom_to_doc(result))
     blocks = hom.space.block_index(args.level)
@@ -186,8 +186,7 @@ def _cmd_construct_periodic(args):
     return {"hom": doc, "distances": distances}, checks
 
 
-def _cmd_construct_folner(args):
-    hom = _load_hom(args)
+def _cmd_construct_folner(args, hom):
     epsilon = parse_fraction(args.epsilon)
     sizes = _ints(args.sizes) if args.sizes else []
     result = constructions.build_folner_perturbation(hom, epsilon, sizes)
@@ -210,8 +209,7 @@ def _cmd_construct_folner(args):
     return outputs, checks
 
 
-def _cmd_construct_ht(args):
-    hom = _load_hom(args)
+def _cmd_construct_ht(args, hom):
     epsilon = parse_fraction(args.epsilon)
     tau = tuple(_ints(args.tau))
     result = constructions.build_ht_perturbation(hom, args.m, tau, epsilon)
@@ -232,8 +230,7 @@ def _cmd_construct_ht(args):
     return outputs, checks
 
 
-def _cmd_construct_corefree(args):
-    hom = _load_hom(args)
+def _cmd_construct_corefree(args, hom):
     epsilon = parse_fraction(args.epsilon)
     word = parse_word(args.word, hom.rank)
     result = constructions.build_corefree_perturbation(hom, word, epsilon)
@@ -258,8 +255,7 @@ def _cmd_construct_corefree(args):
     return outputs, checks
 
 
-def _cmd_analyze_index(args):
-    hom = _load_hom(args)
+def _cmd_analyze_index(args, hom):
     dist = index_distribution(hom)
     total = sum(dist.values(), Fraction(0))
     checks = [_check("weights sum to one", total == 1, fraction_to_text(total))]
@@ -267,8 +263,7 @@ def _cmd_analyze_index(args):
     return outputs, checks
 
 
-def _cmd_analyze_irs(args):
-    hom = _load_hom(args)
+def _cmd_analyze_irs(args, hom):
     irs = empirical_irs(hom, args.radius)
     defect = invariance_defect(hom, args.radius)
     if args.csv:
@@ -278,8 +273,7 @@ def _cmd_analyze_irs(args):
     return outputs, checks
 
 
-def _cmd_analyze_folner(args):
-    hom = _load_hom(args)
+def _cmd_analyze_folner(args, hom):
     result = analysis.folner_search(hom, _root(hom, args.root), args.l, args.radius)
     ratio = fraction_to_text(result.ratio)
     checks = [_check("found a set with boundary ratio below 1/l", result.success, ratio)]
@@ -287,8 +281,7 @@ def _cmd_analyze_folner(args):
     return outputs, checks
 
 
-def _cmd_analyze_core(args):
-    hom = _load_hom(args)
+def _cmd_analyze_core(args, hom):
     word = parse_word(args.word, hom.rank)
     fraction = analysis.core_check(hom, word)
     checks = [
@@ -297,23 +290,20 @@ def _cmd_analyze_core(args):
     return {"trivial_fraction": fraction_to_text(fraction)}, checks
 
 
-def _cmd_analyze_realize(args):
-    hom = _load_hom(args)
+def _cmd_analyze_realize(args, hom):
     tau = tuple(_ints(args.tau))
     fraction = analysis.realizes_tau_fraction(hom, args.m, tau, args.radius)
     checks = [_check("every atom realizes tau", fraction == 1, fraction_to_text(fraction))]
     return {"fraction": fraction_to_text(fraction)}, checks
 
 
-def _cmd_analyze_degree(args):
-    hom = _load_hom(args)
+def _cmd_analyze_degree(args, hom):
     degree = analysis.transitivity_degree(hom, _root(hom, args.root), args.k_max)
     checks = [_check("degree computed within the byte budget", True, str(degree))]
     return {"degree": degree}, checks
 
 
-def _cmd_analyze_stability(args):
-    hom = _load_hom(args)
+def _cmd_analyze_stability(args, hom):
     other = _load_hom(args, args.other)
     result = analysis.ball_stability_check(hom, other, args.radius)
     checks = [
@@ -327,8 +317,7 @@ def _cmd_analyze_stability(args):
     return outputs, checks
 
 
-def _cmd_sweep(args):
-    hom = _load_hom(args)
+def _cmd_sweep(args, hom):
     epsilon = parse_fraction(args.epsilon)
     prop = analysis.parse_property(args.property, hom.rank)
     args.property = prop.text  # the report records the canonical form
@@ -337,8 +326,7 @@ def _cmd_sweep(args):
     return {"fraction": fraction_to_text(fraction)}, checks
 
 
-def _cmd_export(args):
-    hom = _load_hom(args)
+def _cmd_export(args, hom):
     if args.format == "json":
         text = dumps_canonical(hom_to_doc(hom))
         reimported = hom_from_doc(json.loads(text))
@@ -371,7 +359,11 @@ def _add_hom_arg(parser):
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose errors, its subparsers' too, raise `ValueError` for `main` to
-    print.  A refused choice and unrecognized arguments are cut as `words._quote` cuts."""
+    print.  A refused choice and unrecognized arguments are cut as `words._quote` cuts.
+    No option may be abbreviated, so each has one spelling."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValueError(message)
@@ -514,7 +506,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        outputs, checks = args.handler(args)
+        outputs, checks = args.handler(args, _load_hom(args) if "hom" in args else None)
         passed = all(c["passed"] for c in checks)
         command = args.command + (f" {args.sub}" if getattr(args, "sub", None) else "")
         report = {

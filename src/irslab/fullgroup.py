@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .labels import cycle_labels, cycle_positions
-from .space import FiniteSpace, _frozen_array
+from .space import FiniteSpace, _check_budget, _frozen_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,8 +114,10 @@ class FullGroupElement:
 
     def levels(self, base, height: int) -> np.ndarray:
         """The (height x |base|) array whose row i is the i-th power's image of base,
-        its atoms refused as by `FiniteSpace.checked_atoms`."""
+        its atoms refused as by `FiniteSpace.checked_atoms` and its bytes past the budget."""
         base = self.space.checked_atoms(base)
+        _check_budget(8 * height * base.size, ValueError, "tower levels of height {height} need {need} bytes",
+                      height=height)
         rows = np.empty((height, base.size), dtype=np.int64)
         rows[:1] = base
         for i in range(1, height):

@@ -7,7 +7,8 @@ one atom matrix per run of consecutive equal-size classes.  An optional
 dyadic filtration marks the space as explicitly hyperfinite: level j
 groups the atoms into consecutive blocks of size 2**j, level 0 is the
 discrete partition, and every top-level block must lie inside a single
-class.
+class.  The two constructors give the deepest filtration the classes
+allow; `FiniteSpace(n, class_of, None)` is a space with none.
 """
 
 from __future__ import annotations
@@ -128,23 +129,21 @@ class FiniteSpace:
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def single_class(n_atoms: int, levels: int | None | str = "auto") -> "FiniteSpace":
-        """Space whose relation has one class covering every atom."""
+    def single_class(n_atoms: int) -> "FiniteSpace":
+        """Space whose relation has one class covering every atom, with the
+        deepest dyadic filtration n_atoms allows."""
         _atom_count(n_atoms)
-        if levels == "auto":
-            levels = _max_dyadic_levels([n_atoms])
-        return FiniteSpace(n_atoms, np.zeros(n_atoms, dtype=np.int64), levels)
+        return FiniteSpace(n_atoms, np.zeros(n_atoms, dtype=np.int64), _max_dyadic_levels([n_atoms]))
 
     @staticmethod
-    def from_class_sizes(sizes: Sequence[int], levels: int | None | str = "auto") -> "FiniteSpace":
-        """Space with classes given by consecutive runs of the stated sizes."""
+    def from_class_sizes(sizes: Sequence[int]) -> "FiniteSpace":
+        """Space with classes given by consecutive runs of the stated sizes, with
+        the deepest dyadic filtration whose blocks lie inside the classes."""
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError("class sizes must be positive")
         n_atoms = _atom_count(int(sum(sizes)))
         ids = np.repeat(np.arange(len(sizes), dtype=np.int64), list(sizes))
-        if levels == "auto":
-            levels = _max_dyadic_levels(list(sizes))
-        return FiniteSpace(n_atoms, ids, levels)
+        return FiniteSpace(n_atoms, ids, _max_dyadic_levels(list(sizes)))
 
     # -- queries -----------------------------------------------------
 

@@ -307,7 +307,7 @@ def test_criterion_10_oracle_agreement():
     for trial in range(100):
         n = 4 + trial % 9
         if trial % 3 == 0 and n >= 6:
-            space = FiniteSpace.from_class_sizes([n // 2, n - n // 2], levels=None)
+            space = FiniteSpace(n, [0] * (n // 2) + [1] * (n - n // 2), None)
         else:
             space = FiniteSpace(n, [0] * n, None)
         rank = 2 + trial % 2

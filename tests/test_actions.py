@@ -1,6 +1,7 @@
 """Free-group actions: evaluation, orbits, traces, and Schreier balls."""
 
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -59,7 +60,7 @@ def odometer_hom(n, rank=2):
 def torus_hom(side=5):
     # two commuting shifts on a side x side grid; free up to short words
     n = side * side
-    sp = FiniteSpace.single_class(n, levels=None)
+    sp = FiniteSpace(n, [0] * n, None)
     idx = np.arange(n)
     x, y = idx // side, idx % side
     s1 = FullGroupElement.from_forward(sp, ((x + 1) % side) * side + y)
@@ -136,7 +137,7 @@ def test_orbits_and_index_distribution():
     assert orbits(hom) == [tuple(range(8))]
     assert index_distribution(hom) == {8: Fraction(1)}
 
-    sp = FiniteSpace.single_class(4, levels=None)
+    sp = FiniteSpace(4, [0] * 4, None)
     swap = FullGroupElement.from_forward(sp, [1, 0, 2, 3])
     ident = FullGroupElement.identity(sp)
     split = Homomorphism(sp, (swap, ident))
@@ -146,7 +147,7 @@ def test_orbits_and_index_distribution():
 
 
 def test_stabilizer_trace_swap_example():
-    sp = FiniteSpace.single_class(2, levels=None)
+    sp = FiniteSpace(2, [0] * 2, None)
     swap = FullGroupElement.from_forward(sp, [1, 0])
     hom = Homomorphism(sp, (swap, FullGroupElement.identity(sp)))
     trace = stabilizer_trace(hom, 0, 1)
@@ -183,7 +184,7 @@ def test_torus_action_has_trivial_short_trace():
 
 
 def test_trace_code_matrix_matches_single_traces(monkeypatch):
-    sp = FiniteSpace.from_class_sizes([6, 10], levels=None)
+    sp = FiniteSpace(16, [0] * 6 + [1] * 10, None)
     rng = derive_rng(5, STREAM_TEST, 5)
     hom = random_homomorphism(sp, 2, rng)
     whole = ball_codes(hom, 1)
@@ -206,7 +207,7 @@ def test_empirical_irs_weights():
     assert len(irs.weights) == 1
     assert irs.as_dict()[irs.weights[0][0]] == 1
 
-    sp = FiniteSpace.single_class(4, levels=None)
+    sp = FiniteSpace(4, [0] * 4, None)
     swap = FullGroupElement.from_forward(sp, [1, 0, 2, 3])
     split = Homomorphism(sp, (swap, FullGroupElement.identity(sp)))
     mixed = empirical_irs(split, 1)
@@ -257,7 +258,7 @@ def test_schreier_ball_structure():
     assert (0, 1, 1) in b.edges and (0, -1, 7) in b.edges
     assert (3, -1, 2) in b.edges and (5, 1, 6) in b.edges
     # the codes agree exactly when the rooted balls are isomorphic
-    sp = FiniteSpace.single_class(8, levels=None)
+    sp = FiniteSpace(8, [0] * 8, None)
     two_fours = Homomorphism(
         sp, (FullGroupElement.from_forward(sp, [1, 2, 3, 0, 5, 6, 7, 4]),)
     )
@@ -291,7 +292,7 @@ def brute_ball_iso(a, x, b, y, radius):
 
 def test_balls_isomorphic_cycles():
     eight = odometer_hom(8, rank=1)
-    sp = FiniteSpace.single_class(8, levels=None)
+    sp = FiniteSpace(8, [0] * 8, None)
     two_fours = Homomorphism(
         sp, (FullGroupElement.from_forward(sp, [1, 2, 3, 0, 5, 6, 7, 4]),)
     )
@@ -303,7 +304,7 @@ def test_balls_isomorphic_cycles():
 
 def test_balls_isomorphic_matches_brute_oracle():
     rng = derive_rng(7, STREAM_TEST, 7)
-    sp = FiniteSpace.single_class(8, levels=None)
+    sp = FiniteSpace(8, [0] * 8, None)
     seen = set()
     for _ in range(15):
         a = random_homomorphism(sp, 2, rng)
@@ -774,6 +775,20 @@ def test_ball_codes_over_the_byte_budget_fail_before_the_ball_is_built(monkeypat
         ball_codes(hom, 19, [0, 1])
     # the budget holds every radius the benchmark runs: R = 3 (one-byte codes) on 2^14 atoms
     assert (1 << 14) * ball_size(2, 4) <= irslab.space._BYTE_BUDGET
+
+
+def test_schreier_ball_refuses_its_code_before_building_edges():
+    """At radius 40 the ball of a 2^14 lean hom is every atom, 2^16 edge tuples;
+    the code's refusal comes first, so the refused call traces well under 1 MiB."""
+    hom = lean_aperiodic_homomorphism(FiniteSpace.single_class(2 ** 14), 2, derive_rng(15, STREAM_TEST, 15))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TraceBudgetError, match="^ball codes at radius 40 need .* for 1 atom, over"):
+            schreier_ball(hom, 0, 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_ball_atoms_of_many_roots_unite_their_balls():

@@ -7,6 +7,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import irslab.space
 from irslab import (
@@ -14,6 +16,7 @@ from irslab import (
     FiniteSpace,
     FullGroupElement,
     Homomorphism,
+    ReducedWord,
     ball_stability_check,
     build_folner_perturbation,
     build_ht_perturbation,
@@ -29,6 +32,7 @@ from irslab import (
     parse_word,
     random_homomorphism,
     realizes_tau_fraction,
+    reduce_letters,
     sample_perturbation,
     schreier_boundary_ratio,
     transitivity_degree,
@@ -37,13 +41,13 @@ import irslab.actions as actions
 import irslab.analysis as analysis
 from irslab.actions import _code_blocks as code_blocks
 from irslab.actions import ball_atoms, ball_codes
-from irslab.analysis import _pack
+from irslab.analysis import SweepProperty, _pack
 from irslab.rng import STREAM_TEST
 from irslab.words import _check_radius, ball_size
 
 
-def single(n, levels="auto"):
-    return FiniteSpace.single_class(n, levels=levels)
+def single(n):
+    return FiniteSpace.single_class(n)
 
 
 def odometer_hom(n, rank=2):
@@ -230,7 +234,7 @@ def connected_subsets(hom, orb, max_size):
 
 def test_folner_search_invariants_on_small_orbits():
     rng = derive_rng(31, STREAM_TEST, 31)
-    sp = single(10, levels=None)
+    sp = FiniteSpace(10, [0] * 10, None)
     for trial in range(12):
         hom = random_homomorphism(sp, 2, rng)
         root = int(rng.integers(10))
@@ -256,7 +260,7 @@ def test_folner_search_invariants_on_small_orbits():
 
 
 def test_transitivity_degree_symmetric():
-    sp = single(4, levels=None)
+    sp = FiniteSpace(4, [0] * 4, None)
     cycle = FullGroupElement.from_forward(sp, [1, 2, 3, 0])
     swap = FullGroupElement.from_forward(sp, [1, 0, 2, 3])
     hom = Homomorphism(sp, (cycle, swap))
@@ -271,7 +275,7 @@ def test_transitivity_degree_cyclic():
 
 
 def test_transitivity_degree_singleton_orbit():
-    sp = single(4, levels=None)
+    sp = FiniteSpace(4, [0] * 4, None)
     ident = FullGroupElement.identity(sp)
     hom = Homomorphism(sp, (ident, ident))
     assert transitivity_degree(hom, 2, 3) == 1
@@ -347,7 +351,7 @@ def test_core_check_on_the_plain_cycle():
 
 
 def test_core_check_mixed_orbits():
-    sp = single(4, levels=None)
+    sp = FiniteSpace(4, [0] * 4, None)
     swap = FullGroupElement.from_forward(sp, [1, 0, 2, 3])
     hom = Homomorphism(sp, (swap, FullGroupElement.identity(sp)))
     # s1 moves the orbit {0,1} and fixes the singletons
@@ -555,20 +559,20 @@ def test_ball_stability_validation():
 
 
 def test_generates_classwise_symmetric_true():
-    sp = single(3, levels=None)
+    sp = FiniteSpace(3, [0] * 3, None)
     cycle = FullGroupElement.from_forward(sp, [1, 2, 0])
     swap = FullGroupElement.from_forward(sp, [1, 0, 2])
     assert generates_classwise_symmetric(Homomorphism(sp, (cycle, swap)))
 
 
 def test_generates_classwise_symmetric_false_for_cyclic():
-    sp = single(4, levels=None)
+    sp = FiniteSpace(4, [0] * 4, None)
     cycle = FullGroupElement.from_forward(sp, [1, 2, 3, 0])
     assert not generates_classwise_symmetric(Homomorphism(sp, (cycle,)))
 
 
 def test_generates_classwise_symmetric_needs_transitive_classes():
-    sp = FiniteSpace.from_class_sizes([2, 2], levels=None)
+    sp = FiniteSpace(4, [0, 0, 1, 1], None)
     ident = FullGroupElement.identity(sp)
     assert not generates_classwise_symmetric(Homomorphism(sp, (ident,)))
     swap_both = FullGroupElement.from_forward(sp, [1, 0, 3, 2])
@@ -576,7 +580,7 @@ def test_generates_classwise_symmetric_needs_transitive_classes():
 
 
 def test_generates_classwise_symmetric_size_one_classes_are_vacuous():
-    sp = FiniteSpace.from_class_sizes([1, 1], levels=None)
+    sp = FiniteSpace(2, [0, 1], None)
     ident = FullGroupElement.identity(sp)
     assert generates_classwise_symmetric(Homomorphism(sp, (ident,)))
 
@@ -604,11 +608,13 @@ def test_parse_property_forms():
     assert folner.text == "folner(2,3)"
 
     realizes = parse_property(" realizes(2, 1 0, 8) ", 2)
-    assert realizes.args == (2, "1 0", 8)
+    assert realizes.args == (2, (1, 0), 8)
+    assert realizes.text == "realizes(2,1 0,8)"
     assert parse_property(realizes.text, 2) == realizes
 
     corefree = parse_property("corefree(s2 s1^-1)", 2)
-    assert corefree.args == ("s2 s1^-1",)
+    assert corefree.args == (ReducedWord(2, (2, -1)),)
+    assert corefree.text == "corefree(s2 s1^-1)"
 
     periodic = parse_property("periodic(3)", 2)
     assert periodic.args == (3,)
@@ -616,6 +622,48 @@ def test_parse_property_forms():
     for bad in ("folner", "folner(1)", "realizes(2,1)", "corefree(a, b)", "mystery(1)"):
         with pytest.raises(ValueError):
             parse_property(bad, 2)
+
+
+INT64_TEXT = st.integers(-(2 ** 64) + 1, 2 ** 64 - 1)  # what `words.read_int` reads
+
+
+@st.composite
+def sweep_properties(draw):
+    """A rank and a valid property of that rank, built from argument values."""
+    rank = draw(st.integers(1, 3))
+    name = draw(st.sampled_from(sorted(analysis._PROPERTIES)))
+    if name == "realizes":
+        m = draw(st.integers(1, 6))
+        args = (m, tuple(draw(st.permutations(range(m)))), draw(INT64_TEXT))
+    elif name == "corefree":
+        letters = st.sampled_from([l for k in range(1, rank + 1) for l in (k, -k)])
+        args = (draw(st.lists(letters, max_size=8).map(lambda w: reduce_letters(rank, w)).filter(len)),)
+    else:
+        args = tuple(draw(INT64_TEXT) for _ in analysis._PROPERTIES[name][0])
+    return rank, SweepProperty(name, args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_properties())
+def test_a_property_text_parses_back_to_its_values(drawn):
+    rank, prop = drawn
+    assert parse_property(prop.text, rank) == prop
+
+
+def test_a_sweep_reads_no_text_after_parsing(monkeypatch):
+    """Arguments are parsed once: with the text readers gone, the sweeps whose
+    arguments were a tower permutation and a word give the same fractions."""
+    hom = lean_aperiodic_homomorphism(single(128), 2, derive_rng(36, STREAM_TEST, 36))
+    props = [parse_property(text, 2) for text in ("realizes(2, 1 0, 16)", "corefree(s2)")]
+    monkeypatch.setattr(analysis, "_worker_count", lambda: 1)
+    before = [genericity_sweep(hom, Fraction(1, 2), 4, prop, 3) for prop in props]
+
+    def no_text(*args):
+        raise AssertionError("a sweep read text")
+
+    monkeypatch.setattr(analysis, "read_int", no_text)
+    monkeypatch.setattr(analysis, "parse_word", no_text)
+    assert [genericity_sweep(hom, Fraction(1, 2), 4, prop, 3) for prop in props] == before
 
 
 @pytest.mark.parametrize("text, message", [
@@ -653,20 +701,20 @@ def test_sample_perturbation_stays_in_the_ball():
 
 def test_sweep_trivially_true_property():
     hom = odometer_hom(64)
-    fraction = genericity_sweep(hom, Fraction(1, 4), 6, "corefree(s1)", 5)
+    fraction = genericity_sweep(hom, Fraction(1, 4), 6, parse_property("corefree(s1)", 2), 5)
     assert fraction == 1
 
 
 def test_sweep_trivially_false_property():
     hom = odometer_hom(64)
-    fraction = genericity_sweep(hom, Fraction(1, 4), 6, "folner(64, 1)", 5)
+    fraction = genericity_sweep(hom, Fraction(1, 4), 6, parse_property("folner(64, 1)", 2), 5)
     assert fraction == 0
 
 
 def test_sweep_reproducible_and_worker_independent(monkeypatch):
     sp = single(128)
     hom = lean_aperiodic_homomorphism(sp, 2, derive_rng(34, STREAM_TEST, 34))
-    prop = "realizes(2, 1 0, 16)"
+    prop = parse_property("realizes(2, 1 0, 16)", 2)
     monkeypatch.setenv("IRSLAB_WORKERS", "1")
     serial = genericity_sweep(hom, Fraction(1, 2), 8, prop, 99)
     again = genericity_sweep(hom, Fraction(1, 2), 8, prop, 99)
@@ -691,7 +739,7 @@ def test_a_sweep_reaches_its_first_sample_without_listing_the_indices(monkeypatc
     monkeypatch.setenv("IRSLAB_WORKERS", "1")
     monkeypatch.setattr(analysis, "sample_perturbation", first_sample)
     with pytest.raises(FirstSample):
-        genericity_sweep(odometer_hom(16), Fraction(1, 4), 10 ** 15, "periodic(1)", 0)
+        genericity_sweep(odometer_hom(16), Fraction(1, 4), 10 ** 15, parse_property("periodic(1)", 2), 0)
 
 
 def test_pooled_sweep_chunks_are_ranges_covering_every_index_once(monkeypatch):
@@ -717,7 +765,7 @@ def test_pooled_sweep_chunks_are_ranges_covering_every_index_once(monkeypatch):
             return map(fn, chunks)
 
     hom = lean_aperiodic_homomorphism(single(64), 2, derive_rng(35, STREAM_TEST, 35))
-    prop = "folner(2, 2)"  # draws its root from each sample's stream; holds on some samples only
+    prop = parse_property("folner(2, 2)", 2)  # draws its root from each sample's stream; holds on some samples only
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     for samples, workers in [(2, 2), (3, 3), (10, 4)]:

@@ -34,7 +34,7 @@ from irslab.serialize import dumps_canonical, hom_to_doc
 
 def _sym(n):
     """Sym(n) on one class, from an n-cycle and a transposition."""
-    sp = FiniteSpace.single_class(n, levels=None)
+    sp = FiniteSpace(n, [0] * n, None)
     cycle = FullGroupElement.from_forward(sp, [(i + 1) % n for i in range(n)])
     swap = FullGroupElement.from_forward(sp, [1, 0, *range(2, n)])
     return Homomorphism(sp, (cycle, swap))
@@ -60,6 +60,8 @@ ENTRY_POINTS = {
     "stabilizer_trace": (lambda: stabilizer_trace(LEAN64, 0, 5), TraceBudgetError),
     "ball": (lambda: ball(2, 5), TraceBudgetError),
     "StabilizerTrace.words": (lambda: StabilizerTrace(2, 5, bytes(61)).words(), TraceBudgetError),
+    # 9 int64 rows of 64 atoms
+    "FullGroupElement.levels": (lambda: LEAN64.gens[0].levels(range(64), 9), ValueError),
     # 1024 int64 class ids
     "FiniteSpace.single_class": (lambda: FiniteSpace.single_class(1024), ValueError),
     # two int64 tables of 256 atoms for each of 2 generators; the class ids take 2048 bytes

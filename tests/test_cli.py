@@ -1121,6 +1121,31 @@ def test_huge_filtration_levels_exit_2_before_the_top_block_size_is_computed(tmp
     assert proc.stdout == ""
 
 
+def test_an_abbreviated_option_is_refused(tmp_path, capsys):
+    hom = gen_hom(tmp_path, log2=4, seed=1)
+    out = tmp_path / "h.csv"
+    assert main(["export", "--hom", str(hom), "--format", "csv", "--out", str(out), "--rad", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unrecognized arguments: --rad 2\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_tower_levels_past_the_budget_exit_2_before_allocating(tmp_path):
+    """20000 levels of 2^14 atoms are 2.4 GiB of int64: under a 1 GiB address-space
+    limit `analyze realize` must refuse them from their size alone."""
+    hom = gen_hom(tmp_path, log2=14, seed=1)
+    tau = " ".join(map(str, [1, 0, *range(2, 20000)]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "irslab.cli", "analyze", "realize", "--hom", str(hom), "--m", "20000",
+         "--tau", tau, "--radius", "1"],
+        capture_output=True, text=True, preexec_fn=_limit_address_space_to_1_gib, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: tower levels of height 20000 need 2621440000 bytes, "
+                           "over the budget of 268435456\n")
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "ht", "--m", "2", "--tau", "1 0", "--epsilon", f"{NINES}x"],
     ["construct", "ht", "--m", "2", "--tau", "1 0", "--epsilon", "1/" + "0" * 5000],
@@ -1129,12 +1154,13 @@ def test_huge_filtration_levels_exit_2_before_the_top_block_size_is_computed(tmp
     ["sweep", "--epsilon", "1/2", "--samples", "1", "--seed", "0", "--property", f"x{NINES}(1)"],
     ["gen", "space", "--classes", f"4 4x{NINES}"],
     ["analyze", "folner", "--root", "0", "--l", "2", "--radius", f"{NINES}x"],
+    ["analyze", "folner", "--root", "0", "--l", "2", "--radius", "1", "--r=" + "x" * 5000],
     ["analyze", "x" * 5000],
     ["analyze", "index", "x" * 5000],
     ["analyze", "index", "--hom", "x" * 5000],
     ["gen", "hom", "--rank", "2", "--seed", "1", "--model", "x" * 5000],
 ], ids=["epsilon", "zero denominator", "letter", "property", "property name", "classes", "option",
-        "subcommand", "extra argument", "file name", "choice"])
+        "abbreviated option", "subcommand", "extra argument", "file name", "choice"])
 def test_refusals_quote_a_short_prefix_of_their_input(tmp_path, capsys, argv):
     hom = gen_hom(tmp_path, log2=4, seed=1)
     assert main([*argv, *([] if argv[0] == "gen" or "--hom" in argv else ["--hom", str(hom)])]) == 2

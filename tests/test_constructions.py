@@ -44,8 +44,8 @@ from irslab.rng import STREAM_TEST
 from irslab.words import cyclic_reduce
 
 
-def single(n, levels="auto"):
-    return FiniteSpace.single_class(n, levels=levels)
+def single(n):
+    return FiniteSpace.single_class(n)
 
 
 def odometer_hom(n, rank=2):
@@ -59,7 +59,7 @@ def odometer_hom(n, rank=2):
 
 
 def test_splice_hand_example():
-    sp = single(4, levels=None)
+    sp = FiniteSpace(4, [0] * 4, None)
     ident = FullGroupElement.identity(sp)
     tau = FullGroupElement.from_forward(sp, [1, 0, 2, 3])
     result = splice(ident, [0], tau)
@@ -141,7 +141,7 @@ def test_splice_contract_random():
 
 
 def test_disjoint_support_partition_examples():
-    sp = single(4, levels=None)
+    sp = FiniteSpace(4, [0] * 4, None)
     swap = FullGroupElement.from_forward(sp, [1, 0, 2, 3])
     assert disjoint_support_partition([swap]) == [(0,), (1,)]
 
@@ -289,7 +289,7 @@ def test_first_return_examples():
     assert first_return(sigma, range(8)) == sigma
     assert first_return(sigma, [3]) == FullGroupElement.identity(sp)
 
-    sp4 = single(4, levels=None)
+    sp4 = FiniteSpace(4, [0] * 4, None)
     swap = FullGroupElement.from_forward(sp4, [1, 0, 2, 3])
     assert first_return(swap, [0, 2]) == FullGroupElement.identity(sp4)
     assert first_return(swap, [0, 1]) == swap
@@ -356,7 +356,7 @@ def test_periodic_truncate_contract():
 
 
 def test_periodic_truncate_needs_filtration():
-    sp = single(8, levels=None)
+    sp = FiniteSpace(8, [0] * 8, None)
     hom = Homomorphism(sp, (FullGroupElement.odometer(sp),))
     with pytest.raises(ValueError):
         periodic_truncate(hom, 1)

@@ -32,6 +32,7 @@ from irslab import (
     lean_aperiodic_homomorphism,
     orbit,
     orbits,
+    parse_property,
     periodic_truncate,
     random_homomorphism,
     random_reduced_word,
@@ -462,7 +463,7 @@ def test_sweep_labels_the_kept_generator_once(monkeypatch):
         monkeypatch.setattr(module, "cycle_labels", counted)
     monkeypatch.setenv("IRSLAB_WORKERS", "1")
     for prop in ("corefree(s2)", "folner(3, 2)"):
-        genericity_sweep(hom, Fraction(1, 16), 10, prop, 7)
+        genericity_sweep(hom, Fraction(1, 16), 10, parse_property(prop, 2), 7)
     assert sum(calls) == 1
 
 

@@ -126,7 +126,7 @@ def test_measure_refuses_atoms_and_counts_outside_the_space(atoms, message):
 def test_space_equality_and_hash():
     a = FiniteSpace.single_class(4)
     b = FiniteSpace.single_class(4)
-    c = FiniteSpace.single_class(4, levels=None)
+    c = FiniteSpace(4, [0] * 4, None)
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert a != FiniteSpace.from_class_sizes([2, 2])
@@ -350,6 +350,6 @@ def test_batched_draw_matches_the_per_class_loop(space, seed):
 
 
 def test_class_runs_split_where_the_size_changes():
-    space = FiniteSpace.from_class_sizes([2, 2, 1, 1, 1, 3, 2], levels=None)
+    space = FiniteSpace(12, np.repeat(np.arange(7), [2, 2, 1, 1, 1, 3, 2]), None)
     runs = [run.tolist() for run in space.class_runs]
     assert runs == [[[0, 1], [2, 3]], [[4], [5], [6]], [[7, 8, 9]], [[10, 11]]]

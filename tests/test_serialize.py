@@ -182,7 +182,7 @@ def test_space_doc_round_trip():
     for space in (
         FiniteSpace.single_class(16),
         FiniteSpace.from_class_sizes([4, 12]),
-        FiniteSpace.single_class(8, levels=None),
+        FiniteSpace(8, [0] * 8, None),
     ):
         doc = space_to_doc(space)
         assert space_from_doc(doc) == space

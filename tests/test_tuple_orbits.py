@@ -147,7 +147,7 @@ def test_transitivity_degree_on_small_orbits_matches_the_closure(hom, data):
 
 
 def test_transitivity_degree_at_the_default_limit_matches_the_closure():
-    sp = FiniteSpace.single_class(9, levels=None)
+    sp = FiniteSpace(9, [0] * 9, None)
     cycle = FullGroupElement.from_forward(sp, [(i + 1) % 9 for i in range(9)])
     swap = FullGroupElement.from_forward(sp, [1, 0, *range(2, 9)])
     hom = Homomorphism(sp, (cycle, swap))
@@ -167,7 +167,7 @@ def _from_cycles(n, cycles):
 
 
 def _hom(n, *gens):
-    sp = FiniteSpace.single_class(n, levels=None)
+    sp = FiniteSpace(n, [0] * n, None)
     return Homomorphism(sp, tuple(FullGroupElement.from_forward(sp, g) for g in gens))
 
 
@@ -209,7 +209,7 @@ def test_symmetric_groups_are_fully_transitive(n):
 
 def test_orbit_on_a_class_that_is_not_the_first():
     # the orbit {4, ..., 7} is relabelled to 0..3 before its tuples are packed
-    sp = FiniteSpace.from_class_sizes([4, 4], levels=None)
+    sp = FiniteSpace(8, [0] * 4 + [1] * 4, None)
     cycle = FullGroupElement.from_forward(sp, [0, 1, 2, 3, 5, 6, 7, 4])
     swap = FullGroupElement.from_forward(sp, [0, 1, 2, 3, 5, 4, 6, 7])
     hom = Homomorphism(sp, (cycle, swap))
@@ -229,7 +229,7 @@ def test_degree_orbits_close_under_the_generators_alone(small_budget):
     tables give the same orbits as all signed letters with half the images per
     step: a lean hom on 16 atoms whose signed-letter steps need 4472 bytes is
     answered within 4 KiB, and the answer is the closure's."""
-    hom = lean_aperiodic_homomorphism(FiniteSpace.single_class(16, levels=None), 2,
+    hom = lean_aperiodic_homomorphism(FiniteSpace(16, [0] * 16, None), 2,
                                       derive_rng(1, STREAM_TEST, 16))
     with pytest.raises(AnalysisError, match=r"^tuple orbit step needs 4472 bytes of keys, "):
         _degree(np.arange(16), list(hom.tables.values()), 2)
@@ -252,9 +252,10 @@ def _seeded_hom(seed):
     rng = derive_rng(seed, STREAM_TEST, 12)
     n = 3 + seed % 7
     if seed % 2:
-        return random_homomorphism(FiniteSpace.single_class(n, levels=None), 2, rng)
+        return random_homomorphism(FiniteSpace(n, [0] * n, None), 2, rng)
     cuts = sorted(rng.choice(np.arange(1, n), size=min(2, n - 1), replace=False).tolist())
-    space = FiniteSpace.from_class_sizes(np.diff([0, *cuts, n]).tolist(), levels=None)
+    sizes = np.diff([0, *cuts, n])
+    space = FiniteSpace(n, np.repeat(np.arange(sizes.size), sizes), None)
     return Homomorphism(space, tuple(_sparse_element(space, rng, n) for _ in range(2)))
 
 
