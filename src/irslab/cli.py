@@ -9,12 +9,14 @@ be abbreviated, so each has one spelling.  The exit status is
 0 exactly when every check passed, 1 when one failed, 2 on bad input
 (an argument parse error included) with one `error:` line on stderr,
 and 3 on a broken internal invariant.  Rationals cross the boundary as
-"p/q" text, never as floats.
+"p/q" text, never as floats.  The parser is built from one table of
+commands, `_COMMANDS`; `run` is the `irslab` script's process entry.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -73,9 +75,10 @@ def _load_space(path: str) -> FiniteSpace:
 
 
 def _load_hom(args, path: str | None = None) -> Homomorphism:
-    """The hom document at path (default --hom), on the --space space if given."""
-    doc = json.loads(Path(path or args.hom).read_text())
-    return hom_from_doc(doc, _load_space(args.space) if args.space else None)
+    """The hom document at path (default --hom), on the --space space if given.  The
+    space is built first, so its parsed document is freed before the hom's is parsed."""
+    on_space = _load_space(args.space) if args.space else None
+    return hom_from_doc(json.loads(Path(path or args.hom).read_text()), on_space)
 
 
 def _index(flag: str, value: int, size: int, what: str) -> int:
@@ -352,11 +355,6 @@ def _cmd_export(args, hom):
 # -- wiring ------------------------------------------------------------------
 
 
-def _add_hom_arg(parser):
-    parser.add_argument("--hom", required=True, help="homomorphism JSON file")
-    parser.add_argument("--space", help="optional space JSON file")
-
-
 class _Parser(argparse.ArgumentParser):
     """A parser whose errors, its subparsers' too, raise `ValueError` for `main` to
     print.  A refused choice and unrecognized arguments are cut as `words._quote` cuts.
@@ -381,6 +379,62 @@ class _Parser(argparse.ArgumentParser):
         return args
 
 
+# An option spec is a (flag, add_argument keywords) pair; these are the ones commands share.
+_INT = {"type": _int_option, "required": True}
+_OPTIONAL_INT = {"type": _int_option}
+_HOM = (("--hom", {"required": True, "help": "homomorphism JSON file"}),
+        ("--space", {"help": "optional space JSON file"}))
+_OUT = ("--out", {})
+_EPSILON = ("--epsilon", {"required": True})
+_RADIUS = ("--radius", _INT)
+_ROOT = ("--root", _INT)
+
+_GROUP_HELP = {
+    "gen": "generate spaces and actions", "construct": "run a perturbation construction",
+    "analyze": "run a diagnostic", "sweep": "sample a perturbation ball", "export": "write an artifact file",
+}
+
+# (group, command name or None where the group is the command, handler, options), in the
+# order that help and `invalid choice` lines list them
+_COMMANDS = (
+    ("gen", "space", _cmd_gen_space, (
+        ("--log2", _OPTIONAL_INT), ("--classes", {"help": "comma-separated class sizes"}), _OUT)),
+    ("gen", "hom", _cmd_gen_hom, (
+        ("--model", {"choices": ["lean-aperiodic", "random"], "default": "lean-aperiodic"}),
+        ("--rank", _INT), ("--seed", _INT), ("--log2", {**_OPTIONAL_INT, "default": 6}),
+        ("--space", {}), _OUT)),
+    ("construct", "splice", _cmd_construct_splice, (
+        *_HOM, ("--gen-index", {**_OPTIONAL_INT, "default": 0}),
+        ("--atoms", {"default": "", "help": "atoms of the spliced set"}),
+        ("--tau", {"help": "homomorphism JSON supplying the target element"}),
+        ("--tau-index", {**_OPTIONAL_INT, "default": 0}), _OUT)),
+    ("construct", "periodic", _cmd_construct_periodic, (*_HOM, ("--level", _INT), _OUT)),
+    ("construct", "folner", _cmd_construct_folner, (
+        *_HOM, _EPSILON, ("--sizes", {"default": "", "help": "comma-separated class sizes to plant"}),
+        _OUT)),
+    ("construct", "ht", _cmd_construct_ht, (
+        *_HOM, ("--m", _INT),
+        ("--tau", {"required": True, "help": "permutation of 0..m-1, e.g. '1 0'"}), _EPSILON, _OUT)),
+    ("construct", "corefree", _cmd_construct_corefree, (
+        *_HOM, ("--word", {"required": True}), _EPSILON, _OUT)),
+    ("analyze", "index", _cmd_analyze_index, _HOM),
+    ("analyze", "irs", _cmd_analyze_irs, (
+        *_HOM, _RADIUS, ("--csv", {"help": "also write the trace distribution CSV here"}))),
+    ("analyze", "folner", _cmd_analyze_folner, (*_HOM, _ROOT, ("--l", _INT), _RADIUS)),
+    ("analyze", "core", _cmd_analyze_core, (*_HOM, ("--word", {"required": True}))),
+    ("analyze", "realize", _cmd_analyze_realize, (
+        *_HOM, ("--m", _INT), ("--tau", {"required": True}), _RADIUS)),
+    ("analyze", "degree", _cmd_analyze_degree, (*_HOM, _ROOT, ("--k-max", _INT))),
+    ("analyze", "stability", _cmd_analyze_stability, (
+        *_HOM, ("--other", {"required": True, "help": "second homomorphism JSON"}), _RADIUS)),
+    ("sweep", None, _cmd_sweep, (
+        *_HOM, _EPSILON, ("--samples", _INT), ("--property", {"required": True}), ("--seed", _INT))),
+    ("export", None, _cmd_export, (
+        *_HOM, ("--format", {"choices": ["json", "csv", "dot"], "required": True}),
+        ("--radius", _OPTIONAL_INT), ("--root", _OPTIONAL_INT), ("--out", {"required": True}))),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="irslab",
@@ -388,114 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--report", help="write the JSON report here instead of stdout")
     top = parser.add_subparsers(dest="command", required=True)
-
-    gen = top.add_parser("gen", help="generate spaces and actions").add_subparsers(
-        dest="sub", required=True
-    )
-    g_space = gen.add_parser("space")
-    g_space.add_argument("--log2", type=_int_option)
-    g_space.add_argument("--classes", help="comma-separated class sizes")
-    g_space.add_argument("--out")
-    g_space.set_defaults(handler=_cmd_gen_space)
-    g_hom = gen.add_parser("hom")
-    g_hom.add_argument("--model", choices=["lean-aperiodic", "random"], default="lean-aperiodic")
-    g_hom.add_argument("--rank", type=_int_option, required=True)
-    g_hom.add_argument("--seed", type=_int_option, required=True)
-    g_hom.add_argument("--log2", type=_int_option, default=6)
-    g_hom.add_argument("--space")
-    g_hom.add_argument("--out")
-    g_hom.set_defaults(handler=_cmd_gen_hom)
-
-    con = top.add_parser("construct", help="run a perturbation construction").add_subparsers(
-        dest="sub", required=True
-    )
-    c_splice = con.add_parser("splice")
-    _add_hom_arg(c_splice)
-    c_splice.add_argument("--gen-index", type=_int_option, default=0)
-    c_splice.add_argument("--atoms", default="", help="atoms of the spliced set")
-    c_splice.add_argument("--tau", help="homomorphism JSON supplying the target element")
-    c_splice.add_argument("--tau-index", type=_int_option, default=0)
-    c_splice.add_argument("--out")
-    c_splice.set_defaults(handler=_cmd_construct_splice)
-    c_periodic = con.add_parser("periodic")
-    _add_hom_arg(c_periodic)
-    c_periodic.add_argument("--level", type=_int_option, required=True)
-    c_periodic.add_argument("--out")
-    c_periodic.set_defaults(handler=_cmd_construct_periodic)
-    c_folner = con.add_parser("folner")
-    _add_hom_arg(c_folner)
-    c_folner.add_argument("--epsilon", required=True)
-    c_folner.add_argument("--sizes", default="", help="comma-separated class sizes to plant")
-    c_folner.add_argument("--out")
-    c_folner.set_defaults(handler=_cmd_construct_folner)
-    c_ht = con.add_parser("ht")
-    _add_hom_arg(c_ht)
-    c_ht.add_argument("--m", type=_int_option, required=True)
-    c_ht.add_argument("--tau", required=True, help="permutation of 0..m-1, e.g. '1 0'")
-    c_ht.add_argument("--epsilon", required=True)
-    c_ht.add_argument("--out")
-    c_ht.set_defaults(handler=_cmd_construct_ht)
-    c_corefree = con.add_parser("corefree")
-    _add_hom_arg(c_corefree)
-    c_corefree.add_argument("--word", required=True)
-    c_corefree.add_argument("--epsilon", required=True)
-    c_corefree.add_argument("--out")
-    c_corefree.set_defaults(handler=_cmd_construct_corefree)
-
-    ana = top.add_parser("analyze", help="run a diagnostic").add_subparsers(
-        dest="sub", required=True
-    )
-    a_index = ana.add_parser("index")
-    _add_hom_arg(a_index)
-    a_index.set_defaults(handler=_cmd_analyze_index)
-    a_irs = ana.add_parser("irs")
-    _add_hom_arg(a_irs)
-    a_irs.add_argument("--radius", type=_int_option, required=True)
-    a_irs.add_argument("--csv", help="also write the trace distribution CSV here")
-    a_irs.set_defaults(handler=_cmd_analyze_irs)
-    a_folner = ana.add_parser("folner")
-    _add_hom_arg(a_folner)
-    a_folner.add_argument("--root", type=_int_option, required=True)
-    a_folner.add_argument("--l", type=_int_option, required=True)
-    a_folner.add_argument("--radius", type=_int_option, required=True)
-    a_folner.set_defaults(handler=_cmd_analyze_folner)
-    a_core = ana.add_parser("core")
-    _add_hom_arg(a_core)
-    a_core.add_argument("--word", required=True)
-    a_core.set_defaults(handler=_cmd_analyze_core)
-    a_realize = ana.add_parser("realize")
-    _add_hom_arg(a_realize)
-    a_realize.add_argument("--m", type=_int_option, required=True)
-    a_realize.add_argument("--tau", required=True)
-    a_realize.add_argument("--radius", type=_int_option, required=True)
-    a_realize.set_defaults(handler=_cmd_analyze_realize)
-    a_degree = ana.add_parser("degree")
-    _add_hom_arg(a_degree)
-    a_degree.add_argument("--root", type=_int_option, required=True)
-    a_degree.add_argument("--k-max", type=_int_option, required=True)
-    a_degree.set_defaults(handler=_cmd_analyze_degree)
-    a_stab = ana.add_parser("stability")
-    _add_hom_arg(a_stab)
-    a_stab.add_argument("--other", required=True, help="second homomorphism JSON")
-    a_stab.add_argument("--radius", type=_int_option, required=True)
-    a_stab.set_defaults(handler=_cmd_analyze_stability)
-
-    sweep = top.add_parser("sweep", help="sample a perturbation ball")
-    _add_hom_arg(sweep)
-    sweep.add_argument("--epsilon", required=True)
-    sweep.add_argument("--samples", type=_int_option, required=True)
-    sweep.add_argument("--property", required=True)
-    sweep.add_argument("--seed", type=_int_option, required=True)
-    sweep.set_defaults(handler=_cmd_sweep)
-
-    export = top.add_parser("export", help="write an artifact file")
-    _add_hom_arg(export)
-    export.add_argument("--format", choices=["json", "csv", "dot"], required=True)
-    export.add_argument("--radius", type=_int_option)
-    export.add_argument("--root", type=_int_option)
-    export.add_argument("--out", required=True)
-    export.set_defaults(handler=_cmd_export)
-
+    groups = {}
+    for group, name, handler, options in _COMMANDS:
+        if name and group not in groups:
+            parent = top.add_parser(group, help=_GROUP_HELP[group])
+            groups[group] = parent.add_subparsers(dest="sub", required=True)
+        command = groups[group].add_parser(name) if name else top.add_parser(group, help=_GROUP_HELP[group])
+        for flag, spec in options:
+            command.add_argument(flag, **spec)
+        command.set_defaults(handler=handler)
     return parser
 
 
@@ -530,5 +485,14 @@ def main(argv=None) -> int:
     return 0 if passed else 1
 
 
+def run() -> None:
+    """The `irslab` process entry: `main` between two `gc.freeze` calls, so neither main's
+    collections nor the one at interpreter exit walk the objects alive before them."""
+    gc.freeze()
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,11 +1,13 @@
 """Command line behavior: reports, artifacts, determinism, exit codes."""
 
 import argparse
+import importlib
 import json
 import re
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,6 +494,37 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_run_freezes_the_heap_around_main_and_exits_with_its_status(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 1)
+    with pytest.raises(SystemExit) as done:
+        cli.run()
+    assert calls == ["freeze", "main", "freeze"]
+    assert done.value.code == 1
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_the_irslab_script_is_run():
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    module, name = tomllib.loads(pyproject.read_text())["project"]["scripts"]["irslab"].split(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+
+
+def test_the_space_is_built_before_the_hom_text_is_parsed(tmp_path, monkeypatch):
+    """Only one parsed document is alive at a time."""
+    space = tmp_path / "space.json"
+    assert main(["gen", "space", "--log2", "2", "--out", str(space)]) == 0
+    hom = gen_hom(tmp_path, log2=2)
+    seen, read_text, space_from_doc = [], Path.read_text, cli.space_from_doc
+    monkeypatch.setattr(Path, "read_text", lambda self: seen.append(self.name) or read_text(self))
+    monkeypatch.setattr(cli, "space_from_doc", lambda doc: seen.append("space_from_doc") or space_from_doc(doc))
+    assert main(["analyze", "index", "--hom", str(hom), "--space", str(space)]) == 0
+    assert seen == ["space.json", "space_from_doc", "h.json"]
 
 
 def test_import_leaves_the_process_pool_unloaded():

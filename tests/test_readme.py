@@ -3,7 +3,7 @@
 import shlex
 from pathlib import Path
 
-from irslab.cli import main
+from irslab.cli import _COMMANDS, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,7 +19,7 @@ def readme_commands() -> list[list[str]]:
 
 def test_the_readme_cli_block_runs(tmp_path, monkeypatch):
     commands = readme_commands()
-    assert len(commands) == 12
+    assert len(commands) == 16
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         with monkeypatch.context() as m:
@@ -28,3 +28,13 @@ def test_the_readme_cli_block_runs(tmp_path, monkeypatch):
                 m.setenv(name, value)
             assert argv[0] == "irslab"
             assert main(argv[1:]) == 0, shlex.join(argv)
+
+
+def test_the_readme_cli_block_shows_every_command():
+    """A command added to the CLI's table is added to the README's block too."""
+    table = {(group, name) if name else (group,) for group, name, _, _ in _COMMANDS}
+    shown = set()
+    for argv in readme_commands():
+        path = argv[argv.index("irslab") + 1:][:2]
+        shown.add(tuple(word for word in path if not word.startswith("-")))
+    assert shown == table
