@@ -106,7 +106,6 @@ def folner_search(hom: Homomorphism, root: int, l: int, radius: int) -> FolnerRe
     hit = np.zeros(n, dtype=bool)
     hit[cycle_of[ball_atoms(hom, root, radius)]] = True
     in_pool = hit[cycle_of]
-    pool_size = int(np.count_nonzero(in_pool))
     hit &= np.bincount(cycle_of, minlength=n) <= cap
     small = np.flatnonzero(hit[cycle_of])
     small = small[np.argsort(cycle_of[small], kind="stable")]
@@ -133,7 +132,8 @@ def folner_search(hom: Homomorphism, root: int, l: int, radius: int) -> FolnerRe
 
     frontier = {y for y in neighbors(root) if in_pool[y] and y != root}
     evaluations = 0
-    while len(current) < min(cap, pool_size):
+    # the frontier lies in the pool outside `current`, so it empties once `current` covers the pool
+    while len(current) < cap:
         if not frontier or evaluations > _GREEDY_STEP_BUDGET:
             break
         evaluations += len(frontier)
@@ -440,10 +440,10 @@ def _property_holds(hom: Homomorphism, prop: SweepProperty, rng) -> bool:
 def sample_perturbation(hom: Homomorphism, epsilon: Fraction, rng) -> Homomorphism:
     """One draw from the perturbation ball around hom.
 
-    Keeps the first generator and splices every other generator against
-    an independent random full-group element on a random set of measure
-    at most epsilon/2, so the result stays within epsilon of hom.  Epsilon
-    outside [0, 2] is refused before anything is drawn.
+    Keeps the first generator and splices every other generator onto
+    the images of an independent random full-group element on a random
+    set of measure at most epsilon/2, so the result stays within epsilon
+    of hom.  Epsilon outside [0, 2] is refused before anything is drawn.
     """
     if not 0 <= epsilon <= 2:
         raise ValueError(f"epsilon {epsilon} is not in [0, 2]")
@@ -452,7 +452,7 @@ def sample_perturbation(hom: Homomorphism, epsilon: Fraction, rng) -> Homomorphi
     gens = [hom.gens[0]]
     for g in hom.gens[1:]:
         subset = rng.choice(n, size=size, replace=False) if size else np.empty(0, np.int64)
-        gens.append(splice(g, subset, random_full_group_element(hom.space, rng)))
+        gens.append(splice(g, subset, random_full_group_element(hom.space, rng).forward[subset]))
     return Homomorphism(hom.space, tuple(gens))
 
 

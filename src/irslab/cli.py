@@ -120,16 +120,20 @@ def _write_doc(path: str | None, doc: dict) -> Encoded:
 # -- subcommand handlers ----------------------------------------------------
 
 
+# the given space, refused if --log2 is given and 2^log2 is not its atom count, or with
+# no space the single class of 2^log2 atoms
+def _log2_space(args, space: FiniteSpace | None) -> FiniteSpace:
+    if space is None:
+        return FiniteSpace.single_class(_log2_atoms(args.log2))
+    if args.log2 is not None and space.n_atoms != _log2_atoms(args.log2):
+        raise ValueError("--log2 contradicts the class layout total")
+    return space
+
+
 def _cmd_gen_space(args, _):
-    if args.classes:
-        sizes = _ints(args.classes)
-        space = FiniteSpace.from_class_sizes(sizes)
-        if args.log2 is not None and space.n_atoms != _log2_atoms(args.log2):
-            raise ValueError("--log2 contradicts the class layout total")
-    elif args.log2 is not None:
-        space = FiniteSpace.single_class(_log2_atoms(args.log2))
-    else:
+    if not args.classes and args.log2 is None:
         raise ValueError("need --log2 or --classes")
+    space = _log2_space(args, FiniteSpace.from_class_sizes(_ints(args.classes)) if args.classes else None)
     doc = _write_doc(args.out, space_to_doc(space))
     checks = [
         _check("classes partition the atoms", True, f"{space.class_count} classes"),
@@ -139,7 +143,9 @@ def _cmd_gen_space(args, _):
 
 
 def _cmd_gen_hom(args, _):
-    space = _load_space(args.space) if args.space else FiniteSpace.single_class(_log2_atoms(args.log2))
+    if not args.space and args.log2 is None:
+        args.log2 = 6  # the report records the default
+    space = _log2_space(args, _load_space(args.space) if args.space else None)
     rng = derive_rng(args.seed, STREAM_GEN_HOM, 0)
     if args.model == "lean-aperiodic":
         hom = lean_aperiodic_homomorphism(space, args.rank, rng)
@@ -153,15 +159,16 @@ def _cmd_gen_hom(args, _):
 
 
 def _cmd_construct_splice(args, hom):
-    other = _load_hom(args, args.tau) if args.tau else hom
+    # tau is read on the hom's space, so a document of another size is refused
+    other = hom_from_doc(json.loads(Path(args.tau).read_text()), hom.space) if args.tau else hom
     gen_index = _index("--gen-index", args.gen_index, hom.rank, "a generator")
     sigma = hom.gens[gen_index]
     tau = other.gens[_index("--tau-index", args.tau_index, other.rank, "a generator")]
-    atoms = _ints(args.atoms) if args.atoms else []
-    spliced = constructions.splice(sigma, atoms, tau)
+    atoms = hom.space.checked_atoms(_ints(args.atoms))
+    spliced = constructions.splice(sigma, atoms, tau.forward[atoms])
     result = hom.replace_generator(gen_index, spliced)
     doc = _write_doc(args.out, hom_to_doc(result))
-    agrees = np.array_equal(spliced.forward[atoms], tau.forward[atoms])  # splice checked the atoms
+    agrees = np.array_equal(spliced.forward[atoms], tau.forward[atoms])
     distance = uniform_metric(sigma, spliced)
     bound = 2 * hom.space.measure(atoms)
     checks = [
@@ -401,7 +408,7 @@ _COMMANDS = (
         ("--log2", _OPTIONAL_INT), ("--classes", {"help": "comma-separated class sizes"}), _OUT)),
     ("gen", "hom", _cmd_gen_hom, (
         ("--model", {"choices": ["lean-aperiodic", "random"], "default": "lean-aperiodic"}),
-        ("--rank", _INT), ("--seed", _INT), ("--log2", {**_OPTIONAL_INT, "default": 6}),
+        ("--rank", _INT), ("--seed", _INT), ("--log2", _OPTIONAL_INT),
         ("--space", {}), _OUT)),
     ("construct", "splice", _cmd_construct_splice, (
         *_HOM, ("--gen-index", {**_OPTIONAL_INT, "default": 0}),

@@ -1,9 +1,9 @@
 """Surgery on full-group elements and the perturbations built from it.
 
-The basic move is the splice: overwrite an element on a set A with a
-prescribed target and reroute the displaced mass inside classes, moving
-the element by at most twice the measure of A.  On top of it sit the
-block truncation (trap every generator inside dyadic filtration
+The basic move is the splice: send each atom of a set A to a prescribed
+image and reroute the displaced mass inside classes, moving the element
+by at most twice the measure of A.  On top of it sit the block
+truncation (trap every generator inside dyadic filtration
 blocks), the Foelner perturbation (plant finite classes with small
 Schreier boundary), the tower rearrangement (realize a prescribed
 permutation of consecutive cycle points everywhere by conjugation), and
@@ -20,8 +20,7 @@ import numpy as np
 
 from .actions import Homomorphism
 from .fullgroup import FullGroupElement
-from .setops import sorted_unique
-from .space import _count, _integer_atoms
+from .space import _count, _frozen_array
 from .words import ReducedWord, cyclic_reduce
 
 
@@ -57,37 +56,37 @@ def _tower_permutation(m: int, tau) -> tuple[int, ...]:
 # -- splice ----------------------------------------------------------------
 
 
-def splice(sigma: FullGroupElement, atoms, tau: FullGroupElement) -> FullGroupElement:
-    """Overwrite sigma with tau on a set A, rerouting displaced images.
+def splice(sigma: FullGroupElement, atoms, images) -> FullGroupElement:
+    """Send each listed atom of a set A to its listed image, rerouting displaced images.
 
-    The result equals tau on A, equals sigma off A and off the preimage
-    strip sigma^-1(tau A) \\ A, and maps that strip onto sigma A \\ tau A
-    by pairing atoms of each class in ascending order.  Per class the two
-    strips always have matching sizes for genuine full-group inputs; the
-    check stays and fails loudly because nothing downstream survives a
-    silent mismatch.  The result moves at most 2|A| atoms of sigma.
+    images[i] is the new image of the i-th listed atom: the splice reads a
+    partial injection defined on A alone.  The result sends A onto the
+    images, equals sigma off A and off the preimage strip
+    sigma^-1(images) \\ A, and maps that strip onto sigma A \\ images by
+    pairing atoms of each class in ascending order; it moves at most 2|A|
+    atoms of sigma.  The listing's order does not matter, nor does an atom
+    listed twice with one image.  Atoms and images are refused as by
+    `FiniteSpace.checked_atoms`, and listings of unequal length with one
+    `ValueError`.  Per class the two strips have matching sizes exactly
+    when the images, counted per class, match the atoms, so repeated images
+    fail that check; an image outside its atom's class fails the final
+    `from_forward`.
     """
     space = sigma.space
-    if tau.space != space:
-        raise ValueError("splice needs elements on the same space")
-    # checked before the int64 cast, which huge atoms overflow
-    subset = _integer_atoms(atoms)
-    if subset.size == 0:
-        return sigma
-    if subset.min() < 0 or subset.max() >= space.n_atoms:
-        raise ValueError("splice set contains atoms out of range")
-    subset = sorted_unique(subset.astype(np.int64))
+    atoms, images = space.checked_atoms(atoms), space.checked_atoms(images)
+    if atoms.size != images.size:
+        raise ValueError(f"splice needs one image per atom, got {images.size} for {atoms.size}")
 
     in_a = np.zeros(space.n_atoms, dtype=bool)
-    in_a[subset] = True
-    in_tau_a = np.zeros(space.n_atoms, dtype=bool)
-    in_tau_a[tau.forward[subset]] = True
-    # sources: x outside A whose sigma-image was claimed by tau(A)
-    sources = np.nonzero(~in_a & in_tau_a[sigma.forward])[0]
-    # targets: old images of A not reused by tau(A)
+    in_a[atoms] = True
+    claimed = np.zeros(space.n_atoms, dtype=bool)
+    claimed[images] = True
+    # sources: x outside A whose sigma-image is claimed by an image of A
+    sources = np.nonzero(~in_a & claimed[sigma.forward])[0]
+    # targets: old images of A that no image of A reuses
     freed = np.zeros(space.n_atoms, dtype=bool)
-    freed[sigma.forward[subset]] = True
-    targets = np.nonzero(freed & ~in_tau_a)[0]
+    freed[sigma.forward[atoms]] = True
+    targets = np.nonzero(freed & ~claimed)[0]
 
     cls = space.class_of
     src_counts = np.bincount(cls[sources], minlength=space.class_count)
@@ -100,7 +99,7 @@ def splice(sigma: FullGroupElement, atoms, tau: FullGroupElement) -> FullGroupEl
         )
 
     forward = sigma.forward.copy()
-    forward[subset] = tau.forward[subset]
+    forward[atoms] = images
     forward[sources[np.lexsort((sources, cls[sources]))]] = \
         targets[np.lexsort((targets, cls[targets]))]
     return FullGroupElement.from_forward(space, forward)
@@ -138,13 +137,13 @@ def disjoint_support_partition(elements) -> list[tuple[int, ...]]:
     return result
 
 
-def rokhlin_base(sigma: FullGroupElement, height: int, bound: Fraction) -> tuple[int, ...]:
+def rokhlin_base(sigma: FullGroupElement, height: int, bound: Fraction) -> np.ndarray:
     """Base of a tower of the given height under a single full cycle.
 
     Returns the largest stride-spaced set O along the cycle with
     0 < measure(O) < bound whose first `height` translates are pairwise
-    disjoint.  Deterministic: O starts at atom 0 and uses stride
-    n_atoms // |O| >= height.
+    disjoint, as a read-only int64 array of its atoms, ascending.
+    Deterministic: O starts at atom 0 and uses stride n_atoms // |O| >= height.
     """
     labels, pos = sigma.cycle_positions
     if labels.any():
@@ -163,7 +162,7 @@ def rokhlin_base(sigma: FullGroupElement, height: int, bound: Fraction) -> tuple
     stride = n // m
     if stride < height or m * stride > n:  # level i is {j * stride + i : j < m}
         raise AssertionError("tower levels overlap")
-    return tuple(np.flatnonzero((pos % stride == 0) & (pos < m * stride)).tolist())
+    return _frozen_array(np.flatnonzero((pos % stride == 0) & (pos < m * stride)))
 
 
 def perturbation_tower(sigma: FullGroupElement, height: int, epsilon) -> np.ndarray:
@@ -265,9 +264,6 @@ def build_folner_perturbation(hom: Homomorphism, epsilon, sizes) -> Homomorphism
         )
     runs = folner_planted_classes(sizes)
     subset = np.arange(total)
-    target = np.arange(n, dtype=np.int64)
-    if runs:  # each run cycles to its next atom, the last back to the first
-        target[subset] = np.concatenate([np.roll(run, -1) for run in runs])
     transversal = tuple(run[0] for run in runs)
     keep = np.ones(n, dtype=bool)
     keep[subset] = False
@@ -275,8 +271,9 @@ def build_folner_perturbation(hom: Homomorphism, epsilon, sizes) -> Homomorphism
     retained = np.nonzero(keep)[0]
 
     gens = [first_return(g, retained) for g in hom.gens[:-1]]
-    tau = FullGroupElement.from_forward(hom.space, target)
-    gens.append(splice(hom.gens[-1], subset, tau))
+    # each run cycles to its next atom, the last back to the first
+    rolled = [np.roll(run, -1) for run in runs]
+    gens.append(splice(hom.gens[-1], subset, np.concatenate(rolled) if runs else []))
     return Homomorphism(hom.space, tuple(gens))
 
 
@@ -284,17 +281,8 @@ def build_folner_perturbation(hom: Homomorphism, epsilon, sizes) -> Homomorphism
 
 
 def _rearrange(g: FullGroupElement, levels: np.ndarray, moves: dict[int, int]) -> FullGroupElement:
-    """Splice g so it sends tower level i onto level moves[i], fiber by fiber.
-
-    The splice target extends moves to a permutation of the tower's levels
-    (unmoved levels onto unclaimed ones, ascending) and fixes every other
-    atom; exact, since splice reads its target only on the moved levels.
-    """
-    unmoved = [i for i in range(len(levels)) if i not in moves]
-    unclaimed = [i for i in range(len(levels)) if i not in moves.values()]
-    target = np.arange(g.space.n_atoms, dtype=np.int64)
-    target[levels[[*moves, *unmoved]]] = levels[[*moves.values(), *unclaimed]]
-    return splice(g, levels[list(moves)].ravel(), FullGroupElement.from_forward(g.space, target))
+    """Splice g so it sends tower level i onto level moves[i], fiber by fiber."""
+    return splice(g, levels[list(moves)].ravel(), levels[list(moves.values())].ravel())
 
 
 def build_ht_perturbation(hom: Homomorphism, m: int, tau, epsilon) -> Homomorphism:

@@ -95,7 +95,7 @@ def test_criterion_02_splice_contract():
         tau = random_full_group_element(space, rng)
         k = int(rng.integers(0, n // 2 + 1))
         atoms = [int(x) for x in rng.choice(n, size=k, replace=False)]
-        result = splice(sigma, atoms, tau)
+        result = splice(sigma, atoms, tau.forward[atoms])
         ok = ok and bool((result.forward[atoms] == tau.forward[atoms]).all())
         strip = set(atoms) | {int(sigma.inverse[tau.forward[x]]) for x in atoms}
         outside = [x for x in range(n) if x not in strip]

@@ -408,6 +408,23 @@ def test_gen_log2_out_of_range_exits_2(tmp_path, capsys, sub, log2, message):
     assert captured.err == f"error: {message}\n"
 
 
+def test_gen_hom_log2_is_checked_against_its_space_or_defaults_without_one(tmp_path, monkeypatch, capsys):
+    """On --space, a --log2 is checked against the atom count and recorded, or recorded as
+    null when absent; with neither, the hom has 2^6 atoms and the report records log2 6."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "space", "--classes", "4,4,8", "--out", "space.json"]) == 0
+    hom = ["gen", "hom", "--model", "random", "--rank", "2", "--seed", "1", "--out", "hom.json"]
+    capsys.readouterr()
+    assert main([*hom, "--space", "space.json", "--log2", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: --log2 contradicts the class layout total\n")
+    assert not (tmp_path / "hom.json").exists()
+    for argv, log2, n_atoms in ((["--space", "space.json", "--log2", "4"], 4, 16),
+                                (["--space", "space.json"], None, 16), ([], 6, 64)):
+        assert main([*hom, *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["inputs"]["log2"] == log2
+        assert len(json.loads((tmp_path / "hom.json").read_text())["gens"][0]) == n_atoms
+
+
 def test_hom_document_without_atoms_exits_2(tmp_path, capsys):
     doc = tmp_path / "empty.json"
     doc.write_text(json.dumps({"n_atoms": 0, "rank": 1, "gens": [[]]}))
@@ -584,6 +601,13 @@ def test_splice_tau_index_is_checked_against_the_tau_hom(tmp_path, capsys):
     assert main(["construct", "splice", "--hom", str(hom), "--tau", str(tau),
                  "--tau-index", "3", "--atoms", "0"]) == 2
     assert capsys.readouterr().err.strip() == "error: --tau-index 3 is not a generator in [0, 3)"
+
+
+def test_splice_tau_on_another_space_exits_2(tmp_path, capsys):
+    hom = gen_hom(tmp_path, log2=3)
+    tau = gen_hom(tmp_path, "tau.json", log2=4)
+    assert main(["construct", "splice", "--hom", str(hom), "--tau", str(tau), "--atoms", "0"]) == 2
+    assert capsys.readouterr().err == "error: space size does not match the document\n"
 
 
 @pytest.mark.parametrize("m", ["0", "-1"])
