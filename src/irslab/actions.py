@@ -30,11 +30,17 @@ from functools import cached_property
 import numpy as np
 
 from . import space
-from .fullgroup import FullGroupElement, cycle_structure, uniform_metric
+from .fullgroup import FullGroupElement, uniform_metric
 from .labels import component_labels
 from .setops import row_ids, sorted_unique
 from .space import FiniteSpace, _frozen_array
 from .words import FreeBall, ReducedWord, TraceBudgetError, _ball_size_bound, _check_radius, ball, ball_size
+
+__all__ = [
+    "EmpiricalIRS", "Homomorphism", "SchreierBall", "StabilizerTrace", "ball_codes", "balls_isomorphic",
+    "empirical_irs", "evaluate", "hom_metric", "index_distribution", "invariance_defect", "orbit",
+    "orbits", "schreier_ball", "stabilizer_trace", "trace_code_matrix",
+]
 
 
 @dataclass(frozen=True)
@@ -58,8 +64,9 @@ class Homomorphism:
 
     @cached_property
     def is_lean_aperiodic(self) -> bool:
-        """Finite stand-in for aperiodicity: the first image is one full cycle."""
-        return cycle_structure(self.gens[0]).is_single_cycle
+        """Finite stand-in for aperiodicity: the first image is one full cycle,
+        so every atom's cycle label is atom 0."""
+        return not self.gens[0].cycle_labels.any()
 
     @cached_property
     def orbit_labels(self) -> np.ndarray:

@@ -40,6 +40,13 @@ from .rng import STREAM_SWEEP, derive_rng, random_full_group_element
 from .setops import member, merge_disjoint, sorted_unique
 from .words import ReducedWord, _check_radius, _quote, ball_size, parse_word, read_int
 
+__all__ = [
+    "AnalysisError", "BallStability", "FolnerResult", "SweepProperty", "ball_stability_check",
+    "core_check", "folner_search", "generates_classwise_symmetric", "genericity_sweep",
+    "parse_property", "realizes_tau_fraction", "sample_perturbation", "schreier_boundary_ratio",
+    "transitivity_degree",
+]
+
 
 class AnalysisError(ValueError):
     """A diagnostic's key width, byte budget or precondition failed."""
@@ -87,7 +94,10 @@ def folner_search(hom: Homomorphism, root: int, l: int, radius: int) -> FolnerRe
     onto the first one's cached cycle labels, and the cycles off the
     last generator's `cycle_labels` (one min-label doubling pass per
     element); greedy steps compare integer escape counts, and a Fraction
-    is built only for each step's pick.  Returns the best candidate's
+    is built only for each step's pick.  The greedy is cut off silently:
+    once its steps have scored more than `_GREEDY_STEP_BUDGET` (4096)
+    frontier atoms in all, it stops, so no longer prefix is tried and
+    the result does not say so.  Returns the best candidate's
     exact ratio; success means ratio < 1/l.  An orbit of size one has no
     valid candidate and reports failure with ratio 1.
     """
@@ -371,8 +381,8 @@ def generates_classwise_symmetric(hom: Homomorphism) -> bool:
     if np.count_nonzero(sizes) != hom.space.class_count:
         return False
     forward = [g.forward for g in hom.gens]
-    return all(_degree(np.array(cls, dtype=np.int64), forward, len(cls) - 1) >= len(cls) - 1
-               for cls in hom.space.classes())
+    return all(_degree(atoms, forward, run.shape[1] - 1) >= run.shape[1] - 1
+               for run in hom.space.class_runs for atoms in run)
 
 
 # -- genericity sweeps ----------------------------------------------------------

@@ -23,6 +23,12 @@ from .fullgroup import FullGroupElement
 from .space import _count, _frozen_array
 from .words import ReducedWord, cyclic_reduce
 
+__all__ = [
+    "ConstructionError", "build_corefree_perturbation", "build_folner_perturbation",
+    "build_ht_perturbation", "disjoint_support_partition", "first_return", "folner_planted_classes",
+    "periodic_truncate", "perturbation_tower", "rokhlin_base", "splice", "tau_for_word",
+]
+
 
 class ConstructionError(ValueError):
     """A construction's feasibility precondition failed."""

@@ -17,6 +17,8 @@ import numpy as np
 from .labels import cycle_labels, cycle_positions
 from .space import FiniteSpace, _check_budget, _frozen_array
 
+__all__ = ["CycleStructure", "FullGroupElement", "conjugate_to_standard_cycle", "uniform_metric"]
+
 
 @dataclass(frozen=True, eq=False)
 class FullGroupElement:
@@ -164,13 +166,12 @@ def cycle_structure(element: FullGroupElement) -> CycleStructure:
 def conjugate_to_standard_cycle(element: FullGroupElement) -> FullGroupElement:
     """Return c with c * element * c.inv() equal to the odometer.
 
-    Only defined for a single cycle through every atom of a single-class
-    space; c sends each atom to its position along the cycle from atom
-    0, so the odometer itself maps to the identity.
+    Only defined for a single cycle through every atom, which a
+    class-preserving element has only on a single-class space; c sends
+    each atom to its position along the cycle from atom 0, so the
+    odometer itself maps to the identity.
     """
-    if not element.space.is_single_class:
-        raise ValueError("conjugation to the standard cycle needs a single class")
-    if not cycle_structure(element).is_single_cycle:
+    if element.cycle_labels.any():
         raise ValueError("element is not a single cycle")
     _, pos = element.cycle_positions
     return FullGroupElement.from_forward(element.space, pos)

@@ -17,6 +17,11 @@ from .fullgroup import FullGroupElement
 from .space import FiniteSpace, _check_budget, _count
 from .words import ReducedWord
 
+__all__ = [
+    "derive_rng", "lean_aperiodic_homomorphism", "random_full_group_element", "random_homomorphism",
+    "random_reduced_word",
+]
+
 STREAM_GEN_HOM = 1
 STREAM_SWEEP = 2
 STREAM_TEST = 3

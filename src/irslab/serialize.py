@@ -23,6 +23,11 @@ from .fullgroup import FullGroupElement
 from .space import FiniteSpace
 from .words import _quote, read_int
 
+__all__ = [
+    "dumps_canonical", "fraction_to_text", "hom_from_doc", "hom_to_doc", "irs_to_csv", "parse_fraction",
+    "schreier_ball_to_dot", "space_from_doc", "space_to_doc",
+]
+
 _FRACTION_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
 
@@ -160,7 +165,7 @@ def _key_text(key) -> str:
 def space_to_doc(space: FiniteSpace) -> dict:
     return {
         "n_atoms": space.n_atoms,
-        "classes": [list(cls) for cls in space.classes()],
+        "classes": [atoms for run in space.class_runs for atoms in run.tolist()],
         "filtration_log2_levels": space.filtration_levels,
     }
 

@@ -22,6 +22,8 @@ import numpy as np
 
 from .setops import sorted_unique
 
+__all__ = ["FiniteSpace"]
+
 _BYTE_BUDGET = 1 << 28  # the one size guard: `_check_budget` reads it at call time for every kernel
 
 
@@ -89,9 +91,7 @@ def _frozen_array(values, dtype=np.int64) -> np.ndarray:
 
 
 def _max_dyadic_levels(sizes: Sequence[int]) -> int:
-    """Largest j such that every size is divisible by 2**j."""
-    if not sizes or min(sizes) < 1:
-        raise ValueError("class sizes must be positive")
+    """Largest j such that every size, all positive, is divisible by 2**j."""
     return min((int(s) & -int(s)).bit_length() - 1 for s in sizes)  # s & -s: the least set bit
 
 
@@ -170,13 +170,9 @@ class FiniteSpace:
             run.setflags(write=False)
         return runs
 
-    @cached_property
-    def _classes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(atoms) for run in self.class_runs for atoms in run.tolist())
-
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """Atoms of each class, sorted, indexed by class id."""
-        return self._classes
+        return tuple(tuple(atoms) for run in self.class_runs for atoms in run.tolist())
 
     def checked_atoms(self, atoms) -> np.ndarray:
         """The atoms (one or an array) as int64, refusing a non-integer or any outside [0, n)."""

@@ -16,6 +16,11 @@ import numpy as np
 
 from . import space
 
+__all__ = [
+    "FreeBall", "ReducedWord", "TraceBudgetError", "ball", "ball_size", "cyclic_reduce", "format_word",
+    "parse_word", "reduce_letters",
+]
+
 
 @dataclass(frozen=True)
 class ReducedWord:

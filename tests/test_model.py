@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from irslab import (
     FiniteSpace,
     FullGroupElement,
+    Homomorphism,
     conjugate_to_standard_cycle,
     derive_rng,
+    generates_classwise_symmetric,
     lean_aperiodic_homomorphism,
     random_full_group_element,
     random_homomorphism,
@@ -21,7 +23,7 @@ from irslab import (
 )
 from irslab.fullgroup import cycle_structure
 from irslab.rng import STREAM_TEST
-from irslab.serialize import hom_from_doc, hom_to_doc
+from irslab.serialize import hom_from_doc, hom_to_doc, space_to_doc
 
 
 def test_single_class_space():
@@ -223,11 +225,34 @@ def test_conjugate_to_standard_cycle():
     assert c.forward.tolist() == [0, 2, 1, 3]
     assert c * pi * c.inv() == odo
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^element is not a single cycle$"):
         conjugate_to_standard_cycle(FullGroupElement.identity(sp))
     two = FiniteSpace.from_class_sizes([2, 2])
-    with pytest.raises(ValueError):
-        conjugate_to_standard_cycle(FullGroupElement.identity(two))
+    for forward in ([0, 1, 2, 3], [1, 0, 3, 2]):  # a class-preserving element has no full cycle on two classes
+        with pytest.raises(ValueError, match="^element is not a single cycle$"):
+            conjugate_to_standard_cycle(FullGroupElement.from_forward(two, forward))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(0, 2**16))
+def test_the_full_cycle_test_matches_the_cycle_structure_oracle(data, seed):
+    """`is_lean_aperiodic` and `conjugate_to_standard_cycle` ask "one full cycle?" as
+    "is every cycle label atom 0?"; the oracle is `cycle_structure`'s sorted lengths."""
+    space = data.draw(class_layouts())
+    rng = derive_rng(seed, STREAM_TEST, 10)
+    g = random_full_group_element(space, rng)
+    candidates = [g]
+    if space.is_single_class:  # a random conjugate of the odometer is one full cycle
+        candidates.append(g * FullGroupElement.odometer(space) * g.inv())
+    for element in candidates:
+        single = cycle_structure(element).is_single_cycle
+        assert Homomorphism(space, (element,)).is_lean_aperiodic == single
+        if single:
+            c = conjugate_to_standard_cycle(element)
+            assert c * element * c.inv() == FullGroupElement.odometer(space)
+        else:
+            with pytest.raises(ValueError, match="^element is not a single cycle$"):
+                conjugate_to_standard_cycle(element)
 
 
 def test_full_group_closure_preserves_classes():
@@ -347,6 +372,33 @@ def test_batched_draw_matches_the_per_class_loop(space, seed):
         b = loop_random_full_group_element(space, looped)
         assert np.array_equal(a.forward, b.forward)
         assert batched.integers(1 << 62) == looped.integers(1 << 62)
+
+
+@settings(max_examples=100, deadline=None)
+@given(class_layouts())
+def test_class_layout_readers_match_the_classes_tuple(space):
+    """`space_to_doc` and `generates_classwise_symmetric` read `class_runs` directly;
+    the oracle is the per-class tuple `classes()` returns."""
+    assert space_to_doc(space)["classes"] == [list(atoms) for atoms in space.classes()]
+    cycle, swap = np.arange(space.n_atoms), np.arange(space.n_atoms)
+    for atoms in space.classes():  # one cycle through each class, and a swap of its first two atoms
+        cycle[list(atoms)] = np.roll(atoms, -1)
+        swap[list(atoms[:2])] = atoms[1::-1]
+    cycle, swap, identity = (FullGroupElement.from_forward(space, f) for f in (cycle, swap, np.arange(space.n_atoms)))
+    sizes = [len(atoms) for atoms in space.classes()]
+    # a c-cycle and a swap of neighbours on it generate Sym(c); the c-cycle alone only for c <= 2
+    assert generates_classwise_symmetric(Homomorphism(space, (cycle, swap)))
+    assert generates_classwise_symmetric(Homomorphism(space, (cycle,))) == (max(sizes) <= 2)
+    assert generates_classwise_symmetric(Homomorphism(space, (identity,))) == (max(sizes) == 1)
+
+
+def test_class_sizes_and_atom_counts_are_refused_before_the_filtration_depth():
+    for sizes in ([], [0], [2, -1]):
+        with pytest.raises(ValueError, match="^class sizes must be positive$"):
+            FiniteSpace.from_class_sizes(sizes)
+    for n in (0, -4):
+        with pytest.raises(ValueError, match="^space needs at least one atom$"):
+            FiniteSpace.single_class(n)
 
 
 def test_class_runs_split_where_the_size_changes():
