@@ -70,15 +70,19 @@ def _int_option(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _load_space(path: str) -> FiniteSpace:
-    return space_from_doc(json.loads(Path(path).read_text()))
+def _read_doc(path: str):
+    """The JSON document at path; one nested past the interpreter's recursion limit is bad input."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"document {_quote(path)} is nested too deeply") from None
 
 
 def _load_hom(args, path: str | None = None) -> Homomorphism:
     """The hom document at path (default --hom), on the --space space if given.  The
     space is built first, so its parsed document is freed before the hom's is parsed."""
-    on_space = _load_space(args.space) if args.space else None
-    return hom_from_doc(json.loads(Path(path or args.hom).read_text()), on_space)
+    on_space = space_from_doc(_read_doc(args.space)) if args.space else None
+    return hom_from_doc(_read_doc(path or args.hom), on_space)
 
 
 def _index(flag: str, value: int, size: int, what: str) -> int:
@@ -98,8 +102,7 @@ def _log2_atoms(log2: int) -> int:
     2^log2 is computed."""
     if log2 < 0:
         raise ValueError("--log2 must be nonnegative")
-    space._check_budget(8, ValueError, "{atoms} atoms need {need} bytes", log2, atoms=space._count(1, log2))
-    return 2 ** log2
+    return space._atom_count(1, log2)
 
 
 def _error_text(exc: Exception) -> str:
@@ -145,7 +148,7 @@ def _cmd_gen_space(args, _):
 def _cmd_gen_hom(args, _):
     if not args.space and args.log2 is None:
         args.log2 = 6  # the report records the default
-    space = _log2_space(args, _load_space(args.space) if args.space else None)
+    space = _log2_space(args, space_from_doc(_read_doc(args.space)) if args.space else None)
     rng = derive_rng(args.seed, STREAM_GEN_HOM, 0)
     if args.model == "lean-aperiodic":
         hom = lean_aperiodic_homomorphism(space, args.rank, rng)
@@ -160,7 +163,7 @@ def _cmd_gen_hom(args, _):
 
 def _cmd_construct_splice(args, hom):
     # tau is read on the hom's space, so a document of another size is refused
-    other = hom_from_doc(json.loads(Path(args.tau).read_text()), hom.space) if args.tau else hom
+    other = hom_from_doc(_read_doc(args.tau), hom.space) if args.tau else hom
     gen_index = _index("--gen-index", args.gen_index, hom.rank, "a generator")
     sigma = hom.gens[gen_index]
     tau = other.gens[_index("--tau-index", args.tau_index, other.rank, "a generator")]

@@ -30,11 +30,14 @@ class FullGroupElement:
     @classmethod
     def from_forward(cls, space: FiniteSpace, images) -> "FullGroupElement":
         """Build and validate an element from its forward table."""
-        forward = np.asarray(images, dtype=np.int64)
+        forward = np.asarray(images)
         if forward.shape != (space.n_atoms,):
             raise ValueError("forward table must list one image per atom")
-        if forward.min(initial=0) < 0 or forward.max(initial=0) >= space.n_atoms:
+        if forward.dtype.kind not in "iu":
+            raise ValueError("forward table must list 64-bit integer images")
+        if forward.min() < 0 or forward.max() >= space.n_atoms:
             raise ValueError("images out of range")
+        forward = forward.astype(np.int64, copy=False)
         counts = np.bincount(forward, minlength=space.n_atoms)
         if (counts != 1).any():
             raise ValueError("forward table is not a bijection")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .actions import EmpiricalIRS, Homomorphism, SchreierBall
 from .fullgroup import FullGroupElement
-from .space import FiniteSpace
+from .space import FiniteSpace, _count
 from .words import _quote, read_int
 
 __all__ = [
@@ -189,7 +189,11 @@ def space_from_doc(doc: dict) -> FiniteSpace:
     levels = doc.get("filtration_log2_levels")
     if levels is not None and type(levels) is not int:
         raise ValueError("space document key 'filtration_log2_levels' must be an integer")
-    return FiniteSpace(n, class_of, levels)
+    space = FiniteSpace(class_of)
+    if levels not in (None, space.filtration_levels):
+        raise ValueError(f"space document key 'filtration_log2_levels' is {_count(levels)}, "
+                         f"not its classes' depth {space.filtration_levels}")
+    return space
 
 
 # -- homomorphisms ----------------------------------------------------------

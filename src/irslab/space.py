@@ -3,12 +3,11 @@
 Atoms are the integers 0..n_atoms-1, each of measure 1/n_atoms.  The
 equivalence relation is stored as a class id per atom, and read back
 as sorted atom lists per class or, for vectorized per-class work, as
-one atom matrix per run of consecutive equal-size classes.  An optional
-dyadic filtration marks the space as explicitly hyperfinite: level j
-groups the atoms into consecutive blocks of size 2**j, level 0 is the
-discrete partition, and every top-level block must lie inside a single
-class.  The two constructors give the deepest filtration the classes
-allow; `FiniteSpace(n, class_of, None)` is a space with none.
+one atom matrix per run of consecutive equal-size classes.  The space is
+its class map: `FiniteSpace(class_of)` takes nothing else, and the atom count
+and the dyadic filtration are derived from it.  Level j of the filtration
+groups the atoms into consecutive blocks of size 2**j (level 0 is discrete),
+and the space carries the deepest filtration whose blocks lie inside classes.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .setops import sorted_unique
 
 __all__ = ["FiniteSpace"]
 
-_BYTE_BUDGET = 1 << 28  # the one size guard: `_check_budget` reads it at call time for every kernel
+_BYTE_BUDGET = 1 << 28  # the memory guard: `_check_budget` reads it at call time for every kernel
 
 
 def _count(count: int, shift: int = 0) -> str:
@@ -76,12 +75,13 @@ def _check_budget(need: int, error: type[ValueError], head: str, shift: int = 0,
         raise error(f"{head.format(need=_count(need, shift), **fields)}, over the budget of {_BYTE_BUDGET}")
 
 
-def _atom_count(n_atoms: int) -> int:
-    """n_atoms, checked before one int64 class id per atom is allocated."""
+def _atom_count(n_atoms: int, shift: int = 0) -> int:
+    """n_atoms * 2^shift, checked before one int64 class id per atom is allocated;
+    past the budget the refusal is built from the shift, so 2^shift is never computed."""
     if n_atoms < 1:
         raise ValueError("space needs at least one atom")
-    _check_budget(8 * n_atoms, ValueError, "{atoms} atoms need {need} bytes", atoms=_count(n_atoms))
-    return n_atoms
+    _check_budget(8 * n_atoms, ValueError, "{atoms} atoms need {need} bytes", shift, atoms=_count(n_atoms, shift))
+    return n_atoms << shift
 
 
 def _frozen_array(values, dtype=np.int64) -> np.ndarray:
@@ -90,41 +90,35 @@ def _frozen_array(values, dtype=np.int64) -> np.ndarray:
     return arr
 
 
-def _max_dyadic_levels(sizes: Sequence[int]) -> int:
-    """Largest j such that every size, all positive, is divisible by 2**j."""
-    return min((int(s) & -int(s)).bit_length() - 1 for s in sizes)  # s & -s: the least set bit
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteSpace:
     """Uniform atoms 0..n_atoms-1 with a class id per atom."""
 
-    n_atoms: int
     class_of: np.ndarray
-    filtration_levels: int | None = None
 
     def __post_init__(self):
-        if self.n_atoms < 1:
+        class_of = np.asarray(self.class_of)
+        if not class_of.size:
             raise ValueError("space needs at least one atom")
-        object.__setattr__(self, "class_of", _frozen_array(self.class_of))
-        if self.class_of.shape != (self.n_atoms,):
-            raise ValueError("class_of must assign one class id per atom")
-        n_classes = int(self.class_of.max()) + 1
-        if int(self.class_of.min()) < 0:
-            raise ValueError("class ids must be nonnegative")
-        counts = np.bincount(self.class_of, minlength=n_classes)
-        if (counts == 0).any():
+        if class_of.ndim != 1 or class_of.dtype.kind not in "iu":
+            raise ValueError("class_of must be one integer class id per atom")
+        object.__setattr__(self, "class_of", _frozen_array(class_of))
+        # k <= n classes: an id past n is refused before bincount allocates a count per id
+        if not 0 <= self.class_of.min() <= self.class_of.max() < self.n_atoms or not np.bincount(self.class_of).all():
             raise ValueError("class ids must be 0..k-1 with no empty class")
-        levels = self.filtration_levels
-        if levels is not None:
-            if levels < 0:
-                raise ValueError("filtration level count must be nonnegative")
-            if levels > int(self.n_atoms).bit_length() or self.n_atoms % 2 ** levels != 0:
-                raise ValueError("atom count must be divisible by the top block size")
-            width = 2 ** levels
-            blocks = self.class_of.reshape(-1, width)
-            if (blocks != blocks[:, :1]).any():
-                raise ValueError("top filtration blocks must lie inside one class")
+
+    @cached_property
+    def n_atoms(self) -> int:
+        return self.class_of.size
+
+    @cached_property
+    def filtration_levels(self) -> int:
+        """The least trailing-zero count of n and of every index where the class id changes,
+        found level by level from neighbouring block heads: bool temporaries of under n bytes."""
+        heads, levels = self.class_of, 0
+        while heads.size % 2 == 0 and (heads[0::2] == heads[1::2]).all():
+            heads, levels = heads[0::2], levels + 1
+        return levels
 
     # -- constructors ------------------------------------------------
 
@@ -132,8 +126,7 @@ class FiniteSpace:
     def single_class(n_atoms: int) -> "FiniteSpace":
         """Space whose relation has one class covering every atom, with the
         deepest dyadic filtration n_atoms allows."""
-        _atom_count(n_atoms)
-        return FiniteSpace(n_atoms, np.zeros(n_atoms, dtype=np.int64), _max_dyadic_levels([n_atoms]))
+        return FiniteSpace(np.zeros(_atom_count(n_atoms), dtype=np.int64))
 
     @staticmethod
     def from_class_sizes(sizes: Sequence[int]) -> "FiniteSpace":
@@ -141,9 +134,8 @@ class FiniteSpace:
         the deepest dyadic filtration whose blocks lie inside the classes."""
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError("class sizes must be positive")
-        n_atoms = _atom_count(int(sum(sizes)))
-        ids = np.repeat(np.arange(len(sizes), dtype=np.int64), list(sizes))
-        return FiniteSpace(n_atoms, ids, _max_dyadic_levels(list(sizes)))
+        _atom_count(int(sum(sizes)))
+        return FiniteSpace(np.repeat(np.arange(len(sizes), dtype=np.int64), list(sizes)))
 
     # -- queries -----------------------------------------------------
 
@@ -184,8 +176,6 @@ class FiniteSpace:
 
     def block_index(self, level: int) -> np.ndarray:
         """Filtration block id of every atom at the given level."""
-        if self.filtration_levels is None:
-            raise ValueError("space has no filtration")
         if not 0 <= level <= self.filtration_levels:
             raise ValueError(f"level must be in 0..{self.filtration_levels}")
         return np.arange(self.n_atoms) // (2 ** level)
@@ -202,14 +192,10 @@ class FiniteSpace:
     def __eq__(self, other):
         if not isinstance(other, FiniteSpace):
             return NotImplemented
-        return (
-            self.n_atoms == other.n_atoms
-            and self.filtration_levels == other.filtration_levels
-            and np.array_equal(self.class_of, other.class_of)
-        )
+        return np.array_equal(self.class_of, other.class_of)
 
     def __hash__(self):
-        return hash((self.n_atoms, self.filtration_levels, self.class_of.tobytes()))
+        return hash(self.class_of.tobytes())
 
     def __repr__(self):
         return (

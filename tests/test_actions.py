@@ -60,7 +60,7 @@ def odometer_hom(n, rank=2):
 def torus_hom(side=5):
     # two commuting shifts on a side x side grid; free up to short words
     n = side * side
-    sp = FiniteSpace(n, [0] * n, None)
+    sp = FiniteSpace([0] * n)
     idx = np.arange(n)
     x, y = idx // side, idx % side
     s1 = FullGroupElement.from_forward(sp, ((x + 1) % side) * side + y)
@@ -137,7 +137,7 @@ def test_orbits_and_index_distribution():
     assert orbits(hom) == [tuple(range(8))]
     assert index_distribution(hom) == {8: Fraction(1)}
 
-    sp = FiniteSpace(4, [0] * 4, None)
+    sp = FiniteSpace([0] * 4)
     swap = FullGroupElement.from_forward(sp, [1, 0, 2, 3])
     ident = FullGroupElement.identity(sp)
     split = Homomorphism(sp, (swap, ident))
@@ -147,7 +147,7 @@ def test_orbits_and_index_distribution():
 
 
 def test_stabilizer_trace_swap_example():
-    sp = FiniteSpace(2, [0] * 2, None)
+    sp = FiniteSpace([0] * 2)
     swap = FullGroupElement.from_forward(sp, [1, 0])
     hom = Homomorphism(sp, (swap, FullGroupElement.identity(sp)))
     trace = stabilizer_trace(hom, 0, 1)
@@ -184,7 +184,7 @@ def test_torus_action_has_trivial_short_trace():
 
 
 def test_trace_code_matrix_matches_single_traces(monkeypatch):
-    sp = FiniteSpace(16, [0] * 6 + [1] * 10, None)
+    sp = FiniteSpace([0] * 6 + [1] * 10)
     rng = derive_rng(5, STREAM_TEST, 5)
     hom = random_homomorphism(sp, 2, rng)
     whole = ball_codes(hom, 1)
@@ -207,7 +207,7 @@ def test_empirical_irs_weights():
     assert len(irs.weights) == 1
     assert irs.as_dict()[irs.weights[0][0]] == 1
 
-    sp = FiniteSpace(4, [0] * 4, None)
+    sp = FiniteSpace([0] * 4)
     swap = FullGroupElement.from_forward(sp, [1, 0, 2, 3])
     split = Homomorphism(sp, (swap, FullGroupElement.identity(sp)))
     mixed = empirical_irs(split, 1)
@@ -258,7 +258,7 @@ def test_schreier_ball_structure():
     assert (0, 1, 1) in b.edges and (0, -1, 7) in b.edges
     assert (3, -1, 2) in b.edges and (5, 1, 6) in b.edges
     # the codes agree exactly when the rooted balls are isomorphic
-    sp = FiniteSpace(8, [0] * 8, None)
+    sp = FiniteSpace([0] * 8)
     two_fours = Homomorphism(
         sp, (FullGroupElement.from_forward(sp, [1, 2, 3, 0, 5, 6, 7, 4]),)
     )
@@ -292,7 +292,7 @@ def brute_ball_iso(a, x, b, y, radius):
 
 def test_balls_isomorphic_cycles():
     eight = odometer_hom(8, rank=1)
-    sp = FiniteSpace(8, [0] * 8, None)
+    sp = FiniteSpace([0] * 8)
     two_fours = Homomorphism(
         sp, (FullGroupElement.from_forward(sp, [1, 2, 3, 0, 5, 6, 7, 4]),)
     )
@@ -304,7 +304,7 @@ def test_balls_isomorphic_cycles():
 
 def test_balls_isomorphic_matches_brute_oracle():
     rng = derive_rng(7, STREAM_TEST, 7)
-    sp = FiniteSpace(8, [0] * 8, None)
+    sp = FiniteSpace([0] * 8)
     seen = set()
     for _ in range(15):
         a = random_homomorphism(sp, 2, rng)

@@ -234,7 +234,7 @@ def connected_subsets(hom, orb, max_size):
 
 def test_folner_search_invariants_on_small_orbits():
     rng = derive_rng(31, STREAM_TEST, 31)
-    sp = FiniteSpace(10, [0] * 10, None)
+    sp = FiniteSpace([0] * 10)
     for trial in range(12):
         hom = random_homomorphism(sp, 2, rng)
         root = int(rng.integers(10))
@@ -260,7 +260,7 @@ def test_folner_search_invariants_on_small_orbits():
 
 
 def test_transitivity_degree_symmetric():
-    sp = FiniteSpace(4, [0] * 4, None)
+    sp = FiniteSpace([0] * 4)
     cycle = FullGroupElement.from_forward(sp, [1, 2, 3, 0])
     swap = FullGroupElement.from_forward(sp, [1, 0, 2, 3])
     hom = Homomorphism(sp, (cycle, swap))
@@ -275,7 +275,7 @@ def test_transitivity_degree_cyclic():
 
 
 def test_transitivity_degree_singleton_orbit():
-    sp = FiniteSpace(4, [0] * 4, None)
+    sp = FiniteSpace([0] * 4)
     ident = FullGroupElement.identity(sp)
     hom = Homomorphism(sp, (ident, ident))
     assert transitivity_degree(hom, 2, 3) == 1
@@ -351,7 +351,7 @@ def test_core_check_on_the_plain_cycle():
 
 
 def test_core_check_mixed_orbits():
-    sp = FiniteSpace(4, [0] * 4, None)
+    sp = FiniteSpace([0] * 4)
     swap = FullGroupElement.from_forward(sp, [1, 0, 2, 3])
     hom = Homomorphism(sp, (swap, FullGroupElement.identity(sp)))
     # s1 moves the orbit {0,1} and fixes the singletons
@@ -559,20 +559,20 @@ def test_ball_stability_validation():
 
 
 def test_generates_classwise_symmetric_true():
-    sp = FiniteSpace(3, [0] * 3, None)
+    sp = FiniteSpace([0] * 3)
     cycle = FullGroupElement.from_forward(sp, [1, 2, 0])
     swap = FullGroupElement.from_forward(sp, [1, 0, 2])
     assert generates_classwise_symmetric(Homomorphism(sp, (cycle, swap)))
 
 
 def test_generates_classwise_symmetric_false_for_cyclic():
-    sp = FiniteSpace(4, [0] * 4, None)
+    sp = FiniteSpace([0] * 4)
     cycle = FullGroupElement.from_forward(sp, [1, 2, 3, 0])
     assert not generates_classwise_symmetric(Homomorphism(sp, (cycle,)))
 
 
 def test_generates_classwise_symmetric_needs_transitive_classes():
-    sp = FiniteSpace(4, [0, 0, 1, 1], None)
+    sp = FiniteSpace([0, 0, 1, 1])
     ident = FullGroupElement.identity(sp)
     assert not generates_classwise_symmetric(Homomorphism(sp, (ident,)))
     swap_both = FullGroupElement.from_forward(sp, [1, 0, 3, 2])
@@ -580,7 +580,7 @@ def test_generates_classwise_symmetric_needs_transitive_classes():
 
 
 def test_generates_classwise_symmetric_size_one_classes_are_vacuous():
-    sp = FiniteSpace(2, [0, 1], None)
+    sp = FiniteSpace([0, 1])
     ident = FullGroupElement.identity(sp)
     assert generates_classwise_symmetric(Homomorphism(sp, (ident,)))
 

@@ -34,7 +34,7 @@ from irslab.serialize import dumps_canonical, hom_to_doc
 
 def _sym(n):
     """Sym(n) on one class, from an n-cycle and a transposition."""
-    sp = FiniteSpace(n, [0] * n, None)
+    sp = FiniteSpace([0] * n)
     cycle = FullGroupElement.from_forward(sp, [(i + 1) % n for i in range(n)])
     swap = FullGroupElement.from_forward(sp, [1, 0, *range(2, n)])
     return Homomorphism(sp, (cycle, swap))

@@ -1162,10 +1162,12 @@ def test_a_huge_log2_is_refused_as_the_space_refuses_its_atom_count(log2):
     assert str(by_log2.value) == str(by_space.value)
 
 
-@pytest.mark.parametrize("levels", [2**40, 10**20], ids=["2^40", "10^20"])
-def test_huge_filtration_levels_exit_2_before_the_top_block_size_is_computed(tmp_path, levels):
+@pytest.mark.parametrize("levels, shown", [(2**40, "1099511627776"), (10**20, "at least 2^66")],
+                         ids=["2^40", "10^20"])
+def test_huge_filtration_levels_exit_2_before_the_top_block_size_is_computed(tmp_path, levels, shown):
     """2^(2^40) is a 128 GiB integer: under a 1 GiB address-space limit a space
-    document claiming that many levels must be refused from the count alone."""
+    document claiming that many levels must be refused, as the depth its classes
+    give is derived without ever computing 2^levels."""
     hom, space = gen_hom(tmp_path, log2=4), tmp_path / "sp.json"
     assert run(tmp_path, "gen", "space", "--log2", "4", "--out", str(space))[0] == 0
     space.write_text(json.dumps({**json.loads(space.read_text()), "filtration_log2_levels": levels}))
@@ -1174,8 +1176,33 @@ def test_huge_filtration_levels_exit_2_before_the_top_block_size_is_computed(tmp
         capture_output=True, text=True, preexec_fn=_limit_address_space_to_1_gib, timeout=60,
     )
     assert proc.returncode == 2
-    assert proc.stderr == "error: atom count must be divisible by the top block size\n"
+    assert proc.stderr == f"error: space document key 'filtration_log2_levels' is {shown}, not its classes' depth 4\n"
     assert proc.stdout == ""
+
+
+def test_an_image_past_int64_in_a_hom_document_exits_2(tmp_path):
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps({"n_atoms": 2, "rank": 1, "gens": [[1, 2**64 + 1]]}))
+    proc = subprocess.run([sys.executable, "-m", "irslab.cli", "analyze", "index", "--hom", str(bad)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: forward table must list 64-bit integer images\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "index", "--hom", "{deep}"],
+    ["analyze", "index", "--hom", "{hom}", "--space", "{deep}"],
+    ["construct", "splice", "--hom", "{hom}", "--tau", "{deep}"],
+    ["analyze", "stability", "--hom", "{hom}", "--other", "{deep}", "--radius", "1"],
+], ids=["hom", "space", "tau", "other"])
+def test_a_document_nested_too_deeply_exits_2(tmp_path, argv):
+    """json.loads raises RecursionError, a RuntimeError, on deep nesting: bad input, not exit 3."""
+    deep, hom = tmp_path / "deep.json", gen_hom(tmp_path)
+    deep.write_text("[" * 100000 + "]" * 100000)
+    argv = [a.format(deep=deep, hom=hom) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "irslab.cli", *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: document {str(deep)[:40]!r}{'...' * (len(str(deep)) > 40)} is nested too deeply\n"
 
 
 def test_an_abbreviated_option_is_refused(tmp_path, capsys):

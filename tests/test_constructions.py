@@ -149,7 +149,7 @@ def test_splice_refuses_a_listing_that_is_not_a_partial_injection(sizes, atoms, 
 
 
 def test_splice_hand_example():
-    sp = FiniteSpace(4, [0] * 4, None)
+    sp = FiniteSpace([0] * 4)
     ident = FullGroupElement.identity(sp)
     result = splice(ident, [0], [1])
     assert result.forward.tolist() == [1, 0, 2, 3]
@@ -228,7 +228,7 @@ def test_splice_contract_random():
 
 
 def test_disjoint_support_partition_examples():
-    sp = FiniteSpace(4, [0] * 4, None)
+    sp = FiniteSpace([0] * 4)
     swap = FullGroupElement.from_forward(sp, [1, 0, 2, 3])
     assert disjoint_support_partition([swap]) == [(0,), (1,)]
 
@@ -376,7 +376,7 @@ def test_first_return_examples():
     assert first_return(sigma, range(8)) == sigma
     assert first_return(sigma, [3]) == FullGroupElement.identity(sp)
 
-    sp4 = FiniteSpace(4, [0] * 4, None)
+    sp4 = FiniteSpace([0] * 4)
     swap = FullGroupElement.from_forward(sp4, [1, 0, 2, 3])
     assert first_return(swap, [0, 2]) == FullGroupElement.identity(sp4)
     assert first_return(swap, [0, 1]) == swap
@@ -444,12 +444,14 @@ def test_periodic_truncate_contract():
 
 
 def test_periodic_truncate_needs_filtration():
-    sp = FiniteSpace(8, [0] * 8, None)
+    """Every space carries the deepest filtration its classes allow, so a space built
+    from a class map alone truncates as `single_class` does, up to that depth."""
+    sp = FiniteSpace([0] * 8)
     hom = Homomorphism(sp, (FullGroupElement.odometer(sp),))
-    with pytest.raises(ValueError):
-        periodic_truncate(hom, 1)
-    with pytest.raises(ValueError):
-        periodic_truncate(odometer_hom(8), 9)
+    assert periodic_truncate(hom, 1) == periodic_truncate(odometer_hom(8, rank=1), 1)
+    for level in (4, 9):
+        with pytest.raises(ValueError, match=r"^level must be in 0\.\.3$"):
+            periodic_truncate(hom, level)
 
 
 # -- Foelner perturbation ------------------------------------------------------

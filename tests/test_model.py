@@ -51,28 +51,49 @@ def test_auto_filtration_stops_at_odd_sizes():
 
 
 def test_space_validation():
+    for class_of, message in [
+        ([], "space needs at least one atom"),
+        (np.array([0, 0, 2]), r"class ids must be 0\.\.k-1 with no empty class"),
+        (np.array([0, -1]), r"class ids must be 0\.\.k-1 with no empty class"),
+        # an id past n is refused before bincount would allocate a count per id
+        ([0, 2**40], r"class ids must be 0\.\.k-1 with no empty class"),
+        # by dtype: floats, strings, bools, ints past 64 bits and nested lists are not class ids
+        ([0.5, 1.7], "class_of must be one integer class id per atom"),
+        (["0", "1"], "class_of must be one integer class id per atom"),
+        ([True, False], "class_of must be one integer class id per atom"),
+        ([0, 2**70], "class_of must be one integer class id per atom"),
+        ([[0, 0]], "class_of must be one integer class id per atom"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FiniteSpace(class_of)
     with pytest.raises(ValueError):
         FiniteSpace.single_class(0)
-    with pytest.raises(ValueError):
-        FiniteSpace(4, np.array([0, 0, 0]))
-    with pytest.raises(ValueError):
-        FiniteSpace(3, np.array([0, 0, 2]))
-    with pytest.raises(ValueError):
-        FiniteSpace(2, np.array([0, -1]))
     with pytest.raises(ValueError):
         FiniteSpace.from_class_sizes([])
     with pytest.raises(ValueError):
         FiniteSpace.from_class_sizes([3, 0])
 
 
+def test_the_space_is_its_class_map():
+    sp = FiniteSpace(np.array([1, 1, 0, 0, 1, 1]))
+    assert [f.name for f in dataclasses.fields(FiniteSpace)] == ["class_of"]
+    assert sp.n_atoms == 6 and sp.class_count == 2 and not sp.class_of.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sp.n_atoms = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sp.filtration_levels = 0
+
+
 def test_filtration_blocks_must_respect_classes():
+    """The depth is derived: the deepest level whose aligned blocks divide n and lie in classes."""
     # two classes of size 2 support level 1, but a block would straddle them at level 2
-    FiniteSpace(4, np.array([0, 0, 1, 1]), 1)
-    with pytest.raises(ValueError):
-        FiniteSpace(4, np.array([0, 0, 1, 1]), 2)
-    # divisibility of the atom count by the top block size
-    with pytest.raises(ValueError):
-        FiniteSpace(6, np.array([0] * 6), 2)
+    assert FiniteSpace(np.array([0, 0, 1, 1])).filtration_levels == 1
+    # the atom count bounds the depth: 4 does not divide 6
+    assert FiniteSpace(np.array([0] * 6)).filtration_levels == 1
+    # aligned blocks may lie in classes that are not consecutive runs
+    assert FiniteSpace(np.array([0, 0, 1, 1, 0, 0, 1, 1])).filtration_levels == 1
+    assert FiniteSpace(np.array([0, 1, 0, 1])).filtration_levels == 0
+    assert FiniteSpace(np.array([0])).filtration_levels == 0
 
 
 def test_block_index():
@@ -83,8 +104,8 @@ def test_block_index():
         sp.block_index(4)
     with pytest.raises(ValueError):
         sp.block_index(-1)
-    with pytest.raises(ValueError):
-        FiniteSpace(3, np.array([0, 0, 0]), None).block_index(0)
+    with pytest.raises(ValueError, match=r"^level must be in 0\.\.0$"):
+        FiniteSpace(np.array([0, 0, 0])).block_index(1)
 
 
 def test_filtration_blocks_nest():
@@ -128,9 +149,8 @@ def test_measure_refuses_atoms_and_counts_outside_the_space(atoms, message):
 def test_space_equality_and_hash():
     a = FiniteSpace.single_class(4)
     b = FiniteSpace.single_class(4)
-    c = FiniteSpace(4, [0] * 4, None)
-    assert a == b and hash(a) == hash(b)
-    assert a != c
+    c = FiniteSpace([0] * 4)
+    assert a == b == c and hash(a) == hash(b) == hash(c)
     assert a != FiniteSpace.from_class_sizes([2, 2])
 
 
@@ -145,6 +165,14 @@ def test_element_validation():
     two = FiniteSpace.from_class_sizes([2, 2])
     with pytest.raises(ValueError, match="leaves its class"):
         FullGroupElement.from_forward(two, [2, 1, 0, 3])
+
+
+@pytest.mark.parametrize("images", [["1", "0"], [True, False], [1.0, 0.0], [1, 2**64 + 1]])
+def test_tables_that_are_not_integers_are_refused_by_dtype(images):
+    with pytest.raises(ValueError, match="^forward table must list 64-bit integer images$"):
+        FullGroupElement.from_forward(FiniteSpace.single_class(2), images)
+    unsigned = FullGroupElement.from_forward(FiniteSpace.single_class(2), np.array([1, 0], dtype=np.uint64))
+    assert unsigned.forward.dtype == np.int64 and unsigned.forward.tolist() == [1, 0]
 
 
 def test_identity_and_odometer():
@@ -354,7 +382,7 @@ def class_layouts(draw):
     class_of = np.repeat(np.arange(sum(k for _, k in runs)), [s for s, k in runs for _ in range(k)])
     if draw(st.booleans()):
         class_of = class_of[draw(st.permutations(range(class_of.size)))]
-    return FiniteSpace(class_of.size, class_of)
+    return FiniteSpace(class_of)
 
 
 @settings(max_examples=100, deadline=None)
@@ -402,6 +430,47 @@ def test_class_sizes_and_atom_counts_are_refused_before_the_filtration_depth():
 
 
 def test_class_runs_split_where_the_size_changes():
-    space = FiniteSpace(12, np.repeat(np.arange(7), [2, 2, 1, 1, 1, 3, 2]), None)
+    space = FiniteSpace(np.repeat(np.arange(7), [2, 2, 1, 1, 1, 3, 2]))
     runs = [run.tolist() for run in space.class_runs]
     assert runs == [[[0, 1], [2, 3]], [[4], [5], [6]], [[7, 8, 9]], [[10, 11]]]
+
+
+# -- oracles: the filtration depth as the constructors set and checked it before it was derived --
+
+
+def oracle_max_dyadic_levels(sizes) -> int:
+    """Largest j such that every size, all positive, is divisible by 2**j."""
+    return min((int(s) & -int(s)).bit_length() - 1 for s in sizes)  # s & -s: the least set bit
+
+
+def oracle_blocks_fit(class_of: np.ndarray, levels: int) -> bool:
+    """Whether the constructor's old block check accepted the depth: 2**levels divides
+    n and every aligned top block lies inside one class."""
+    n = class_of.size
+    if levels > n.bit_length() or n % 2 ** levels != 0:
+        return False
+    blocks = class_of.reshape(-1, 2 ** levels)
+    return not (blocks != blocks[:, :1]).any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 48), min_size=1, max_size=8))
+def test_derived_depth_matches_the_run_size_oracle(sizes):
+    expected = oracle_max_dyadic_levels(sizes)
+    assert FiniteSpace.from_class_sizes(sizes).filtration_levels == expected
+    assert FiniteSpace(np.repeat(np.arange(len(sizes)), sizes)).filtration_levels == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.lists(st.integers(0, 3), min_size=1, max_size=12), st.data())
+def test_derived_depth_is_the_deepest_the_block_check_accepts(log2, labels, data):
+    """Layouts built from aligned 2**log2 blocks of arbitrary labels, then perhaps
+    with one atom moved to another label or with a tail cut off."""
+    ids = np.repeat(labels, 2 ** log2)
+    if data.draw(st.booleans()):
+        ids[data.draw(st.integers(0, ids.size - 1))] = data.draw(st.integers(0, 4))
+    ids = ids[:data.draw(st.integers(1, ids.size))]
+    class_of = np.unique(ids, return_inverse=True)[1].reshape(-1)  # ids 0..k-1 in label order
+    space = FiniteSpace(class_of)
+    deepest = max(j for j in range(class_of.size.bit_length() + 1) if oracle_blocks_fit(class_of, j))
+    assert space.filtration_levels == deepest

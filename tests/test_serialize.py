@@ -182,7 +182,7 @@ def test_space_doc_round_trip():
     for space in (
         FiniteSpace.single_class(16),
         FiniteSpace.from_class_sizes([4, 12]),
-        FiniteSpace(8, [0] * 8, None),
+        FiniteSpace([0] * 8),
     ):
         doc = space_to_doc(space)
         assert space_from_doc(doc) == space
@@ -215,8 +215,30 @@ def test_space_doc_class_errors(classes, message):
         space_from_doc(doc)
 
 
+@pytest.mark.parametrize("levels, message", [
+    (None, None),
+    ("missing", None),
+    (2, None),
+    (1, "space document key 'filtration_log2_levels' is 1, not its classes' depth 2"),
+    (3, "space document key 'filtration_log2_levels' is 3, not its classes' depth 2"),
+    (-1, "space document key 'filtration_log2_levels' is -1, not its classes' depth 2"),
+    (10**20, "space document key 'filtration_log2_levels' is at least 2\\^66, not its classes' depth 2"),
+], ids=["null", "missing", "equal", "shallower", "deeper", "negative", "10^20"])
+def test_space_doc_depth_is_derived_from_the_classes(levels, message):
+    """A null or missing depth loads the deepest filtration; an integer must equal it."""
+    doc = {"n_atoms": 8, "classes": [[0, 1, 2, 3], [4, 5, 6, 7]]}
+    if levels != "missing":
+        doc["filtration_log2_levels"] = levels
+    if message is None:
+        space = space_from_doc(doc)
+        assert space == FiniteSpace.from_class_sizes([4, 4]) and space.filtration_levels == 2
+    else:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            space_from_doc(doc)
+
+
 def test_space_doc_keeps_scattered_class_ids():
-    space = FiniteSpace(6, [1, 0, 2, 1, 0, 2])
+    space = FiniteSpace([1, 0, 2, 1, 0, 2])
     doc = space_to_doc(space)
     assert doc["classes"] == [[1, 4], [0, 3], [2, 5]]
     assert space_from_doc(doc) == space
@@ -305,7 +327,11 @@ def oracle_space_from_doc(doc: dict) -> FiniteSpace:
     levels = doc.get("filtration_log2_levels")
     if levels is not None and type(levels) is not int:
         raise ValueError("space document key 'filtration_log2_levels' must be an integer")
-    return FiniteSpace(n, class_of, levels)
+    space = FiniteSpace(class_of)
+    if levels is not None and levels != space.filtration_levels:
+        raise ValueError(f"space document key 'filtration_log2_levels' is {levels}, "
+                         f"not its classes' depth {space.filtration_levels}")
+    return space
 
 
 def oracle_hom_from_doc(doc: dict, space: FiniteSpace | None = None) -> Homomorphism:
