@@ -95,8 +95,21 @@ class Homomorphism:
         return int(self.tables[letter][_atom(self, atom)])
 
     def element_of(self, word: ReducedWord) -> FullGroupElement:
-        """The image permutation of a word: the word evaluated once on every atom."""
-        return FullGroupElement(self.space, _frozen_array(evaluate(self, word, np.arange(self.space.n_atoms))))
+        """The image permutation of a word, read off its rightmost letter's table and
+        gathered through the others': no atom array, and no inverse the word does not use."""
+        if word.rank != self.rank:
+            raise ValueError("word rank does not match the homomorphism")
+        if not word.letters:
+            return FullGroupElement.identity(self.space)
+        *rest, last = word.letters
+        element = self.generator(last)
+        if not rest:
+            return element
+        images = element.forward
+        for letter in reversed(rest):
+            images = self.generator(letter).forward[images]
+        images.setflags(write=False)
+        return FullGroupElement(self.space, images)
 
     def replace_generator(self, index: int, element: FullGroupElement) -> "Homomorphism":
         """Copy with the 0-based generator at index swapped out."""

@@ -7,9 +7,10 @@ every window has the same least atom as the window after it, which holds
 exactly when every window covers its cycle: O(log n) rounds for an n-cycle.
 `component_labels` labels orbits, Shiloach-Vishkin style: starting from
 a star forest (each atom its own root, or the cycles of one generator),
-each round hooks the larger of two joined roots onto the smaller, then
-jumps `parent = parent[parent]` until every tree is a star.  Parents
-only decrease, so a component's root is its least atom.
+it takes one table at a time, keeps only the table's edges that join two
+trees, and each round hooks the larger of two joined roots onto the
+smaller, then jumps `parent = parent[parent]` until every tree is a star.
+Parents only decrease, so a component's root is its least atom.
 `cycle_positions` ranks given cycle labels along a predecessor table
 (Wyllie).  No per-atom Python loop.
 """
@@ -40,22 +41,32 @@ def cycle_labels(perm) -> np.ndarray:
 def component_labels(tables, n: int, start=None) -> np.ndarray:
     """Least atom of each atom's component in the graph x -- t[x], t in tables,
     joined with the classes of start: a labelling by least class atoms (the
-    cycle labels of a generator), or by default each atom alone."""
+    cycle labels of a generator), or by default each atom alone.
+
+    The tables are hooked one at a time, each from only its edges that join
+    two trees, so a table whose every edge stays inside a class of start
+    costs one comparison over the atoms.
+    """
     parent = np.arange(n, dtype=np.int64) if start is None else np.array(start, dtype=np.int64)
-    if not tables:
-        return parent
-    src = np.tile(np.arange(n, dtype=np.int64), len(tables))
-    dst = np.concatenate([np.asarray(t, dtype=np.int64) for t in tables])
-    while True:
-        a, b = parent[src], parent[dst]
-        cross = a != b
-        if not cross.any():
-            return parent
-        # an edge inside one tree stays inside it: drop it for good
-        src, dst, a, b = src[cross], dst[cross], a[cross], b[cross]
-        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
-        while not np.array_equal(grand := parent[parent], parent):
-            parent = grand
+    for table in tables:
+        table = np.asarray(table, dtype=np.int64)
+        src = np.flatnonzero(parent != parent[table])
+        dst = table[src]
+        while src.size:
+            # hook the larger joined root onto the smaller; the larger overwrites a,
+            # and the edge's roots are freed before the jumps allocate
+            a, b = parent[src], parent[dst]
+            low = np.minimum(a, b)
+            np.maximum(a, b, out=a)
+            del b
+            np.minimum.at(parent, a, low)
+            del a, low
+            while not np.array_equal(grand := parent[parent], parent):
+                parent = grand
+            # an edge inside one tree stays inside it: drop it for good
+            cross = parent[src] != parent[dst]
+            src, dst = src[cross], dst[cross]
+    return parent
 
 
 def cycle_positions(pred, labels) -> np.ndarray:

@@ -192,7 +192,7 @@ class FiniteSpace:
     def __eq__(self, other):
         if not isinstance(other, FiniteSpace):
             return NotImplemented
-        return np.array_equal(self.class_of, other.class_of)
+        return self is other or np.array_equal(self.class_of, other.class_of)
 
     def __hash__(self):
         return hash(self.class_of.tobytes())

@@ -113,6 +113,35 @@ def test_element_of_is_a_homomorphism():
             assert hom.element_of(u)(x) == evaluate(hom, u, x)
 
 
+def test_element_of_refuses_another_rank_before_reading_a_letter():
+    hom = random_homomorphism(FiniteSpace.single_class(12), 2, derive_rng(3, STREAM_TEST, 3))
+    # generator(3) would refuse with "letter 3 out of range"
+    for text, rank in (("s3 s1", 3), ("s1", 1), ("", 1)):
+        with pytest.raises(ValueError, match="^word rank does not match the homomorphism$"):
+            hom.element_of(parse_word(text, rank))
+    assert hom.element_of(parse_word("", 2)) == FullGroupElement.identity(hom.space)
+
+
+def test_element_of_reads_only_its_letters_tables():
+    """A word of length 3 gathers through two of its letters' tables: two n-atom
+    int64 arrays at the peak (the whole-space evaluation took 6.0), and no
+    inverse the word does not use is built."""
+    n = 2 ** 14
+    hom = random_homomorphism(FiniteSpace.single_class(n), 3, derive_rng(34, STREAM_TEST, 36))
+    word = parse_word("s3 s1 s2", 3)
+    tracemalloc.start()
+    try:
+        element = hom.element_of(word)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n
+    assert not any("inverse" in vars(g) for g in hom.gens)
+    hom.element_of(parse_word("s1 s2^-1 s3", 3))
+    assert ["inverse" in vars(g) for g in hom.gens] == [False, True, False]
+    assert np.array_equal(element.forward, evaluate(hom, word, np.arange(n)))  # reads every table
+
+
 def test_is_lean_aperiodic():
     assert odometer_hom(8).is_lean_aperiodic
     sp = FiniteSpace.single_class(8)

@@ -346,8 +346,13 @@ def test_core_check_on_the_plain_cycle():
     hom = odometer_hom(8)
     assert core_check(hom, parse_word("s2", 2)) == 1
     assert core_check(hom, parse_word("s1", 2)) == 0
-    with pytest.raises(ValueError):
-        core_check(hom, parse_word("", 2))
+    # the empty word is refused first, then a word of another rank, before any letter is read
+    for text, rank in (("", 2), ("", 3)):
+        with pytest.raises(ValueError, match="^word must be nonempty$"):
+            core_check(hom, parse_word(text, rank))
+    for text, rank in (("s3", 3), ("s1", 1)):
+        with pytest.raises(ValueError, match="^word rank does not match the homomorphism$"):
+            core_check(hom, parse_word(text, rank))
 
 
 def test_core_check_mixed_orbits():

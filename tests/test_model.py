@@ -152,6 +152,18 @@ def test_space_equality_and_hash():
     c = FiniteSpace([0] * 4)
     assert a == b == c and hash(a) == hash(b) == hash(c)
     assert a != FiniteSpace.from_class_sizes([2, 2])
+    assert FiniteSpace([0, 1, 1]) != FiniteSpace([0, 0, 1]) and a != FiniteSpace.single_class(8)
+
+
+def test_a_space_equals_itself_without_comparing_class_maps(monkeypatch):
+    a, b = FiniteSpace.from_class_sizes([2, 3]), FiniteSpace.from_class_sizes([2, 3])
+    compared = []
+    array_equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda *args: compared.append(args) or array_equal(*args))
+    assert a == a and not a != a
+    assert not compared
+    assert a == b and a is not b and len(compared) == 1
+    assert a != FiniteSpace.from_class_sizes([3, 2])
 
 
 def test_element_validation():
