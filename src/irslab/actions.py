@@ -15,10 +15,11 @@ codes and the conjugated traces of the invariance check are all read
 off one kernel of ball-word images, run over cache-sized chunks of atoms;
 ball codes come one block per chunk, so a caller comparing two actions'
 codes need not hold either code matrix.  The trace distribution is two
-arrays: the distinct trace rows, numbered in byte order by `setops.row_ids`,
-and each row's atom count; its (trace, weight) pairs are a view built on
-request.  The invariance check compares each conjugated trace with the
-trace at the image atom, pointwise.
+arrays, read off one sort of the rows' byte keys (`setops.row_keys`): the
+distinct trace rows, one per run of equal keys, and each run's length, its
+atom count; its (trace, weight) pairs are a view built on request.  The
+invariance check compares each conjugated trace with the trace at the
+image atom, pointwise.
 """
 
 from __future__ import annotations
@@ -32,14 +33,14 @@ import numpy as np
 from . import space
 from .fullgroup import FullGroupElement, uniform_metric
 from .labels import component_labels
-from .setops import row_ids, sorted_unique
+from .setops import row_keys, sorted_unique
 from .space import FiniteSpace, _frozen_array
 from .words import FreeBall, ReducedWord, TraceBudgetError, _ball_size_bound, _check_radius, ball, ball_size
 
 __all__ = [
-    "EmpiricalIRS", "Homomorphism", "SchreierBall", "StabilizerTrace", "ball_codes", "balls_isomorphic",
-    "empirical_irs", "evaluate", "hom_metric", "index_distribution", "invariance_defect", "orbit",
-    "orbits", "schreier_ball", "stabilizer_trace", "trace_code_matrix",
+    "EmpiricalIRS", "Homomorphism", "SchreierBall", "StabilizerTrace", "ball_codes", "empirical_irs",
+    "evaluate", "hom_metric", "index_distribution", "invariance_defect", "orbit", "orbits",
+    "schreier_ball", "trace_code_matrix",
 ]
 
 
@@ -89,11 +90,6 @@ class Homomorphism:
         g = self.gens[abs(letter) - 1]
         return g if letter > 0 else g.inv()
 
-    def letter_image(self, letter: int, atom: int) -> int:
-        if letter not in self.tables:
-            raise ValueError(f"letter {letter} out of range")
-        return int(self.tables[letter][_atom(self, atom)])
-
     def element_of(self, word: ReducedWord) -> FullGroupElement:
         """The image permutation of a word, read off its rightmost letter's table and
         gathered through the others': no atom array, and no inverse the word does not use."""
@@ -121,14 +117,15 @@ class Homomorphism:
 
 
 def evaluate(hom: Homomorphism, word: ReducedWord, atom):
-    """Apply a word to one atom or an array of atoms, gathering one letter
-    table at a time, rightmost letter first.  One atom gives an int; an
+    """Apply a word to one atom or an array of atoms, gathering through one
+    letter's table at a time, rightmost letter first, read as `element_of`
+    reads them: no inverse the word does not use.  One atom gives an int; an
     array gives a new flat int64 array of the images, in the atoms' order."""
     if word.rank != hom.rank:
         raise ValueError("word rank does not match the homomorphism")
     images = hom.space.checked_atoms(atom).copy()  # a new array, even for the empty word
     for letter in reversed(word.letters):
-        images = hom.tables[letter][images]
+        images = hom.generator(letter).forward[images]
     return int(images[0]) if np.ndim(atom) == 0 else images
 
 
@@ -171,13 +168,6 @@ class StabilizerTrace:
     rank: int
     radius: int
     bits: bytes
-
-    def contains(self, word: ReducedWord) -> bool:
-        i = ball(self.rank, self.radius).word_index(word)
-        return bool(self.bits[i >> 3] & (0x80 >> (i & 7)))
-
-    def words(self) -> tuple[ReducedWord, ...]:
-        return tuple(w for w in ball(self.rank, self.radius).words if self.contains(w))
 
 
 # bytes of int64 ball-word images per chunk of atoms: a chunk's ball codes take the
@@ -234,12 +224,6 @@ def _word_images(hom: Homomorphism, fb: FreeBall, cuts: list[int], chunk: np.nda
     for lo, hi in zip(cuts, cuts[1:]):  # words sharing a first letter, all in one layer
         cols[lo:hi] = hom.tables[int(fb.first_letter[lo])][cols[fb.parent[lo:hi]]]
     return cols.T
-
-
-def stabilizer_trace(hom: Homomorphism, atom: int, radius: int) -> StabilizerTrace:
-    """Trace of one atom: the ball words fixing it."""
-    ((_, images),) = _ball_images(hom, radius, hom.space.checked_atoms(atom))
-    return StabilizerTrace(hom.rank, radius, np.packbits(images[0] == atom).tobytes())
 
 
 def trace_code_matrix(hom: Homomorphism, radius: int) -> np.ndarray:
@@ -310,13 +294,14 @@ def ball_codes(hom: Homomorphism, radius: int, atoms=None) -> np.ndarray:
 
 
 def empirical_irs(hom: Homomorphism, radius: int) -> "EmpiricalIRS":
-    """Distribution of stabilizer traces over the uniform atom: the distinct
-    trace rows by ascending bytes, each with its atom count."""
-    rows = trace_code_matrix(hom, radius)
-    ids, count = row_ids(rows)
-    table = np.empty((count, rows.shape[1]), dtype=np.uint8)
-    table[ids] = rows
-    return EmpiricalIRS(hom.space.n_atoms, hom.rank, radius, table, np.bincount(ids, minlength=count))
+    """Distribution of stabilizer traces over the uniform atom: the distinct trace
+    rows by ascending bytes, each with its atom count, read off one in-place sort
+    of the rows' keys, where each run of equal keys is one row and its count."""
+    keys = row_keys(trace_code_matrix(hom, radius))
+    keys.sort()
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    rows = keys[starts].view(np.uint8).reshape(starts.size, -1)
+    return EmpiricalIRS(hom.space.n_atoms, hom.rank, radius, rows, np.diff(starts, append=keys.size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,7 +325,8 @@ class EmpiricalIRS:
             raise ValueError("counts must be one positive count per row")
         if self.n_atoms < 1 or sum(self.counts.tolist()) != self.n_atoms:  # Python ints: no int64 wrap
             raise ValueError("counts must sum to n_atoms, at least 1")
-        if not np.array_equal(row_ids(self.rows)[0], np.arange(len(self.rows))):
+        keys = row_keys(self.rows)
+        if not np.array_equal(np.sort(keys), keys) or (keys[1:] == keys[:-1]).any():
             raise ValueError("rows must strictly ascend by bytes")
 
     @cached_property
@@ -349,9 +335,6 @@ class EmpiricalIRS:
         weight = {c: Fraction(c, self.n_atoms) for c in set(self.counts.tolist())}  # rows share few counts
         return tuple((StabilizerTrace(self.rank, self.radius, row.tobytes()), weight[c])
                      for row, c in zip(self.rows, self.counts.tolist()))
-
-    def as_dict(self) -> dict[StabilizerTrace, Fraction]:
-        return dict(self.weights)
 
 
 def _conjugate_rows(hom: Homomorphism, radius: int):
@@ -444,10 +427,3 @@ def schreier_ball(hom: Homomorphism, root: int, radius: int) -> SchreierBall:
                 edges.append((t, -letter, v))
     edges.sort(key=lambda e: (e[0], abs(e[1]), e[1] < 0, e[2]))
     return SchreierBall(root, radius, vertices, tuple(edges), code)
-
-
-def balls_isomorphic(a: Homomorphism, x: int, b: Homomorphism, y: int, radius: int) -> bool:
-    """Rooted label-isomorphism of radius-R balls: the roots' ball codes agree."""
-    if a.rank != b.rank:
-        raise ValueError("actions have different ranks")
-    return np.array_equal(ball_codes(a, radius, [x]), ball_codes(b, radius, [y]))

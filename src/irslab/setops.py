@@ -3,8 +3,8 @@
 numpy's own set routines (`unique`, `isin`, `union1d`, ...) go through
 a hash table in numpy 2.x, which is slow on large integer keys and
 wastes the order the callers here already keep.  These helpers return
-ascending arrays, or ids numbered in ascending order, so results are
-exact and deterministic.
+ascending arrays, or byte rows as keys that sort in byte order, so
+results are exact and deterministic.
 """
 
 from __future__ import annotations
@@ -39,23 +39,9 @@ def merge_disjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
-    """One void key per row of a 2-D byte array.  Keys compare, sort and
-    `searchsorted` in memcmp order, the order Python gives the rows' `tobytes()`."""
+    """One void key per row of a 2-D byte array, a view of a C-ordered array's rows.
+    Keys sort and `searchsorted` in memcmp order, the order Python gives the rows'
+    `tobytes()`, and test equal with `==` and `!=`; numpy has no `<` or `>` for them."""
     rows = np.ascontiguousarray(rows, dtype=np.uint8)
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
-
-def row_ids(rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense ids of equal rows of a 2-D byte array, and how many there are.
-
-    Ids follow the ascending byte order of the rows (see `row_keys`).
-    """
-    keys = row_keys(rows)
-    order = np.argsort(keys)
-    ranked = keys[order]
-    new = np.empty(keys.size, dtype=bool)
-    new[:1] = True
-    new[1:] = ranked[1:] != ranked[:-1]
-    ids = np.empty(keys.size, dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids, int(np.count_nonzero(new))

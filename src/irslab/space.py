@@ -139,7 +139,7 @@ class FiniteSpace:
 
     # -- queries -----------------------------------------------------
 
-    @property
+    @cached_property
     def class_count(self) -> int:
         return int(self.class_of.max()) + 1
 

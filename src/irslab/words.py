@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class FreeBall:
 
     The ball is two arrays, each word's first letter and the index of
     the word with that letter removed, so images of every ball word at
-    an atom fill in one linear pass; words are built on first use.
+    an atom fill in one linear pass; no word object is built.
     """
 
     def __init__(self, rank: int, radius: int):
@@ -105,20 +105,6 @@ class FreeBall:
 
     def __len__(self):
         return self.parent.size
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        letters = [()]
-        for first, rest in zip(self.first_letter[1:].tolist(), self.parent[1:].tolist()):
-            letters.append((first,) + letters[rest])
-        return {w: i for i, w in enumerate(letters)}
-
-    @cached_property
-    def words(self) -> tuple[ReducedWord, ...]:
-        return tuple(ReducedWord(self.rank, w) for w in self._index)  # keys in ball order
-
-    def word_index(self, word: ReducedWord) -> int:
-        return self._index[word.letters]
 
 
 class TraceBudgetError(ValueError):

@@ -14,7 +14,6 @@ from irslab import (
     FiniteSpace,
     FullGroupElement,
     Homomorphism,
-    StabilizerTrace,
     TraceBudgetError,
     ball,
     ball_codes,
@@ -23,7 +22,6 @@ from irslab import (
     lean_aperiodic_homomorphism,
     random_homomorphism,
     realizes_tau_fraction,
-    stabilizer_trace,
     trace_code_matrix,
     transitivity_degree,
 )
@@ -56,10 +54,8 @@ ENTRY_POINTS = {
     "ball_codes": (lambda: ball_codes(LEAN64, 3), TraceBudgetError),
     # one row of |B(8)| = 13121 two-byte codes
     "ball_codes of one root": (lambda: ball_codes(LEAN64, 7, [0]), TraceBudgetError),
-    # 16 bytes for each of the |B(5)| = 485 ball words; the trace is 61 bytes
-    "stabilizer_trace": (lambda: stabilizer_trace(LEAN64, 0, 5), TraceBudgetError),
+    # 16 bytes for each of the |B(5)| = 485 ball words
     "ball": (lambda: ball(2, 5), TraceBudgetError),
-    "StabilizerTrace.words": (lambda: StabilizerTrace(2, 5, bytes(61)).words(), TraceBudgetError),
     # 9 int64 rows of 64 atoms
     "FullGroupElement.levels": (lambda: LEAN64.gens[0].levels(range(64), 9), ValueError),
     # 1024 int64 class ids

@@ -23,7 +23,7 @@ from irslab import (
 )
 from irslab.fullgroup import cycle_structure
 from irslab.rng import STREAM_TEST
-from irslab.serialize import hom_from_doc, hom_to_doc, space_to_doc
+from irslab.serialize import hom_from_doc, hom_to_doc, space_from_doc, space_to_doc
 
 
 def test_single_class_space():
@@ -42,6 +42,19 @@ def test_from_class_sizes():
     assert sp.classes()[1] == (4, 5, 6, 7)
     assert sp.filtration_levels == 2
     assert not sp.is_single_class
+
+
+def test_class_count_is_computed_once_and_cached():
+    """The count is read off `class_of.max()` on first use and kept on the space,
+    so `splice` and `is_single_class` ask it without a pass over the atoms."""
+    doc = {"type": "space", "n_atoms": 6, "classes": [[5, 0], [1, 2, 4], [3]]}
+    for space, count in ((FiniteSpace.from_class_sizes([4, 4, 8]), 3), (space_from_doc(doc), 3),
+                         (FiniteSpace.single_class(8), 1)):
+        assert "class_count" not in vars(space)
+        assert space.class_count == count and type(space.class_count) is int
+        assert vars(space)["class_count"] == count
+        assert space.is_single_class == (count == 1)
+        assert space_from_doc(space_to_doc(space)).class_count == count
 
 
 def test_auto_filtration_stops_at_odd_sizes():

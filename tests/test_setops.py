@@ -2,7 +2,9 @@
 against two earlier implementations kept here as oracles: the numpy set-op
 closure, and the bidirectional `_grow` closure that settled every atom by
 its own search.  The conjugation lemma the kernel spreads by is checked on
-the set-op oracle's realized masks."""
+the set-op oracle's realized masks.  `row_ids`, the numbering of equal byte
+rows that trace distributions were counted on before `empirical_irs` became
+one sort, is kept here verbatim as that sort's oracle, and checked itself."""
 
 from collections import Counter
 from fractions import Fraction
@@ -26,7 +28,27 @@ from irslab import (
 )
 from irslab.analysis import _grow, _pack
 from irslab.rng import STREAM_TEST
-from irslab.setops import member, merge_disjoint, row_ids, row_keys, sorted_unique
+from irslab.setops import member, merge_disjoint, row_keys, sorted_unique
+
+
+# -- oracle: the numbering of equal rows the trace distribution was counted on --
+
+
+def row_ids(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ids of equal rows of a 2-D byte array, and how many there are.
+
+    Ids follow the ascending byte order of the rows (see `row_keys`).
+    """
+    keys = row_keys(rows)
+    order = np.argsort(keys)
+    ranked = keys[order]
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    new[1:] = ranked[1:] != ranked[:-1]
+    ids = np.empty(keys.size, dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, int(np.count_nonzero(new))
+
 
 # -- helpers -------------------------------------------------------------------
 
